@@ -14,17 +14,16 @@ from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationConfig,
 from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
                        assemble_L, dump_matrix, fourier_multiplier_matrix,
                        load_matrix, make_grid, weyl_matrix)
-from .spectra import (Eigenpair, LocalizationReport, agmon_weighted_norm,
-                      fourier_tail, lowest_eigenpairs, parity_of,
+from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
+                      gap_near_residual, lowest_eigenpairs, parity_of,
                       reverse_indices, spatial_tail)
 from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
                   WkbQuasimode, agmon_phase, assemble_onewell, bump,
                   eikonal_residual, leading_amplitude, quasimode_residual,
                   sealing_function, smoothstep, transport_residual,
                   wkb_eigenvalue, wkb_quasimode)
-from .effective import (EffectiveOperator, assemble_Mhbar,
-                        classical_splitting_formula, gap_Mhbar,
-                        schrodinger_matrix)
+from .effective import (assemble_Mhbar, classical_splitting_formula,
+                        gap_Mhbar, schrodinger_matrix)
 from .tunneling import (CutoffPair, InteractionReport, cutoff_pair,
                         gram_reduction, interaction_asymptotic,
                         interaction_term, measured_splitting,

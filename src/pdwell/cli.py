@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -18,13 +19,12 @@ import numpy as np
 
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
-from .harness import (SPLITTING_COLUMNS, auto_points, build_model,
+from .harness import (SPLITTING_COLUMNS, _sweep_row, auto_points, build_model,
                       convergence_ratios, format_value, load_config,
-                      run_sweep, splitting_row)
+                      run_sweep, sweep_objects)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix, make_grid
 from .spectra import lowest_eigenpairs
-from .tunneling import cutoff_pair, interaction_term
 from .wkb import (agmon_phase, assemble_onewell, leading_amplitude,
                   sealing_function, wkb_quasimode)
 
@@ -70,7 +70,7 @@ def cmd_spectrum(args) -> int:
     for i, p in enumerate(lowest_eigenpairs(M, args.k), start=1):
         print(f"lambda_{i} = {format_value(p.value)}")
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    M_ow = assemble_onewell(m, g, "left", seal)
+    M_ow = assemble_onewell(M, "left", seal)
     for i, p in enumerate(lowest_eigenpairs(M_ow, args.k), start=1):
         print(f"lambda_onewell_{i} = {format_value(p.value)}")
     if args.dump_matrix:
@@ -117,8 +117,7 @@ def cmd_effective(args) -> int:
         for hbar in hbars:
             g = make_grid(cfg.L, auto_points(cfg.L, hbar, cfg.xi_min),
                           hbar, cfg.xi_min)
-            eff = assemble_Mhbar(m, g, hbar)
-            pairs = lowest_eigenpairs(eff.matrix, 4)
+            pairs = lowest_eigenpairs(assemble_Mhbar(m, g, hbar), 4)
             gap = pairs[1].value - pairs[0].value
             formula = classical_splitting_formula(m, hbar)
             row = [hbar] + [p.value for p in pairs] + [gap, formula, gap/formula]
@@ -130,19 +129,14 @@ def cmd_effective(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    cfg = load_config(args.config)
-    m = build_model(cfg)
+    cfg = dataclasses.replace(load_config(args.config), diagnostics=("tunneling",))
     rows = []
     path = _out_path(cfg, "splitting.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SPLITTING_COLUMNS)
         for h in cfg.h_list:
-            g = _grid_for(cfg, h)
-            seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-            phase = agmon_phase(m, seal, "left")
-            cut = cutoff_pair(phase, seal)
-            row = splitting_row(interaction_term(m, g, cut, seal))
+            row = _sweep_row({"cfg": cfg, "h": h})
             rows.append(row)
             writer.writerow([format_value(row[c]) for c in SPLITTING_COLUMNS])
             fh.flush()
@@ -195,7 +189,7 @@ def cmd_sweep(args) -> int:
             print("check failed: too few unflagged rows for the action fit",
                   file=sys.stderr)
             return 4
-        S = derived_constants(build_model(cfg)).S
+        S = derived_constants(sweep_objects(cfg).model).S
         rel = abs(-report.fits[0] - S) / S
         if rel > 0.05:
             print(f"check failed: fitted action {-report.fits[0]:.6f} deviates "

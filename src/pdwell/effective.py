@@ -13,29 +13,16 @@ A hbar^(1/2) exp(-S/hbar), which this module also evaluates.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import PrecisionWarning
 from .model import Model, derived_constants
 from .quantize import Grid, OperatorMatrix, make_grid, _symmetrize
-from .spectra import lowest_eigenpairs
+from .spectra import gap_near_residual, lowest_eigenpairs
 
 __all__ = [
-    "EffectiveOperator", "schrodinger_matrix", "assemble_Mhbar",
-    "gap_Mhbar", "classical_splitting_formula",
+    "schrodinger_matrix", "assemble_Mhbar", "gap_Mhbar",
+    "classical_splitting_formula",
 ]
-
-# a gap within this factor of the eigensolver residual is flagged
-GAP_RESIDUAL_FACTOR = 100.0
-
-
-@dataclass
-class EffectiveOperator:
-    hbar: float
-    matrix: OperatorMatrix
 
 
 def schrodinger_matrix(potential, g: Grid, hbar: float, a2: float) -> OperatorMatrix:
@@ -51,27 +38,21 @@ def schrodinger_matrix(potential, g: Grid, hbar: float, a2: float) -> OperatorMa
     return _symmetrize(M, g)
 
 
-def assemble_Mhbar(m: Model, g: Grid, hbar: float) -> EffectiveOperator:
-    """Effective operator at hbar, rebuilding the momentum lattice if needed."""
+def assemble_Mhbar(m: Model, g: Grid, hbar: float) -> OperatorMatrix:
+    """Effective operator at hbar, rebuilding the momentum lattice if needed.
+
+    The returned matrix's grid carries hbar as its semiclassical parameter.
+    """
     if abs(g.h - hbar) > 1e-15:
         g = make_grid(g.length, g.n_points, hbar)
-    consts = derived_constants(m)
-    return EffectiveOperator(hbar=float(hbar),
-                             matrix=schrodinger_matrix(m.potential, g, hbar, consts.a2))
+    return schrodinger_matrix(m.potential, g, hbar, derived_constants(m).a2)
 
 
 def gap_Mhbar(m: Model, g: Grid, hbar: float) -> float:
     """Ground-state gap lambda_2 - lambda_1 of the effective operator."""
-    eff = assemble_Mhbar(m, g, hbar)
-    pairs = lowest_eigenpairs(eff.matrix, 2)
-    gap = pairs[1].value - pairs[0].value
-    floor = GAP_RESIDUAL_FACTOR * max(p.residual for p in pairs)
-    if gap < floor:
-        warnings.warn(
-            f"effective gap {gap:.3e} is within {GAP_RESIDUAL_FACTOR:.0f}x of "
-            f"the eigensolver residual {floor/GAP_RESIDUAL_FACTOR:.3e}",
-            PrecisionWarning)
-    return float(gap)
+    pairs = lowest_eigenpairs(assemble_Mhbar(m, g, hbar), 2)
+    gap_near_residual(pairs, "effective gap")
+    return float(pairs[1].value - pairs[0].value)
 
 
 def classical_splitting_formula(m: Model, hbar: float) -> float:

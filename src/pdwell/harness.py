@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -21,18 +22,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .model import Model, builtin_model, custom_model, derived_constants, validate_model
-from .quantize import make_grid
-from .spectra import (agmon_weighted_norm, fourier_tail, lowest_eigenpairs,
-                      parity_of, spatial_tail)
-from .tunneling import InteractionReport, cutoff_pair, interaction_term
-from .wkb import agmon_phase, quasimode_residual, sealing_function, wkb_quasimode
-from .quantize import assemble_L
-from .wkb import assemble_onewell
+from .model import Model, builtin_model, custom_model, validate_model
+from .quantize import assemble_L, make_grid
+from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
+                      lowest_eigenpairs, parity_of, spatial_tail)
+from .tunneling import CutoffPair, InteractionReport, cutoff_pair, interaction_term
+from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
+                  quasimode_residual, sealing_function, wkb_quasimode)
 
 __all__ = [
-    "SweepConfig", "SweepReport", "auto_points", "load_config",
-    "build_model", "run_sweep", "convergence_ratios",
+    "SweepConfig", "SweepReport", "SweepObjects", "auto_points", "load_config",
+    "build_model", "sweep_objects", "run_sweep", "convergence_ratios",
     "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row", "format_value",
 ]
 
@@ -57,7 +57,7 @@ SWEEP_COLUMNS = SPLITTING_COLUMNS + [
 DEFAULT_H_LIST = (0.09, 0.08, 0.07, 0.06, 0.05, 0.04)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
     model_name: str = "ModelA"
     h_list: tuple = DEFAULT_H_LIST
@@ -82,7 +82,8 @@ class SweepConfig:
             raise ConfigurationError(f"every h must lie in (0, 1], got {hs}")
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ConfigurationError(f"h_list must be strictly decreasing, got {hs}")
-        self.h_list = hs
+        object.__setattr__(self, "h_list", hs)
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         unknown = set(self.diagnostics) - set(ALL_DIAGNOSTICS)
         if unknown:
             raise ConfigurationError(f"unknown diagnostics {sorted(unknown)}")
@@ -121,6 +122,34 @@ def build_model(cfg: SweepConfig) -> Model:
     if cfg.model_name == "ModelB":
         return builtin_model("ModelB", eps=cfg.eps)
     return builtin_model(cfg.model_name)
+
+
+@dataclass(frozen=True)
+class SweepObjects:
+    """The h-independent objects of a sweep: the validated model, the seal
+    closing the right well, the left Agmon phase (which caches the WKB
+    amplitude) and the overlap cutoffs."""
+    model: Model
+    seal: SealingFunction
+    phase: AgmonPhase
+    cut: CutoffPair
+
+
+@functools.lru_cache(maxsize=1)
+def sweep_objects(cfg: SweepConfig) -> SweepObjects:
+    """Validate the model and build the h-independent objects, once per process.
+
+    The cache is keyed on the config's plain values, so the serial sweep and
+    each worker process build these objects once and no closure is pickled.
+    """
+    m = build_model(cfg)
+    report = validate_model(m)
+    if not report.passed:
+        failing = [k for k, ok in report.checks.items() if not ok]
+        raise ConfigurationError(f"model assumptions failed: {failing}")
+    seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
+    phase = agmon_phase(m, seal, "left")
+    return SweepObjects(model=m, seal=seal, phase=phase, cut=cutoff_pair(phase, seal))
 
 
 # --------------------------------------------------------------------------
@@ -193,59 +222,48 @@ def splitting_row(rep: InteractionReport) -> dict:
     }
 
 
-def _model_args(cfg: SweepConfig) -> dict:
-    return {"model_name": cfg.model_name, "eps": cfg.eps,
-            "a_expr": cfg.a_expr, "b_expr": cfg.b_expr, "x_well": cfg.x_well}
-
-
-def _rebuild_model(args: dict) -> Model:
-    if args["model_name"] == "custom":
-        return custom_model(args["a_expr"], args["b_expr"], args["x_well"])
-    if args["model_name"] == "ModelB":
-        return builtin_model("ModelB", eps=args["eps"])
-    return builtin_model(args["model_name"])
-
-
 def _sweep_row(task: dict) -> dict:
-    """Full pipeline at one h. Runs in a worker process; inputs are plain data."""
-    m = _rebuild_model(task["model"])
-    h = task["h"]
-    g = make_grid(task["L"], task["N"], h, task["xi_min"])
-    diagnostics = task["diagnostics"]
+    """Full pipeline at one h, from the task's config and h.
 
-    seal = sealing_function(m, eta=task["seal_eta"], height=task["seal_height"])
-    phase = agmon_phase(m, seal, "left")
+    Three eigensolves: L_h and the sealed one-well operator for k = 3, and
+    M_hbar inside interaction_term. Runs in a worker process; the task is
+    plain data and the h-independent objects come from sweep_objects.
+    """
+    cfg, h = task["cfg"], task["h"]
+    s = sweep_objects(cfg)
+    m = s.model
+    g = make_grid(cfg.L, cfg.points_for(h), h, cfg.xi_min)
+    diagnostics = cfg.diagnostics
+
+    M = assemble_L(m, g)
+    pairs = lowest_eigenpairs(M, 3)
+    M_ow = assemble_onewell(M, "left", s.seal)
+    ow_pairs = lowest_eigenpairs(M_ow, 3)
 
     row = {c: math.nan for c in SWEEP_COLUMNS}
     row["h"] = h
-    row["precision_flag"] = 0
-
-    if "tunneling" in diagnostics:
-        cut = cutoff_pair(phase, seal)
-        row.update(splitting_row(interaction_term(m, g, cut, seal)))
-    else:
-        pairs = lowest_eigenpairs(assemble_L(m, g), 3)
-        row.update({"lambda1": pairs[0].value, "lambda2": pairs[1].value,
-                    "lambda3": pairs[2].value,
-                    "gap12": pairs[1].value - pairs[0].value,
-                    "gap23": pairs[2].value - pairs[1].value})
-
-    dw_pairs = lowest_eigenpairs(assemble_L(m, g), 2)
-    row["parity1"] = parity_of(dw_pairs[0], g)
-    row["parity2"] = parity_of(dw_pairs[1], g)
-
-    ow_pairs = lowest_eigenpairs(assemble_onewell(m, g, "left", seal), 3)
-    row["lambda_ow1"] = ow_pairs[0].value
-    row["lambda_ow2"] = ow_pairs[1].value
-    row["lambda_ow3"] = ow_pairs[2].value
+    row["parity1"] = parity_of(pairs[0], g)
+    row["parity2"] = parity_of(pairs[1], g)
+    for n, pair in enumerate(ow_pairs, start=1):
+        row[f"lambda_ow{n}"] = pair.value
 
     if "wkb" in diagnostics:
-        q = wkb_quasimode(m, g, phase)
+        q = wkb_quasimode(m, g, s.phase)
         row["wkb_lambda"] = q.lambda_wkb
         row["norm_raw"] = q.norm_raw
-        row["wkb_residual"] = quasimode_residual(
-            assemble_onewell(m, g, "left", seal), q)
+        row["wkb_residual"] = quasimode_residual(M_ow, q)
         row["wkb_overlap"] = abs(g.dx * np.sum(q.vector * np.conj(ow_pairs[0].vector)))
+    # freed before interaction_term assembles M_hbar; holding both would
+    # raise the peak memory of a row by one N x N matrix
+    del M_ow
+
+    if "tunneling" in diagnostics:
+        row.update(splitting_row(interaction_term(m, M, pairs, ow_pairs[0], s.cut)))
+    else:
+        lam = [p.value for p in pairs]
+        row.update({"lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2],
+                    "gap12": lam[1] - lam[0], "gap23": lam[2] - lam[1],
+                    "precision_flag": int(gap_near_residual(pairs, "splitting"))})
 
     if "localization" in diagnostics:
         xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
@@ -253,7 +271,7 @@ def _sweep_row(task: dict) -> dict:
             row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
             row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
             row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, m, 0.2, "left",
-                                                    phase=phase)
+                                                    phase=s.phase)
     return row
 
 
@@ -296,19 +314,10 @@ def _fit_gap(rows):
 
 def run_sweep(cfg: SweepConfig) -> SweepReport:
     """Validate once, run the per-h pipeline, persist rows, fit the action."""
-    m = build_model(cfg)
-    report = validate_model(m)
-    if not report.passed:
-        failing = [k for k, ok in report.checks.items() if not ok]
-        raise ConfigurationError(f"model assumptions failed: {failing}")
-    derived_constants(m)
+    sweep_objects(cfg)   # validates the model; serial rows reuse the objects
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tasks = [{"model": _model_args(cfg), "h": h, "L": cfg.L,
-              "N": cfg.points_for(h), "xi_min": cfg.xi_min,
-              "seal_eta": cfg.seal_eta, "seal_height": cfg.seal_height,
-              "diagnostics": cfg.diagnostics}
-             for h in cfg.h_list]
+    tasks = [{"cfg": cfg, "h": h} for h in cfg.h_list]
 
     workers = int(os.environ.get("PDWELL_WORKERS", "1"))
     rows, flags = [], []

@@ -398,13 +398,23 @@ def _check_node(node, names):
         raise ConfigurationError(f"syntax element {type(node).__name__} not allowed")
 
 
+def _parse(expr: str) -> ast.Expression:
+    try:
+        return ast.parse(expr, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        # SyntaxError.msg leaves out the "(<unknown>, line 1)" locator
+        detail = getattr(exc, "msg", exc)
+        raise ConfigurationError(f"malformed expression {expr!r}: {detail}") from None
+
+
 def parse_symbol(expr: str, variables=("x", "xi")):
     """Compile a polynomial/rational expression into a vectorized evaluator.
 
     Only +, -, *, /, integer ** and the given variable names are accepted;
-    anything else (calls, attributes, subscripts) is rejected.
+    anything else (calls, attributes, subscripts, malformed syntax) raises
+    ConfigurationError.
     """
-    tree = ast.parse(expr, mode="eval")
+    tree = _parse(expr)
     _check_node(tree, set(variables))
     code = compile(tree, "<symbol>", "eval")
 
@@ -418,7 +428,7 @@ def parse_symbol(expr: str, variables=("x", "xi")):
 
 
 def _free_names(expr: str):
-    return {n.id for n in ast.walk(ast.parse(expr, mode="eval")) if isinstance(n, ast.Name)}
+    return {n.id for n in ast.walk(_parse(expr)) if isinstance(n, ast.Name)}
 
 
 def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") -> Model:

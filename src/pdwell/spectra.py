@@ -21,12 +21,15 @@ from .model import Model
 from .quantize import Grid, OperatorMatrix
 
 __all__ = [
-    "Eigenpair", "LocalizationReport", "lowest_eigenpairs", "parity_of",
+    "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
     "fourier_tail", "spatial_tail", "agmon_weighted_norm", "reverse_indices",
 ]
 
 # solver residual contract, relative to the Frobenius norm of the matrix
 RESIDUAL_RTOL = 1e-10
+
+# a gap within this factor of the eigensolver residual is flagged
+GAP_RESIDUAL_FACTOR = 100.0
 
 # single-node weighted contribution beyond exp(700) trips the overflow flag
 LOG_GUARD = 700.0
@@ -37,14 +40,6 @@ class Eigenpair:
     value: float
     vector: np.ndarray   # unit norm under the dx-weighted inner product
     residual: float
-
-
-@dataclass
-class LocalizationReport:
-    fourier_tail: float
-    spatial_tail: float
-    agmon_norm: float
-    parity: float
 
 
 def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
@@ -69,6 +64,22 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
                              vector=col * np.conj(phase) / np.sqrt(dx),
                              residual=resid))
     return out
+
+
+def gap_near_residual(pairs: list[Eigenpair], label: str) -> bool:
+    """Precision flag of the gap lambda_2 - lambda_1 of ascending pairs.
+
+    True, with a PrecisionWarning, when the gap is within
+    GAP_RESIDUAL_FACTOR of the largest residual among the pairs.
+    """
+    gap = pairs[1].value - pairs[0].value
+    resid = max(p.residual for p in pairs)
+    flag = gap < GAP_RESIDUAL_FACTOR * resid
+    if flag:
+        warnings.warn(
+            f"{label} {gap:.3e} is within {GAP_RESIDUAL_FACTOR:.0f}x of "
+            f"the eigensolver residual {resid:.3e}", PrecisionWarning)
+    return flag
 
 
 def reverse_indices(N: int) -> np.ndarray:

@@ -16,18 +16,17 @@ normalization.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigvalsh, inv, sqrtm
 
-from .errors import ConfigurationError, DegeneracyError, PrecisionWarning
+from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import Grid, OperatorMatrix, assemble_L, make_grid
-from .spectra import Eigenpair, lowest_eigenpairs, reverse_indices
-from .wkb import AgmonPhase, SealingFunction, assemble_onewell, smoothstep
+from .spectra import Eigenpair, gap_near_residual, lowest_eigenpairs, reverse_indices
+from .wkb import AgmonPhase, SealingFunction, smoothstep
 from .effective import gap_Mhbar
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "interaction_term", "gram_reduction", "predicted_splitting_theorem",
     "interaction_asymptotic",
 ]
-
-GAP_RESIDUAL_FACTOR = 100.0
 
 
 @dataclass
@@ -90,23 +87,18 @@ def _inner(g: Grid, u: np.ndarray, v: np.ndarray) -> complex:
 def measured_splitting(m: Model, g: Grid):
     """Direct gaps of the double-well operator: (gap12, gap23, lambda1)."""
     pairs = lowest_eigenpairs(assemble_L(m, g), 3)
-    gap12 = pairs[1].value - pairs[0].value
-    resid = max(p.residual for p in pairs)
-    if gap12 < GAP_RESIDUAL_FACTOR * resid:
-        warnings.warn(
-            f"splitting {gap12:.3e} is within {GAP_RESIDUAL_FACTOR:.0f}x of "
-            f"the eigensolver residual {resid:.3e}; deep-h precision limit",
-            PrecisionWarning)
-    return gap12, pairs[2].value - pairs[1].value, pairs[0].value
+    gap_near_residual(pairs, "splitting")
+    return (pairs[1].value - pairs[0].value, pairs[2].value - pairs[1].value,
+            pairs[0].value)
 
 
 def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
-                   M: OperatorMatrix, mu: float):
+                   M: OperatorMatrix, mu: float, basis: list[Eigenpair]):
     """2x2 reduction onto the projected cut-off states.
 
-    Builds f_* = chi_* psi_*, projects onto the span of the two lowest
-    eigenvectors of M, and returns (G, L, gap) where G is the Gram matrix,
-    L the quadratic-form matrix of M - mu, and gap the eigenvalue
+    Builds f_* = chi_* psi_*, projects onto the span of basis (the two
+    lowest eigenpairs of M), and returns (G, L, gap) where G is the Gram
+    matrix, L the quadratic-form matrix of M - mu, and gap the eigenvalue
     difference of G^(-1/2) L G^(-1/2). The mu-shift leaves gap unchanged.
     """
     g = M.grid
@@ -114,7 +106,6 @@ def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
     f_l = cut.chi_left(x) * psi_l.vector
     f_r = cut.chi_right(x) * psi_r.vector
 
-    basis = lowest_eigenpairs(M, 2)
     def project(v):
         return sum(e.vector * _inner(g, v, e.vector) for e in basis)
 
@@ -137,22 +128,19 @@ def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
     return G, L, float(evals[1] - evals[0])
 
 
-def interaction_term(m: Model, g: Grid, cut: CutoffPair,
-                     seal: SealingFunction) -> InteractionReport:
-    """Compute w_h and every gap route on one grid."""
-    M = assemble_L(m, g)
-    pairs = lowest_eigenpairs(M, 3)
+def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
+                     ow: Eigenpair, cut: CutoffPair) -> InteractionReport:
+    """Compute w_h and every gap route at the h of M's grid.
+
+    M is the assembled L_h and pairs its three lowest eigenpairs; ow is the
+    ground pair of the sealed left-well operator. The only solve made here
+    is the effective operator's, for the theorem prediction.
+    """
+    g = M.grid
     lam = [p.value for p in pairs]
     gap12, gap23 = lam[1] - lam[0], lam[2] - lam[1]
-    resid = max(p.residual for p in pairs)
-    flag = gap12 < GAP_RESIDUAL_FACTOR * resid
-    if flag:
-        warnings.warn(
-            f"splitting {gap12:.3e} is within {GAP_RESIDUAL_FACTOR:.0f}x of "
-            f"the eigensolver residual {resid:.3e}; deep-h precision limit",
-            PrecisionWarning)
+    flag = gap_near_residual(pairs, "splitting")
 
-    ow = lowest_eigenpairs(assemble_onewell(m, g, "left", seal), 1)[0]
     mu = ow.value
     rev = reverse_indices(g.n_points)
     psi_r = Eigenpair(value=ow.value, vector=ow.vector[rev], residual=ow.residual)
@@ -162,7 +150,7 @@ def interaction_term(m: Model, g: Grid, cut: CutoffPair,
     w_h = _inner(g, M.entries @ f_l - mu * f_l, f_r)
     overlap = _inner(g, f_l, f_r)
 
-    _, _, gram_gap = gram_reduction(ow, psi_r, cut, M, mu)
+    _, _, gram_gap = gram_reduction(ow, psi_r, cut, M, mu, pairs[:2])
 
     g_eff = make_grid(g.length, g.n_points, np.sqrt(g.h))
     thm = predicted_splitting_theorem(m, g_eff, g.h)

@@ -27,7 +27,7 @@ from scipy.optimize import brentq
 
 from .errors import ConfigurationError
 from .model import Model, derived_constants
-from .quantize import Grid, OperatorMatrix, assemble_L
+from .quantize import Grid, OperatorMatrix
 
 __all__ = [
     "SealingFunction", "AgmonPhase", "WkbQuasimode",
@@ -48,6 +48,9 @@ _SING_RADIUS = 1e-4
 
 # finite-difference steps for derivatives of the phase branch
 _FD_STEP = 1e-3
+
+# weights of the 8th-order centered first difference, offsets -4 .. 4
+_FD8_COEFF = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
 
 
 # --------------------------------------------------------------------------
@@ -167,21 +170,22 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
     return SealingFunction(evaluator=k, support=(x_r - w, x_r + w), height=hgt, eta=w)
 
 
-def assemble_onewell(m: Model, g: Grid, side: str, seal: SealingFunction) -> OperatorMatrix:
-    """Matrix of the sealed operator: assemble_L plus h * diag(k).
+def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
+    """Matrix of the sealed operator: the assembled L_h plus h * diag(k).
 
-    The seal enters at order h because it perturbs the subprincipal symbol.
-    side = "right" reflects the bump, sealing the left well instead.
+    M is left unchanged. The seal enters at order h because it perturbs the
+    subprincipal symbol. side = "right" reflects the bump, sealing the left
+    well instead.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
-    base = assemble_L(m, g)
+    g = M.grid
     x = g.x_nodes if side == "left" else -g.x_nodes
-    entries = base.entries.copy()
+    entries = M.entries.copy()
     entries[np.diag_indices_from(entries)] += g.h * seal.evaluator(x)
     return OperatorMatrix(entries=entries,
-                          hermiticity_defect=base.hermiticity_defect,
-                          grid=g, defect_warning=base.defect_warning)
+                          hermiticity_defect=M.hermiticity_defect,
+                          grid=g, defect_warning=M.defect_warning)
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +371,12 @@ def wkb_eigenvalue(m: Model, h: float, n: int = 1) -> float:
     return float((2*n - 1) * consts.c0 * h**1.5)
 
 
+def _fd8(f, xs, d):
+    """8th-order centered first difference of f at xs with step d."""
+    return sum(c * np.asarray(f(xs + off*d))
+               for c, off in zip(_FD8_COEFF, range(-4, 5)) if c != 0.0) / d
+
+
 def eikonal_residual(m: Model, phase: AgmonPhase, sample_xs, d: float = 2e-3) -> float:
     """Residual of (Phi')^2 = (2/a''(0)) b_sealed(., 0) at the samples.
 
@@ -376,12 +386,7 @@ def eikonal_residual(m: Model, phase: AgmonPhase, sample_xs, d: float = 2e-3) ->
     """
     xs = np.asarray(sample_xs, dtype=float)
     consts = derived_constants(m)
-    coeff = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
-    dphi = np.zeros_like(xs)
-    for c, off in zip(coeff, range(-4, 5)):
-        if c != 0.0:
-            dphi += c * np.asarray(phase.evaluator(xs + off*d))
-    dphi /= d
+    dphi = _fd8(phase.evaluator, xs, d)
     g_branch, _ = _sealed_branch(m, phase.seal, phase.side)
     landscape = g_branch(xs)**2
     return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * landscape)))
@@ -403,13 +408,7 @@ def transport_residual(m: Model, phase: AgmonPhase, sample_xs) -> float:
     a2, c0 = consts.a2, consts.c0
     u_of = _amplitude_of(m, phase)
     u = u_of(xs)
-    d = 1e-3
-    coeff = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
-    du = np.zeros_like(u)
-    for c, off in zip(coeff, range(-4, 5)):
-        if c != 0.0:
-            du += c * u_of(xs + off*d)
-    du /= d
+    du = _fd8(u_of, xs, 1e-3)
     resid = (1j * np.asarray(phase.derivative(xs)) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
              + 0.5 * a2 * np.asarray(phase.second_derivative(xs)) * u
              + a2 * np.asarray(phase.derivative(xs)) * du

@@ -43,7 +43,7 @@ def grid05():
 
 @pytest.fixture(scope="session")
 def onewell05(model_a, grid05, seal_a):
-    M = pdwell.assemble_onewell(model_a, grid05, "left", seal_a)
+    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "left", seal_a)
     return M, pdwell.lowest_eigenpairs(M, 3)
 
 

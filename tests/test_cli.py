@@ -39,6 +39,16 @@ def test_unknown_model_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_malformed_expression_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path,
+                 "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"
+                 "b_expr = (x**2-1\nx_well = 1.0\n")
+    assert main(["validate", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: malformed expression")
+    assert len(err.splitlines()) == 1
+
+
 def test_spectrum_output_and_dump(tmp_path, capsys, model_a):
     dump = tmp_path / "m.bin"
     cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")

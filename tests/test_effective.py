@@ -31,7 +31,7 @@ def test_ground_state_harmonic_limit(model_a, consts_a):
     devs = []
     for hbar in (0.2, 0.1):
         eff = assemble_Mhbar(model_a, g, hbar)
-        lam1 = pdwell.lowest_eigenpairs(eff.matrix, 1)[0].value
+        lam1 = pdwell.lowest_eigenpairs(eff, 1)[0].value
         dev = abs(lam1 - consts_a.c0 * hbar)
         assert dev <= 0.9 * hbar
         devs.append(dev / hbar)
@@ -41,12 +41,11 @@ def test_ground_state_harmonic_limit(model_a, consts_a):
 def test_rebuilds_momentum_lattice(model_a):
     g = pdwell.make_grid(8.0, 512, 0.2)
     eff = assemble_Mhbar(model_a, g, 0.1)
-    assert eff.hbar == 0.1
-    assert eff.matrix.grid.h == 0.1
-    assert eff.matrix.grid.n_points == 512
+    assert eff.grid.h == 0.1
+    assert eff.grid.n_points == 512
     # matching hbar keeps the very same grid object
     same = assemble_Mhbar(model_a, g, 0.2)
-    assert same.matrix.grid is g
+    assert same.grid is g
 
 
 def test_gap_positive(model_a):
@@ -99,7 +98,7 @@ def test_excited_gap_lower_bound(model_a, consts_a):
     g = pdwell.make_grid(8.0, 512, 0.35)
     for hbar in (0.35, 0.25, 0.15):
         eff = assemble_Mhbar(model_a, g, hbar)
-        pairs = pdwell.lowest_eigenpairs(eff.matrix, 3)
+        pairs = pdwell.lowest_eigenpairs(eff, 3)
         assert pairs[2].value - pairs[1].value >= 0.5 * consts_a.c0 * hbar
 
 
@@ -108,7 +107,7 @@ def test_harmonic_ladder_trend(model_a, consts_a):
     prev = None
     for hbar in (0.3, 0.2, 0.1):
         eff = assemble_Mhbar(model_a, g, hbar)
-        lam1 = pdwell.lowest_eigenpairs(eff.matrix, 1)[0].value
+        lam1 = pdwell.lowest_eigenpairs(eff, 1)[0].value
         # double-well levels coalesce pairwise onto the one-well ladder as
         # hbar drops; the ground level must approach c0 hbar from within
         dev = abs(lam1/hbar - consts_a.c0)

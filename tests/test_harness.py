@@ -171,6 +171,29 @@ def test_worker_pool_matches_serial(model_a, tmp_path, monkeypatch):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch):
+    # mu and lambda_ow1 both come from the one sealed solve
+    for row in sweep_report.rows:
+        assert row["mu"] == row["lambda_ow1"]
+
+    # count the calls through every module global that holds the functions
+    from pdwell import effective, harness, quantize, spectra, tunneling, wkb
+    calls = {"lowest_eigenpairs": 0, "assemble_L": 0}
+    for name, home in (("lowest_eigenpairs", spectra), ("assemble_L", quantize)):
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in (effective, harness, quantize, spectra, tunneling, wkb):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    run_sweep(SweepConfig(h_list=(0.09,), out_dir=str(tmp_path / "one")))
+    assert calls == {"lowest_eigenpairs": 3, "assemble_L": 1}
+
+
 def test_crash_isolation(tmp_path, monkeypatch):
     import pdwell.harness as harness
 

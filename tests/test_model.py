@@ -151,8 +151,8 @@ def test_modelb_xi_derivative_on_axis(model_b, rng):
 
 def test_parse_symbol_rejects_bad_syntax():
     for expr in ("sin(x)", "x**2.5", "x + y", "__import__('os')",
-                 "x.real", "x[0]", "lambda t: t"):
-        with pytest.raises((ConfigurationError, SyntaxError)):
+                 "x.real", "x[0]", "lambda t: t", "(x**2-1", "x +* 2"):
+        with pytest.raises(ConfigurationError):
             pdwell.parse_symbol(expr)
 
 

@@ -172,7 +172,7 @@ def test_agmon_overflow_warning(model_a, phase_a_left):
 
 def test_onewell_left_right_spectra_agree(model_a, grid05, seal_a, onewell05):
     _, left = onewell05
-    M_r = pdwell.assemble_onewell(model_a, grid05, "right", seal_a)
+    M_r = pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "right", seal_a)
     right = pdwell.lowest_eigenpairs(M_r, 3)
     for pl, pr in zip(left, right):
         assert abs(pl.value - pr.value) < 1e-10

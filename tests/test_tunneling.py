@@ -24,8 +24,10 @@ def cut_a(phase_a_left, seal_a):
 
 
 @pytest.fixture(scope="module")
-def rep05(model_a, grid05, cut_a, seal_a):
-    return interaction_term(model_a, grid05, cut_a, seal_a)
+def rep05(model_a, grid05, cut_a, onewell05):
+    M = pdwell.assemble_L(model_a, grid05)
+    return interaction_term(model_a, M, pdwell.lowest_eigenpairs(M, 3),
+                            onewell05[1][0], cut_a)
 
 
 def test_cutoff_geometry(cut_a, seal_a):
@@ -100,7 +102,8 @@ def test_gram_matrix_properties(onewell05, model_a, grid05, cut_a):
     psi_r = Eigenpair(value=ow[0].value, vector=ow[0].vector[rev],
                       residual=ow[0].residual)
     mu = ow[0].value
-    G, L, gap = gram_reduction(ow[0], psi_r, cut_a, M, mu)
+    basis = pdwell.lowest_eigenpairs(M, 2)
+    G, L, gap = gram_reduction(ow[0], psi_r, cut_a, M, mu, basis)
 
     assert G.shape == (2, 2) and L.shape == (2, 2)
     assert G[0, 1] == np.conj(G[1, 0])
@@ -110,7 +113,7 @@ def test_gram_matrix_properties(onewell05, model_a, grid05, cut_a):
     assert gap > 0
 
     # shifting mu moves L by -delta G but leaves the reduced gap alone
-    _, _, gap_shift = gram_reduction(ow[0], psi_r, cut_a, M, mu + 0.37)
+    _, _, gap_shift = gram_reduction(ow[0], psi_r, cut_a, M, mu + 0.37, basis)
     assert abs(gap - gap_shift) < 1e-12
 
 
@@ -120,7 +123,8 @@ def test_gram_degenerate_inputs(onewell05, model_a, grid05, cut_a):
     dead = Eigenpair(value=ow[0].value, vector=np.zeros(grid05.n_points),
                      residual=0.0)
     with pytest.raises(DegeneracyError):
-        gram_reduction(dead, dead, cut_a, M, ow[0].value)
+        gram_reduction(dead, dead, cut_a, M, ow[0].value,
+                       pdwell.lowest_eigenpairs(M, 2))
 
 
 def test_theorem_prediction_positive(model_a):
@@ -178,7 +182,9 @@ def test_modelb_complex_interaction(model_b, grid05):
     seal = pdwell.sealing_function(model_b)
     phase = pdwell.agmon_phase(model_b, seal, "left")
     cut = cutoff_pair(phase, seal)
-    rep = interaction_term(model_b, grid05, cut, seal)
+    M = pdwell.assemble_L(model_b, grid05)
+    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
+    rep = interaction_term(model_b, M, pdwell.lowest_eigenpairs(M, 3), ow, cut)
     ratio = abs(rep.w_h.imag) / abs(rep.w_h)
     assert 1e-9 <= ratio <= 1e-6
     assert 0.7 <= 2.0 * abs(rep.w_h) / rep.measured_gap <= 1.3

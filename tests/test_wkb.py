@@ -94,14 +94,14 @@ def test_sealed_landscape_unique_minimum(model_a, seal_a):
 def test_onewell_zero_seal_equals_double_well(model_a, grid05):
     zero = SealingFunction(evaluator=lambda x: np.zeros(np.shape(x)),
                            support=(1.0, 1.0), height=0.0, eta=0.4)
-    M_ow = pdwell.assemble_onewell(model_a, grid05, "left", zero)
     M = pdwell.assemble_L(model_a, grid05)
+    M_ow = pdwell.assemble_onewell(M, "left", zero)
     assert np.array_equal(M_ow.entries, M.entries)
 
 
 def test_onewell_side_error(model_a, grid05, seal_a):
     with pytest.raises(ConfigurationError):
-        pdwell.assemble_onewell(model_a, grid05, "up", seal_a)
+        pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "up", seal_a)
 
 
 def test_phase_zero_at_well(phase_a_left):
