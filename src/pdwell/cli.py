@@ -25,14 +25,9 @@ from .harness import (SPLITTING_COLUMNS, _sweep_row, auto_points, build_model,
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix, make_grid
 from .spectra import lowest_eigenpairs
-from .wkb import (agmon_phase, assemble_onewell, leading_amplitude,
-                  sealing_function, wkb_quasimode)
+from .wkb import assemble_onewell, leading_amplitude, wkb_quasimode
 
 DEFAULT_HBAR_LIST = (0.35, 0.30, 0.25, 0.20, 0.15)
-
-
-def _grid_for(cfg, h):
-    return make_grid(cfg.L, cfg.points_for(h), h, cfg.xi_min)
 
 
 def _out_path(cfg, name):
@@ -62,17 +57,15 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
-    m = build_model(cfg)
-    g = _grid_for(cfg, args.h)
-    M = assemble_L(m, g)
+    s = sweep_objects(cfg)
+    g = cfg.grid_for(args.h)
+    M = assemble_L(s.model, g)
     print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}  "
           f"defect = {M.hermiticity_defect:.3e}")
-    for i, p in enumerate(lowest_eigenpairs(M, args.k), start=1):
-        print(f"lambda_{i} = {format_value(p.value)}")
-    seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    M_ow = assemble_onewell(M, "left", seal)
-    for i, p in enumerate(lowest_eigenpairs(M_ow, args.k), start=1):
-        print(f"lambda_onewell_{i} = {format_value(p.value)}")
+    M_ow = assemble_onewell(M, "left", s.seal)
+    for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
+        for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):
+            print(f"{label}_{i} = {format_value(p.value)}")
     if args.dump_matrix:
         dump_matrix(M, args.dump_matrix)
         print(f"# matrix written to {args.dump_matrix}")
@@ -81,24 +74,22 @@ def cmd_spectrum(args) -> int:
 
 def cmd_wkb(args) -> int:
     cfg = load_config(args.config)
-    m = build_model(cfg)
-    g = _grid_for(cfg, args.h)
-    seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    phase = agmon_phase(m, seal, "left")
-    q = wkb_quasimode(m, g, phase)
+    s = sweep_objects(cfg)
+    g = cfg.grid_for(args.h)
+    q = wkb_quasimode(s.model, g, s.phase)
     x = g.x_nodes
-    u = leading_amplitude(m, phase, x)
+    u = leading_amplitude(s.model, s.phase, x)
     path = _out_path(cfg, f"wkb_h{args.h:g}.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "phi_l", "phi_l_trunc", "re_u10", "im_u10", "psi_wkb"])
-        phi = np.asarray(phase.evaluator(x))
-        phit = np.asarray(phase.truncated_evaluator(x))
+        phi = np.asarray(s.phase.evaluator(x))
+        phit = np.asarray(s.phase.truncated_evaluator(x))
         for j in range(g.n_points):
             writer.writerow([format_value(x[j]), format_value(phi[j]),
                              format_value(phit[j]), format_value(u[j].real),
                              format_value(u[j].imag), format_value(q.vector[j].real)])
-    print(f"# A_window = {phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
+    print(f"# A_window = {s.phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
           f"lambda_wkb = {q.lambda_wkb:.12g}")
     print(path)
     return 0

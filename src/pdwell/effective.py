@@ -6,9 +6,9 @@ rescaling hbar = sqrt(h), by
     M_hbar = -hbar^2 (a''(0)/2) d^2/dx^2 + b(x, 0),
 
 discretized pseudo-spectrally: the kinetic part is the exact Fourier
-multiplier (a''(0)/2) eta^2 on the hbar-matched momentum lattice. Its
-ground-state gap admits the classical one-term asymptotics
-A hbar^(1/2) exp(-S/hbar), which this module also evaluates.
+multiplier (a''(0)/2) eta^2 on the hbar-matched momentum lattice, even in
+eta, so M_hbar is real symmetric. Its ground-state gap admits the classical
+one-term asymptotics A hbar^(1/2) exp(-S/hbar), which this module evaluates.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Model, derived_constants
-from .quantize import Grid, OperatorMatrix, make_grid, _symmetrize
+from .quantize import (Grid, OperatorMatrix, fourier_multiplier_matrix,
+                       make_grid, _symmetrize)
 from .spectra import gap_near_residual, lowest_eigenpairs
 
 __all__ = [
@@ -31,9 +32,7 @@ def schrodinger_matrix(potential, g: Grid, hbar: float, a2: float) -> OperatorMa
     The grid's own momentum lattice must already be matched to hbar
     (g.h == hbar); use assemble_Mhbar for automatic rebuilding.
     """
-    eta = g.eta_fft
-    from scipy.linalg import circulant
-    M = circulant(np.fft.ifft(0.5 * a2 * eta * eta)).astype(np.complex128)
+    M = fourier_multiplier_matrix(lambda eta: 0.5 * a2 * eta * eta, g)
     M[np.diag_indices_from(M)] += np.asarray(potential(g.x_nodes), dtype=float)
     return _symmetrize(M, g)
 

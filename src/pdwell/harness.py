@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .model import Model, builtin_model, custom_model, validate_model
-from .quantize import assemble_L, make_grid
+from .quantize import Grid, assemble_L, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
                       lowest_eigenpairs, parity_of, spatial_tail)
 from .tunneling import CutoffPair, InteractionReport, cutoff_pair, interaction_term
@@ -95,6 +95,9 @@ class SweepConfig:
 
     def points_for(self, h: float) -> int:
         return self.N if self.N is not None else auto_points(self.L, h, self.xi_min)
+
+    def grid_for(self, h: float) -> Grid:
+        return make_grid(self.L, self.points_for(h), h, self.xi_min)
 
 
 @dataclass
@@ -232,7 +235,7 @@ def _sweep_row(task: dict) -> dict:
     cfg, h = task["cfg"], task["h"]
     s = sweep_objects(cfg)
     m = s.model
-    g = make_grid(cfg.L, cfg.points_for(h), h, cfg.xi_min)
+    g = cfg.grid_for(h)
     diagnostics = cfg.diagnostics
 
     M = assemble_L(m, g)

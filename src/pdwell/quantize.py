@@ -9,6 +9,10 @@ j + k = c the midpoint is constant, so each anti-diagonal is one length-N
 inverse DFT of p(midpoint, .); the full matrix costs O(N^2 log N). The
 eta-lattice is asymmetric (m = -N/2 present, +N/2 absent), which leaves a
 roundoff-sized Hermiticity defect; we record the defect and symmetrize.
+
+A multiplier a(xi) even on the lattice gives a real symmetric circulant (the
+inverse DFT of a real even sequence is real), so a(xi) + h V(x) is stored and
+solved in real arithmetic; symbols coupling x and xi stay complex Hermitian.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .model import Model, SymbolA
 
 __all__ = [
     "Grid", "OperatorMatrix", "make_grid", "weyl_matrix", "assemble_L",
-    "apply_fourier_multiplier", "fourier_multiplier_matrix",
+    "apply_fourier_multiplier", "fourier_multiplier_matrix", "reverse_indices",
     "dump_matrix", "load_matrix",
 ]
 
@@ -77,7 +81,7 @@ class Grid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense Hermitian matrix of a quantized symbol, plus assembly metadata."""
+    """Dense Hermitian matrix, real symmetric when the symbol is even in xi."""
     entries: np.ndarray
     hermiticity_defect: float
     grid: Grid
@@ -86,6 +90,11 @@ class OperatorMatrix:
     @property
     def N(self) -> int:
         return self.entries.shape[0]
+
+
+def reverse_indices(N: int) -> np.ndarray:
+    """Index permutation realizing x -> -x, and eta -> -eta in FFT order."""
+    return (-np.arange(N)) % N
 
 
 def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
@@ -151,12 +160,14 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
 
 
 def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
-    """Dense circulant matrix of the Fourier multiplier a(eta)."""
+    """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
     vals = np.asarray(a(g.eta_fft), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = g.eta_fft[~np.isfinite(vals)][0]
         raise EvaluationError(f"non-finite multiplier value at xi={bad}")
-    return circulant(np.fft.ifft(vals))
+    col = np.fft.ifft(vals)
+    even = np.array_equal(vals, vals[reverse_indices(g.n_points)])
+    return circulant(col.real if even else col)
 
 
 def apply_fourier_multiplier(a: SymbolA, g: Grid, v: np.ndarray) -> np.ndarray:
@@ -176,7 +187,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
     symbol goes through the anti-diagonal assembly.
     """
     if m.b.xi_independent:
-        M = fourier_multiplier_matrix(m.a.evaluator, g).astype(np.complex128)
+        M = fourier_multiplier_matrix(m.a.evaluator, g)
         V = np.asarray(m.potential(g.x_nodes), dtype=float)
         if not np.all(np.isfinite(V)):
             bad = g.x_nodes[~np.isfinite(V)][0]

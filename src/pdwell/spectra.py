@@ -18,7 +18,7 @@ from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericError, PrecisionWarning
 from .model import Model
-from .quantize import Grid, OperatorMatrix
+from .quantize import Grid, OperatorMatrix, reverse_indices
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -80,11 +80,6 @@ def gap_near_residual(pairs: list[Eigenpair], label: str) -> bool:
             f"{label} {gap:.3e} is within {GAP_RESIDUAL_FACTOR:.0f}x of "
             f"the eigensolver residual {resid:.3e}", PrecisionWarning)
     return flag
-
-
-def reverse_indices(N: int) -> np.ndarray:
-    """Index permutation realizing x -> -x on the periodic grid."""
-    return (-np.arange(N)) % N
 
 
 def parity_of(v: Eigenpair, g: Grid) -> float:

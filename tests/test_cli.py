@@ -74,6 +74,17 @@ def test_spectrum_momentum_cutoff_error(tmp_path, capsys):
     assert "N = 131072" in err
 
 
+def test_spectrum_and_wkb_validate_model(tmp_path, capsys):
+    cfg = _write(tmp_path,
+                 "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"
+                 "b_expr = (x**2-1)**2\nx_well = 1.0\n")
+    for command in ("spectrum", "wkb"):
+        assert main([command, cfg, "--h", "0.09"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: model assumptions failed")
+        assert len(err.splitlines()) == 1
+
+
 def test_wkb_profile_csv(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"[output]\ndir = {out_dir}\n")

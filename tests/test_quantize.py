@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigvalsh
+from scipy.linalg import circulant, eigh, eigvalsh
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError
@@ -102,6 +102,34 @@ def test_assemble_split_vs_weyl(model_a):
     direct = pdwell.weyl_matrix(combined, g)
     diff = np.linalg.norm(split.entries - direct.entries)
     assert diff < 1e-10
+
+
+def test_even_symbols_assemble_real(model_a, model_b, seal_a):
+    """xi-even operators are float64 and keep the spectrum of the complex
+    Hermitian solve; ModelB's xi-odd coupling keeps L_h complex."""
+    eps = np.finfo(float).eps
+    g = pdwell.make_grid(8.0, 256, 0.07)
+    L_a = pdwell.assemble_L(model_a, g)
+    assert pdwell.assemble_L(model_b, g).entries.dtype == np.complex128
+    for M in (L_a, pdwell.assemble_onewell(L_a, "left", seal_a),
+              pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h)),
+              pdwell.assemble_Mhbar(model_b, g, np.sqrt(g.h))):
+        assert M.entries.dtype == np.float64
+        got = np.array([p.value for p in pdwell.lowest_eigenpairs(M, 3)])
+        ref = eigh(M.entries.astype(np.complex128), eigvals_only=True,
+                   subset_by_index=(0, 2))
+        assert np.max(np.abs(got - ref)) <= 64 * eps * np.linalg.norm(M.entries, 2)
+
+
+def test_uneven_multiplier_keeps_complex_circulant():
+    g = pdwell.make_grid(8.0, 128, 0.07)
+
+    def a(xi):
+        return xi**2/(1 + xi**2) + 0.1*xi
+
+    C = pdwell.fourier_multiplier_matrix(a, g)
+    assert C.dtype == np.complex128
+    assert np.array_equal(C, circulant(np.fft.ifft(a(g.eta_fft))))
 
 
 def test_assemble_h_scaling(model_a):
