@@ -7,10 +7,9 @@ splitting against its effective-operator and closed-form predictions.
 
 from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
                      NumericError, PrecisionWarning)
-from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationConfig,
-                    ValidationReport, action_integral, builtin_model,
-                    custom_model, derived_constants, parse_symbol,
-                    validate_model)
+from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
+                    action_integral, builtin_model, custom_model,
+                    derived_constants, parse_symbol, validate_model)
 from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
                        assemble_L, dump_matrix, fourier_multiplier_matrix,
                        load_matrix, make_grid, weyl_matrix)
@@ -26,8 +25,7 @@ from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
 from .tunneling import (CutoffPair, InteractionReport, cutoff_pair,
                         gram_reduction, interaction_asymptotic,
-                        interaction_term, measured_splitting,
-                        predicted_splitting_theorem)
+                        interaction_term)
 from .harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
                       SweepReport, auto_points, build_model,
                       convergence_ratios, format_value, load_config,

@@ -97,7 +97,7 @@ def cmd_wkb(args) -> int:
 
 def cmd_effective(args) -> int:
     cfg = load_config(args.config)
-    m = build_model(cfg)
+    m = sweep_objects(cfg).model
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
     path = _out_path(cfg, "effective.csv")
     cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",

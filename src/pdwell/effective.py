@@ -26,11 +26,11 @@ __all__ = [
 ]
 
 
-def schrodinger_matrix(potential, g: Grid, hbar: float, a2: float) -> OperatorMatrix:
+def schrodinger_matrix(potential, g: Grid, a2: float) -> OperatorMatrix:
     """Dense matrix of -hbar^2 (a2/2) d^2 + potential on the grid window.
 
-    The grid's own momentum lattice must already be matched to hbar
-    (g.h == hbar); use assemble_Mhbar for automatic rebuilding.
+    hbar is g.h: the kinetic multiplier (a2/2) eta^2 lives on the grid's
+    momentum lattice. assemble_Mhbar rebuilds the grid for a given hbar.
     """
     M = fourier_multiplier_matrix(lambda eta: 0.5 * a2 * eta * eta, g)
     M[np.diag_indices_from(M)] += np.asarray(potential(g.x_nodes), dtype=float)
@@ -44,7 +44,7 @@ def assemble_Mhbar(m: Model, g: Grid, hbar: float) -> OperatorMatrix:
     """
     if abs(g.h - hbar) > 1e-15:
         g = make_grid(g.length, g.n_points, hbar)
-    return schrodinger_matrix(m.potential, g, hbar, derived_constants(m).a2)
+    return schrodinger_matrix(m.potential, g, derived_constants(m).a2)
 
 
 def gap_Mhbar(m: Model, g: Grid, hbar: float) -> float:

@@ -11,6 +11,7 @@ and the sweep continues.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import csv
 import functools
 import math
@@ -159,50 +160,60 @@ def sweep_objects(cfg: SweepConfig) -> SweepObjects:
 # configuration files (INI sections, flat keys)
 # --------------------------------------------------------------------------
 
+def _auto(parse):
+    """Value parser that reads the keyword auto as None."""
+    return lambda text: None if text.strip().lower() == "auto" else parse(text)
+
+
+def _h_list(text):
+    return tuple(float(t) for t in text.replace(",", " ").split())
+
+
+# (section, key) -> (SweepConfig field, value parser); configparser stores
+# keys in lower case
+_CONFIG_KEYS = {
+    ("model", "name"): ("model_name", str),
+    ("model", "eps"): ("eps", float),
+    ("model", "a_expr"): ("a_expr", str),
+    ("model", "b_expr"): ("b_expr", str),
+    ("model", "x_well"): ("x_well", float),
+    ("grid", "l"): ("L", float),
+    ("grid", "n"): ("N", _auto(int)),
+    ("grid", "xi_min"): ("xi_min", float),
+    ("seal", "eta"): ("seal_eta", float),
+    ("seal", "height"): ("seal_height", _auto(float)),
+    ("sweep", "h_list"): ("h_list", _h_list),
+    ("output", "dir"): ("out_dir", str),
+    ("checks", "diagnostics"): ("diagnostics", str.split),
+}
+
+
 def load_config(path) -> SweepConfig:
+    """Read an INI config; an unknown section or key is a ConfigurationError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(f"malformed config file {path}: "
+                                 f"{str(exc).splitlines()[0]}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
+    if parser.defaults():
+        raise ConfigurationError(
+            f"unknown section [{parser.default_section}] in {path}")
+    sections = {section for section, _ in _CONFIG_KEYS}
     kw = {}
-    try:
-        if parser.has_section("model"):
-            sec = parser["model"]
-            kw["model_name"] = sec.get("name", "ModelA")
-            if "eps" in sec:
-                kw["eps"] = float(sec["eps"])
-            for key in ("a_expr", "b_expr"):
-                if key in sec:
-                    kw[key] = sec[key]
-            if "x_well" in sec:
-                kw["x_well"] = float(sec["x_well"])
-        if parser.has_section("grid"):
-            sec = parser["grid"]
-            if "l" in sec:
-                kw["L"] = float(sec["l"])
-            if "n" in sec:
-                kw["N"] = None if sec["n"].strip().lower() == "auto" else int(sec["n"])
-            if "xi_min" in sec:
-                kw["xi_min"] = float(sec["xi_min"])
-        if parser.has_section("seal"):
-            sec = parser["seal"]
-            if "eta" in sec:
-                kw["seal_eta"] = float(sec["eta"])
-            if "height" in sec and sec["height"].strip().lower() != "auto":
-                kw["seal_height"] = float(sec["height"])
-        if parser.has_section("sweep"):
-            sec = parser["sweep"]
-            if "h_list" in sec:
-                kw["h_list"] = tuple(
-                    float(t) for t in sec["h_list"].replace(",", " ").split())
-        if parser.has_section("output"):
-            if "dir" in parser["output"]:
-                kw["out_dir"] = parser["output"]["dir"]
-        if parser.has_section("checks"):
-            if "diagnostics" in parser["checks"]:
-                kw["diagnostics"] = tuple(parser["checks"]["diagnostics"].split())
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed value in {path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigurationError(f"unknown section [{section}] in {path}")
+        for key, text in parser.items(section):
+            if (section, key) not in _CONFIG_KEYS:
+                raise ConfigurationError(f"unknown key {key!r} in [{section}] of {path}")
+            name, parse = _CONFIG_KEYS[section, key]
+            try:
+                kw[name] = parse(text)
+            except ValueError as exc:
+                raise ConfigurationError(f"malformed value in {path}: {exc}") from exc
     return SweepConfig(**kw)
 
 
@@ -273,8 +284,7 @@ def _sweep_row(task: dict) -> dict:
         for n, pair in enumerate(ow_pairs, start=1):
             row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
             row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
-            row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, m, 0.2, "left",
-                                                    phase=s.phase)
+            row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, s.phase, 0.2)
     return row
 
 
@@ -295,10 +305,6 @@ def format_value(v) -> str:
     if isinstance(v, float) and math.isnan(v):
         return "nan"
     return format(float(v), ".17g")
-
-
-def _write_row(writer, columns, row):
-    writer.writerow([format_value(row[c]) for c in columns])
 
 
 def _fit_gap(rows):
@@ -323,27 +329,17 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     tasks = [{"cfg": cfg, "h": h} for h in cfg.h_list]
 
     workers = int(os.environ.get("PDWELL_WORKERS", "1"))
-    rows, flags = [], []
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    rows = []
     path = os.path.join(cfg.out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
+    with pool or contextlib.nullcontext(), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(_sweep_row_safe, tasks)
-                for row in results:
-                    rows.append(row)
-                    _write_row(writer, SWEEP_COLUMNS, row)
-                    fh.flush()
-        else:
-            for task in tasks:
-                row = _sweep_row_safe(task)
-                rows.append(row)
-                _write_row(writer, SWEEP_COLUMNS, row)
-                fh.flush()
-    for row in rows:
-        if "error" in row:
-            flags.append(f"h={row['h']}: {row['error']}")
+        for row in (pool.map if pool else map)(_sweep_row_safe, tasks):
+            rows.append(row)
+            writer.writerow([format_value(row[c]) for c in SWEEP_COLUMNS])
+            fh.flush()
+    flags = [f"h={row['h']}: {row['error']}" for row in rows if "error" in row]
 
     fits, fits_corrected = _fit_gap(rows)
     return SweepReport(rows=rows, fits=fits, fits_corrected=fits_corrected,

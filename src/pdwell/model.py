@@ -30,8 +30,7 @@ from scipy.integrate import quad
 from .errors import ConfigurationError, EvaluationError, NumericError
 
 __all__ = [
-    "SymbolA", "SymbolB", "Model", "ModelConstants",
-    "ValidationConfig", "ValidationReport",
+    "SymbolA", "SymbolB", "Model", "ModelConstants", "ValidationReport",
     "builtin_model", "validate_model", "derived_constants",
     "parse_symbol", "custom_model",
 ]
@@ -45,7 +44,6 @@ __all__ = [
 class SymbolA:
     """Principal symbol a(xi), even, vanishing to second order at 0."""
     evaluator: Callable[[np.ndarray], np.ndarray]
-    second_derivative_at_zero: float
 
     def __call__(self, xi):
         return self.evaluator(xi)
@@ -98,19 +96,6 @@ class ModelConstants:
     # kept so the interaction asymptotics can be evaluated from its own closed
     # form instead of back-solving A.
     prefactor_integral: float = 0.0
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    window: float = 5.0          # half-width of the symmetry sampling window
-    n_samples: int = 201
-    zero_tol: float = 1e-9       # how exactly the wells must vanish
-    sym_tol: float = 1e-11       # evenness, relative to sampled scale
-    nondegeneracy_min: float = 1e-6
-    far_min: float = 1e-3        # positive floor for far-field values
-    xi_far: float = 5.0
-    bound_max: float = 1e3       # symbol boundedness ceiling on samples
-    well_margin: float = 0.2     # exclusion radius around the wells
 
 
 @dataclass
@@ -197,7 +182,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             xi_derivative=lambda x, xi: np.zeros(np.broadcast(
                 np.asarray(x, dtype=float), np.asarray(xi, dtype=float)).shape),
             xi_independent=True)
-        return Model(a=SymbolA(_a_reference, 2.0), b=b,
+        return Model(a=SymbolA(_a_reference), b=b,
                      x_left=-1.0, x_right=1.0, name="ModelA")
     if name == "ModelB":
         if not 0.0 <= eps <= 1.0:
@@ -213,7 +198,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             xi = np.asarray(xi, dtype=float)
             return eps*x/(1.0 + x*x) * (1.0 - xi*xi)/(1.0 + xi*xi)**2
 
-        return Model(a=SymbolA(_a_reference, 2.0),
+        return Model(a=SymbolA(_a_reference),
                      b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)),
                      x_left=-1.0, x_right=1.0, name="ModelB")
     raise ConfigurationError(f"unknown model name {name!r}; expected ModelA or ModelB")
@@ -223,72 +208,83 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
 # validation
 # --------------------------------------------------------------------------
 
-def validate_model(m: Model, tolerances: ValidationConfig | None = None) -> ValidationReport:
-    """Check the standing assumptions numerically and report per-check results."""
-    cfg = tolerances or ValidationConfig()
+_WINDOW = 5.0            # half-width of the symmetry sampling window
+_N_SAMPLES = 201
+_ZERO_TOL = 1e-9         # how exactly the wells must vanish
+_SYM_TOL = 1e-11         # evenness, relative to sampled scale
+_NONDEGENERACY_MIN = 1e-6
+_FAR_MIN = 1e-3          # positive floor for far-field values
+_XI_FAR = 5.0
+_BOUND_MAX = 1e3         # symbol boundedness ceiling on samples
+_WELL_MARGIN = 0.2       # exclusion radius around the wells
+
+
+def validate_model(m: Model) -> ValidationReport:
+    """Check the standing assumptions numerically, with the fixed tolerances
+    above, and report per-check results."""
     checks, details = {}, {}
 
-    xi = np.linspace(-cfg.window, cfg.window, cfg.n_samples)
+    xi = np.linspace(-_WINDOW, _WINDOW, _N_SAMPLES)
     a_vals = _finite(m.a(xi), xi)
     a0 = float(m.a(np.array(0.0)))
     scale_a = max(np.max(np.abs(a_vals)), 1.0)
 
-    checks["a_min_zero"] = abs(a0) <= cfg.zero_tol
+    checks["a_min_zero"] = abs(a0) <= _ZERO_TOL
     details["a_min_zero"] = f"a(0)={a0:.3e}"
 
     # minimum must not recur: a strictly positive away from the origin
-    xi_away = np.concatenate([np.linspace(0.5, 4*cfg.xi_far, 1000),
-                              -np.linspace(0.5, 4*cfg.xi_far, 1000)])
+    xi_away = np.concatenate([np.linspace(0.5, 4*_XI_FAR, 1000),
+                              -np.linspace(0.5, 4*_XI_FAR, 1000)])
     away = _finite(m.a(xi_away), xi_away)
-    checks["a_min_unique"] = bool(np.min(away) > cfg.nondegeneracy_min)
+    checks["a_min_unique"] = bool(np.min(away) > _NONDEGENERACY_MIN)
     details["a_min_unique"] = f"min off-origin a={np.min(away):.3e}"
 
-    checks["a_even"] = bool(np.max(np.abs(a_vals - a_vals[::-1])) <= cfg.sym_tol*scale_a)
+    checks["a_even"] = bool(np.max(np.abs(a_vals - a_vals[::-1])) <= _SYM_TOL*scale_a)
     details["a_even"] = f"max asym={np.max(np.abs(a_vals - a_vals[::-1])):.3e}"
 
     a2 = float(_fd2_richardson(m.a, 0.0))
-    checks["a_nondegenerate"] = a2 > cfg.nondegeneracy_min
+    checks["a_nondegenerate"] = a2 > _NONDEGENERACY_MIN
     details["a_nondegenerate"] = f"a''(0)={a2:.6f}"
 
-    xi_ff = np.linspace(cfg.xi_far, 10*cfg.xi_far, 500)
+    xi_ff = np.linspace(_XI_FAR, 10*_XI_FAR, 500)
     ff = np.minimum(_finite(m.a(xi_ff), xi_ff), _finite(m.a(-xi_ff), xi_ff))
-    checks["a_far_field"] = bool(np.min(ff) > cfg.far_min)
-    details["a_far_field"] = f"inf |xi|>={cfg.xi_far}: {np.min(ff):.4f}"
+    checks["a_far_field"] = bool(np.min(ff) > _FAR_MIN)
+    details["a_far_field"] = f"inf |xi|>={_XI_FAR}: {np.min(ff):.4f}"
 
-    xs = np.linspace(-cfg.window, cfg.window, cfg.n_samples)
+    xs = np.linspace(-_WINDOW, _WINDOW, _N_SAMPLES)
     X, XI = np.meshgrid(xs, xi, indexing="ij")
     b_vals = _finite(m.b(X, XI), np.stack([X, XI], axis=-1).reshape(-1, 2))
     b_flip = m.b(-X, -XI)
     scale_b = max(np.max(np.abs(b_vals)), 1.0)
-    checks["b_even"] = bool(np.max(np.abs(b_vals - b_flip)) <= cfg.sym_tol*scale_b)
+    checks["b_even"] = bool(np.max(np.abs(b_vals - b_flip)) <= _SYM_TOL*scale_b)
     details["b_even"] = f"max |b(X)-b(-X)|={np.max(np.abs(b_vals - b_flip)):.3e}"
 
     v_axis = _finite(m.potential(xs), xs)
-    checks["b_nonneg_on_axis"] = bool(np.min(v_axis) >= -cfg.zero_tol)
+    checks["b_nonneg_on_axis"] = bool(np.min(v_axis) >= -_ZERO_TOL)
     details["b_nonneg_on_axis"] = f"min V={np.min(v_axis):.3e}"
 
     v_l = float(m.potential(np.array(m.x_left)))
     v_r = float(m.potential(np.array(m.x_right)))
-    off_wells = xs[(np.abs(xs - m.x_left) > cfg.well_margin)
-                   & (np.abs(xs - m.x_right) > cfg.well_margin)]
+    off_wells = xs[(np.abs(xs - m.x_left) > _WELL_MARGIN)
+                   & (np.abs(xs - m.x_right) > _WELL_MARGIN)]
     floor = float(np.min(m.potential(off_wells)))
-    checks["b_two_zeros"] = (abs(v_l) <= cfg.zero_tol and abs(v_r) <= cfg.zero_tol
-                             and floor > cfg.nondegeneracy_min)
+    checks["b_two_zeros"] = (abs(v_l) <= _ZERO_TOL and abs(v_r) <= _ZERO_TOL
+                             and floor > _NONDEGENERACY_MIN)
     details["b_two_zeros"] = f"V(x_l)={v_l:.2e} V(x_r)={v_r:.2e} off-well floor={floor:.3e}"
 
     V2 = float(_fd2_richardson(lambda t: m.potential(t), m.x_left, d=0.05))
-    checks["b_nondegenerate"] = V2 > cfg.nondegeneracy_min
+    checks["b_nondegenerate"] = V2 > _NONDEGENERACY_MIN
     details["b_nondegenerate"] = f"V''(x_l)={V2:.6f}"
 
     x_ff = np.linspace(5.0, 50.0, 500)
     b_ff = np.concatenate([_finite(m.potential(x_ff), x_ff),
                            _finite(m.potential(-x_ff), x_ff)])
-    checks["b_far_field"] = bool(np.min(b_ff) > cfg.far_min)
+    checks["b_far_field"] = bool(np.min(b_ff) > _FAR_MIN)
     details["b_far_field"] = f"b_inf estimate={float(np.mean(b_ff)):.4f}"
 
     wide = np.linspace(-50.0, 50.0, 501)
     b_wide = np.abs(_finite(m.potential(wide), wide))
-    checks["b_bounded"] = bool(np.max(b_wide) <= cfg.bound_max)
+    checks["b_bounded"] = bool(np.max(b_wide) <= _BOUND_MAX)
     details["b_bounded"] = f"max |b(x,0)| on [-50,50]: {np.max(b_wide):.3e}"
 
     return ValidationReport(checks=checks, details=details)
@@ -440,7 +436,6 @@ def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") 
     def a_eval(xi):
         return a_raw(xi) + 0.0*np.asarray(xi, dtype=float)
 
-    a2 = float(_fd2_richardson(a_eval, 0.0))
     b_raw = parse_symbol(b_expr, variables=("x", "xi"))
     xi_indep = "xi" not in _free_names(b_expr)
 
@@ -455,6 +450,6 @@ def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") 
         return (-b_eval(x, xi + 2*_d) + 8*b_eval(x, xi + _d)
                 - 8*b_eval(x, xi - _d) + b_eval(x, xi - 2*_d)) / (12*_d)
 
-    return Model(a=SymbolA(a_eval, a2),
+    return Model(a=SymbolA(a_eval),
                  b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
                  x_left=-x_well, x_right=x_well, name=name)

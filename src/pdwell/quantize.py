@@ -61,14 +61,6 @@ class Grid:
     eta_nodes: np.ndarray
 
     @property
-    def N(self) -> int:
-        return self.n_points
-
-    @property
-    def L(self) -> float:
-        return self.length
-
-    @property
     def cutoff(self) -> float:
         """Momentum cutoff Xi = pi h N / L."""
         return np.pi * self.h * self.n_points / self.length

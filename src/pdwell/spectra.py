@@ -17,8 +17,8 @@ from scipy.linalg import eigh
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericError, PrecisionWarning
-from .model import Model
 from .quantize import Grid, OperatorMatrix, reverse_indices
+from .wkb import AgmonPhase
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -109,19 +109,16 @@ def spatial_tail(v: Eigenpair, g: Grid, centers, radius: float) -> float:
     return float(np.sum(mass[~inside]) / np.sum(mass))
 
 
-def agmon_weighted_norm(v: Eigenpair, g: Grid, m: Model, eps: float,
-                        side: str = "left", phase=None) -> float:
+def agmon_weighted_norm(v: Eigenpair, g: Grid, phase: AgmonPhase, eps: float) -> float:
     """Weighted norm ||exp((1-eps) Phi~/sqrt(h)) v|| with dx weighting.
 
-    Phi~ is the truncated Agmon phase of the requested side. All sums run
-    in log space; a single-node contribution past exp(700) raises a
-    PrecisionWarning but the log-space value is still returned.
+    Phi~ is the truncated evaluator of phase, which fixes the side and the
+    seal the weight belongs to. All sums run in log space; a single-node
+    contribution past exp(700) raises a PrecisionWarning but the log-space
+    value is still returned.
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must be in (0, 1], got {eps}")
-    if phase is None:
-        from .wkb import agmon_phase, sealing_function
-        phase = agmon_phase(m, sealing_function(m), side)
     w = (1.0 - eps) * np.asarray(phase.truncated_evaluator(g.x_nodes)) / np.sqrt(g.h)
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(v.vector))

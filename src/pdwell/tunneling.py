@@ -1,7 +1,8 @@
-"""Tunneling splitting: measurement, interaction term, and 2x2 reduction.
+"""Tunneling splitting: interaction term, 2x2 reduction, and predictions.
 
-The exponentially small gap lambda_2 - lambda_1 of the double-well operator
-is measured directly and compared against three independent routes:
+The exponentially small gap lambda_2 - lambda_1 of the double-well operator,
+read from its lowest eigenpairs, is compared against three independent
+routes:
 
   * the interaction term w_h = <(L_h - mu) f_l, f_r> built from cut-off
     one-well ground states, predicting a gap of 2|w_h|;
@@ -24,15 +25,14 @@ from scipy.linalg import eigvalsh, inv, sqrtm
 
 from .errors import DegeneracyError
 from .model import Model, derived_constants
-from .quantize import Grid, OperatorMatrix, assemble_L, make_grid
-from .spectra import Eigenpair, gap_near_residual, lowest_eigenpairs, reverse_indices
+from .quantize import Grid, OperatorMatrix
+from .spectra import Eigenpair, gap_near_residual, reverse_indices
 from .wkb import AgmonPhase, SealingFunction, smoothstep
 from .effective import gap_Mhbar
 
 __all__ = [
-    "CutoffPair", "InteractionReport", "cutoff_pair", "measured_splitting",
-    "interaction_term", "gram_reduction", "predicted_splitting_theorem",
-    "interaction_asymptotic",
+    "CutoffPair", "InteractionReport", "cutoff_pair", "interaction_term",
+    "gram_reduction", "interaction_asymptotic",
 ]
 
 
@@ -84,14 +84,6 @@ def _inner(g: Grid, u: np.ndarray, v: np.ndarray) -> complex:
     return complex(g.dx * np.sum(u * np.conj(v)))
 
 
-def measured_splitting(m: Model, g: Grid):
-    """Direct gaps of the double-well operator: (gap12, gap23, lambda1)."""
-    pairs = lowest_eigenpairs(assemble_L(m, g), 3)
-    gap_near_residual(pairs, "splitting")
-    return (pairs[1].value - pairs[0].value, pairs[2].value - pairs[1].value,
-            pairs[0].value)
-
-
 def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
                    M: OperatorMatrix, mu: float, basis: list[Eigenpair]):
     """2x2 reduction onto the projected cut-off states.
@@ -134,7 +126,8 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
 
     M is the assembled L_h and pairs its three lowest eigenpairs; ow is the
     ground pair of the sealed left-well operator. The only solve made here
-    is the effective operator's, for the theorem prediction.
+    is the effective operator's, for the theorem prediction h times its gap
+    at hbar = sqrt(h) on M's window and point count.
     """
     g = M.grid
     lam = [p.value for p in pairs]
@@ -152,8 +145,7 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
 
     _, _, gram_gap = gram_reduction(ow, psi_r, cut, M, mu, pairs[:2])
 
-    g_eff = make_grid(g.length, g.n_points, np.sqrt(g.h))
-    thm = predicted_splitting_theorem(m, g_eff, g.h)
+    thm = g.h * gap_Mhbar(m, g, np.sqrt(g.h))
     formula = 2.0 * interaction_asymptotic(m, g.h)
 
     return InteractionReport(h=g.h, mu=mu, w_h=w_h, overlap=overlap,
@@ -161,11 +153,6 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
                              thm_prediction=thm, formula_prediction=formula,
                              lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
                              gap23=gap23, precision_flag=flag)
-
-
-def predicted_splitting_theorem(m: Model, g_eff: Grid, h: float) -> float:
-    """Main prediction: h times the effective operator's gap at hbar = sqrt(h)."""
-    return float(h * gap_Mhbar(m, g_eff, np.sqrt(h)))
 
 
 def interaction_asymptotic(m: Model, h: float) -> float:

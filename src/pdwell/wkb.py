@@ -338,19 +338,15 @@ class WkbQuasimode:
     vector: np.ndarray     # normalized grid samples
     lambda_wkb: float      # c0 h^(3/2)
     norm_raw: float        # norm before normalization; 1 + O(sqrt h)
-    side: str
 
 
-def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase, side: str | None = None) -> WkbQuasimode:
+def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
     """Grid samples of h^(-1/8) chi(x) u_{1,0}(x) exp(-Phi(x)/sqrt(h)).
 
-    chi is 1 on [-2A, 2A] and vanishes outside (-3A, 3A), so the quasimode
-    agrees with the raw Ansatz wherever Phi~ still equals Phi.
+    The well is phase's side. chi is 1 on [-2A, 2A] and vanishes outside
+    (-3A, 3A), so the quasimode agrees with the raw Ansatz wherever Phi~
+    still equals Phi.
     """
-    side = side or phase.side
-    if side != phase.side:
-        raise ConfigurationError(
-            f"phase was built for side {phase.side!r}, requested {side!r}")
     consts = derived_constants(m)
     A = phase.A_window
     x = g.x_nodes
@@ -360,7 +356,7 @@ def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase, side: str | None = None)
     norm_raw = float(np.sqrt(g.dx * np.sum(np.abs(raw)**2)))
     return WkbQuasimode(vector=raw / norm_raw,
                         lambda_wkb=float(consts.c0 * g.h**1.5),
-                        norm_raw=norm_raw, side=side)
+                        norm_raw=norm_raw)
 
 
 def wkb_eigenvalue(m: Model, h: float, n: int = 1) -> float:

@@ -1,9 +1,15 @@
 """Shared fixtures. The default sweep is expensive-ish, so it runs once."""
 
+import importlib
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 import pdwell
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +59,18 @@ def sweep_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_default")
     cfg = pdwell.SweepConfig(out_dir=str(out))
     return pdwell.run_sweep(cfg)
+
+
+@pytest.fixture(scope="session")
+def perfbench_module():
+    """Import a module of perfbench/, a script directory, by name."""
+    def load(name):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            return importlib.import_module(name)
+        finally:
+            sys.path.remove(str(PERFBENCH))
+    return load
 
 
 @pytest.fixture(scope="session")

@@ -102,7 +102,7 @@ def test_criterion_01_quantization_exactness(model_a, model_b, check):
 
 def test_criterion_02_harmonic_oracle(check):
     g = pdwell.make_grid(16.0, 512, 0.1)
-    M = schrodinger_matrix(lambda x: x**2, g, 0.1, 2.0)
+    M = schrodinger_matrix(lambda x: x**2, g, 2.0)
     pairs = pdwell.lowest_eigenpairs(M, 4)
     rel = max(abs(p.value - (2*n - 1)*0.1) / ((2*n - 1)*0.1)
               for n, p in enumerate(pairs, start=1))

@@ -78,10 +78,25 @@ def test_spectrum_and_wkb_validate_model(tmp_path, capsys):
     cfg = _write(tmp_path,
                  "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"
                  "b_expr = (x**2-1)**2\nx_well = 1.0\n")
-    for command in ("spectrum", "wkb"):
-        assert main([command, cfg, "--h", "0.09"]) == 2
+    for argv in (["spectrum", cfg, "--h", "0.09"], ["wkb", cfg, "--h", "0.09"],
+                 ["effective", cfg, "--hbar-list", "0.3"]):
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: model assumptions failed")
+        assert len(err.splitlines()) == 1
+
+
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    output = f"[output]\ndir = {tmp_path / 'out'}\n"
+    for body, named in (("[sweep]\nh_lsit = 0.09\n", "unknown key 'h_lsit' in [sweep]"),
+                        ("[sweeps]\nh_list = 0.09\n", "unknown section [sweeps]"),
+                        ("[DEFAULT]\nh_list = 0.09\n", "unknown section [DEFAULT]"),
+                        ("h_list = 0.09\n", "File contains no section headers")):
+        cfg = _write(tmp_path, body + output)
+        assert main(["sweep", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert named in err
         assert len(err.splitlines()) == 1
 
 

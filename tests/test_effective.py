@@ -12,7 +12,7 @@ RATIO_03_FROZEN = 0.6916  # gap/formula at hbar = 0.3, L = 8, N = 512
 
 def test_zero_potential_pure_multiplier():
     g = pdwell.make_grid(8.0, 128, 0.3)
-    M = pdwell.schrodinger_matrix(lambda x: np.zeros_like(x), g, 0.3, 2.0)
+    M = pdwell.schrodinger_matrix(lambda x: np.zeros_like(x), g, 2.0)
     vals = np.linalg.eigvalsh(M.entries)
     expected = np.sort(g.eta_fft**2)
     assert np.max(np.abs(vals - expected)) < 1e-10
@@ -20,7 +20,7 @@ def test_zero_potential_pure_multiplier():
 
 def test_harmonic_oscillator_ladder():
     g = pdwell.make_grid(16.0, 512, 0.1)
-    M = pdwell.schrodinger_matrix(lambda x: x**2, g, 0.1, 2.0)
+    M = pdwell.schrodinger_matrix(lambda x: x**2, g, 2.0)
     pairs = pdwell.lowest_eigenpairs(M, 4)
     for n, p in enumerate(pairs, start=1):
         assert abs(p.value - (2*n - 1)*0.1) / ((2*n - 1)*0.1) < 1e-8

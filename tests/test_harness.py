@@ -1,6 +1,8 @@
 """Sweep configuration, orchestration, analytics, and CSV persistence."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,25 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.h_list == (0.09, 0.07, 0.05)
     assert cfg.out_dir == "myout"
     assert cfg.diagnostics == ("wkb", "tunneling")
+
+
+def test_load_config_accepts_documented_keys(tmp_path, perfbench_module):
+    root = pathlib.Path(__file__).resolve().parent.parent
+    block = re.search(r"```ini\n(.*?)```", (root / "README.md").read_text(),
+                      re.DOTALL).group(1)
+    # the README block shows the custom-model keys commented out
+    readme = re.sub(r"^; (\w+ = )", r"\1", block, flags=re.MULTILINE)
+    texts = [p.read_text() for p in sorted(root.glob("configs/*.ini"))] + [readme]
+    for w in perfbench_module("workloads").WORKLOADS.values():
+        texts.append(w.config_text(0, str(tmp_path / "out")))
+    path = tmp_path / "doc.ini"
+    for text in texts:
+        path.write_text(text)
+        assert load_config(path).diagnostics == ("localization", "wkb", "tunneling")
+    path.write_text(readme)
+    cfg = load_config(path)
+    assert (cfg.eps, cfg.x_well) == (0.2, 1.0)
+    assert cfg.a_expr.startswith("xi**2/(1+xi**2)")
 
 
 def test_load_config_auto_keywords(tmp_path):

@@ -59,7 +59,7 @@ def test_validate_builtin_models_pass(model_a, model_b):
 def test_validate_cosine_fails_unique_minimum(model_a):
     # 1 - cos(xi) vanishes again at 2 pi k; expression grammar has no cos,
     # so the symbol is built directly
-    m = Model(a=SymbolA(lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float)), 1.0),
+    m = Model(a=SymbolA(lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float))),
               b=model_a.b, x_left=-1.0, x_right=1.0, name="cosine")
     report = pdwell.validate_model(m)
     assert not report.checks["a_min_unique"]

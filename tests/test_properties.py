@@ -43,7 +43,7 @@ def test_even_multiplier_circulant_is_real(coeffs, g):
 def test_symmetrized_matrices_exactly_hermitian(cx, cxi, g):
     coupled = pdwell.weyl_matrix(lambda x, xi: _poly(cx, x) * _poly(cxi, xi), g)
     assert coupled.entries.dtype == np.complex128
-    even = pdwell.schrodinger_matrix(lambda x: _poly(cx, x), g, g.h, 2.0)
+    even = pdwell.schrodinger_matrix(lambda x: _poly(cx, x), g, 2.0)
     assert even.entries.dtype == np.float64
     for M in (coupled, even):
         assert np.array_equal(M.entries, M.entries.conj().T)

@@ -148,7 +148,7 @@ def test_assemble_h_scaling(model_a):
 def test_apply_fourier_multiplier(model_a, rng):
     g = pdwell.make_grid(8.0, 128, 0.07)
     zero = pdwell.apply_fourier_multiplier(
-        pdwell.SymbolA(lambda xi: 0.0*np.asarray(xi, dtype=float), 0.0),
+        pdwell.SymbolA(lambda xi: 0.0*np.asarray(xi, dtype=float)),
         g, rng.standard_normal(128))
     assert np.max(np.abs(zero)) == 0.0
 

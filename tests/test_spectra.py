@@ -132,41 +132,37 @@ def test_spatial_tail_radius_error(grid05):
         pdwell.spatial_tail(pair, grid05, [0.0], 0.0)
 
 
-def test_agmon_eps_one_returns_norm(model_a, grid05, onewell05, phase_a_left):
+def test_agmon_eps_one_returns_norm(grid05, onewell05, phase_a_left):
     _, pairs = onewell05
-    val = pdwell.agmon_weighted_norm(pairs[0], grid05, model_a, 1.0,
-                                     phase=phase_a_left)
+    val = pdwell.agmon_weighted_norm(pairs[0], grid05, phase_a_left, 1.0)
     assert abs(val - 1.0) < 1e-12
 
 
-def test_agmon_delta_at_well(model_a, grid05, phase_a_left):
+def test_agmon_delta_at_well(grid05, phase_a_left):
     j = int(np.argmin(np.abs(grid05.x_nodes + 1.0)))
     assert grid05.x_nodes[j] == -1.0
     delta = np.zeros(grid05.n_points)
     delta[j] = 1.0
     pair = _pair(delta, grid05)
     for eps in (0.2, 0.5, 0.9):
-        val = pdwell.agmon_weighted_norm(pair, grid05, model_a, eps,
-                                         phase=phase_a_left)
+        val = pdwell.agmon_weighted_norm(pair, grid05, phase_a_left, eps)
         assert abs(val - 1.0) < 1e-9
 
 
-def test_agmon_eps_domain(model_a, grid05, phase_a_left, onewell05):
+def test_agmon_eps_domain(grid05, phase_a_left, onewell05):
     _, pairs = onewell05
     for eps in (0.0, -0.2, 1.5):
         with pytest.raises(ConfigurationError):
-            pdwell.agmon_weighted_norm(pairs[0], grid05, model_a, eps,
-                                       phase=phase_a_left)
+            pdwell.agmon_weighted_norm(pairs[0], grid05, phase_a_left, eps)
 
 
-def test_agmon_overflow_warning(model_a, phase_a_left):
+def test_agmon_overflow_warning(phase_a_left):
     g = pdwell.make_grid(8.0, 8, 1e-6, xi_min=0.0)
     delta = np.zeros(8)
     delta[np.argmin(np.abs(g.x_nodes - 3.0))] = 1.0
     pair = _pair(delta, g)
     with pytest.warns(PrecisionWarning), np.errstate(over="ignore"):
-        val = pdwell.agmon_weighted_norm(pair, g, model_a, 0.2,
-                                         phase=phase_a_left)
+        val = pdwell.agmon_weighted_norm(pair, g, phase_a_left, 0.2)
     assert val > 0  # may be inf; the flag is the contract, not the value
 
 

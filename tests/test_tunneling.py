@@ -6,8 +6,7 @@ import pytest
 import pdwell
 from pdwell import DegeneracyError, Eigenpair
 from pdwell.tunneling import (cutoff_pair, gram_reduction, interaction_asymptotic,
-                              interaction_term, measured_splitting,
-                              predicted_splitting_theorem)
+                              interaction_term)
 
 # frozen at h = 0.05, L = 8, N = 512 (deterministic pipeline)
 GAP12_FROZEN = 0.00021095742403959804
@@ -44,16 +43,10 @@ def test_cutoff_geometry(cut_a, seal_a):
     assert np.array_equal(cut_a.chi_right(xs), cut_a.chi_left(-xs))
 
 
-def test_measured_splitting_frozen(model_a, grid05):
-    gap12, gap23, lam1 = measured_splitting(model_a, grid05)
-    assert abs(gap12 - GAP12_FROZEN) < 1e-8 * GAP12_FROZEN
-    assert gap23 > 0
-    assert lam1 > 0
-
-
 def test_measured_splitting_wide_grid(model_a):
     g = pdwell.make_grid(8.0, 1024, 0.05)
-    gap12, gap23, _ = measured_splitting(model_a, g)
+    lam = [p.value for p in pdwell.lowest_eigenpairs(pdwell.assemble_L(model_a, g), 3)]
+    gap12, gap23 = lam[1] - lam[0], lam[2] - lam[1]
     assert gap12 > 0
     assert gap23 / 0.05**1.5 >= 1.0
 
@@ -129,7 +122,7 @@ def test_gram_degenerate_inputs(onewell05, model_a, grid05, cut_a):
 
 def test_theorem_prediction_positive(model_a):
     g_eff = pdwell.make_grid(8.0, 512, np.sqrt(0.05))
-    pred = predicted_splitting_theorem(model_a, g_eff, 0.05)
+    pred = 0.05 * pdwell.gap_Mhbar(model_a, g_eff, np.sqrt(0.05))
     assert pred > 0
 
 

@@ -247,11 +247,6 @@ def test_quasimode_overlap(model_a, grid05, phase_a_left, onewell05):
     assert overlap > 0.999
 
 
-def test_quasimode_side_mismatch(model_a, grid05, phase_a_left):
-    with pytest.raises(ConfigurationError):
-        pdwell.wkb_quasimode(model_a, grid05, phase_a_left, side="right")
-
-
 def test_wkb_eigenvalue_ladder(model_a):
     v1 = pdwell.wkb_eigenvalue(model_a, 0.04, 1)
     assert abs(v1 - np.sqrt(2.0)*0.04**1.5) < 1e-12
@@ -312,14 +307,14 @@ def test_quasimode_residual_scale(model_a, grid05, phase_a_left, onewell05):
     assert resid <= 2.0 * grid05.h**2
 
     exact = pdwell.WkbQuasimode(vector=ow[0].vector, lambda_wkb=ow[0].value,
-                                norm_raw=1.0, side="left")
+                                norm_raw=1.0)
     assert pdwell.quasimode_residual(M_ow, exact) <= 1e-10
 
 
 def test_quasimode_residual_shape_error(model_a, grid05, phase_a_left, onewell05):
     M_ow, _ = onewell05
     bad = pdwell.WkbQuasimode(vector=np.zeros(16), lambda_wkb=0.0,
-                              norm_raw=1.0, side="left")
+                              norm_raw=1.0)
     with pytest.raises(ConfigurationError):
         pdwell.quasimode_residual(M_ow, bad)
 
