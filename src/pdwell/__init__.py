@@ -27,8 +27,7 @@ from .tunneling import (CutoffPair, InteractionReport, cutoff_pair,
                         gram_reduction, interaction_asymptotic,
                         interaction_term)
 from .harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
-                      SweepReport, auto_points, build_model,
-                      convergence_ratios, format_value, load_config,
-                      run_sweep, splitting_row)
+                      SweepReport, auto_points, build_model, format_value,
+                      load_config, run_sweep, splitting_row)
 
 __version__ = "0.1.0"

@@ -3,8 +3,8 @@
 Subcommands mirror the pipeline stages: validate a model, print spectra at
 one h, dump WKB profiles, tabulate the effective operator, run the
 splitting comparison, and run the full sweep. Exit codes: 0 success,
-2 configuration error, 3 numeric failure, 4 failed acceptance check
-(only when --check is passed).
+2 configuration error, 3 numeric failure (in splitting and sweep, after
+the last row if a row raised), 4 failed acceptance check (--check only).
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import numpy as np
 
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
-from .harness import (SPLITTING_COLUMNS, _sweep_row, auto_points, build_model,
-                      convergence_ratios, format_value, load_config,
-                      run_sweep, sweep_objects)
+from .harness import (SPLITTING_COLUMNS, auto_points, build_model, format_value,
+                      load_config, run_sweep, sweep_objects, validated_model)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix, make_grid
 from .spectra import lowest_eigenpairs
-from .wkb import assemble_onewell, leading_amplitude, wkb_quasimode
+from .wkb import (assemble_onewell, leading_amplitude, sealing_function,
+                  wkb_quasimode)
 
 DEFAULT_HBAR_LIST = (0.35, 0.30, 0.25, 0.20, 0.15)
 
@@ -57,12 +57,13 @@ def cmd_validate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
-    s = sweep_objects(cfg)
+    m = validated_model(cfg)
+    seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     g = cfg.grid_for(args.h)
-    M = assemble_L(s.model, g)
+    M = assemble_L(m, g)
     print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}  "
           f"defect = {M.hermiticity_defect:.3e}")
-    M_ow = assemble_onewell(M, "left", s.seal)
+    M_ow = assemble_onewell(M, "left", seal)
     for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
         for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):
             print(f"{label}_{i} = {format_value(p.value)}")
@@ -97,7 +98,7 @@ def cmd_wkb(args) -> int:
 
 def cmd_effective(args) -> int:
     cfg = load_config(args.config)
-    m = sweep_objects(cfg).model
+    m = validated_model(cfg)
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
     path = _out_path(cfg, "effective.csv")
     cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
@@ -119,25 +120,25 @@ def cmd_effective(args) -> int:
     return 0
 
 
+def _print_rows(report, line) -> None:
+    for row in report.rows:
+        print(line(row))
+    for flag in report.flags:
+        print(f"flagged: {flag}")
+
+
 def cmd_splitting(args) -> int:
     cfg = dataclasses.replace(load_config(args.config), diagnostics=("tunneling",))
-    rows = []
-    path = _out_path(cfg, "splitting.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SPLITTING_COLUMNS)
-        for h in cfg.h_list:
-            row = _sweep_row({"cfg": cfg, "h": h})
-            rows.append(row)
-            writer.writerow([format_value(row[c]) for c in SPLITTING_COLUMNS])
-            fh.flush()
-            print(f"h = {h:g}  gap12 = {row['gap12']:.6e}  "
-                  f"2|w_h| = {row['two_abs_wh']:.6e}  "
-                  f"ratio_thm = {row['ratio_thm']:.4f}  "
-                  f"flag = {row['precision_flag']}")
-    print(path)
+    report = run_sweep(cfg, SPLITTING_COLUMNS, "splitting.csv")
+    _print_rows(report, lambda r: (
+        f"h = {r['h']:g}  gap12 = {r['gap12']:.6e}  "
+        f"2|w_h| = {r['two_abs_wh']:.6e}  ratio_thm = {r['ratio_thm']:.4f}  "
+        f"flag = {r['precision_flag']}"))
+    print(os.path.join(cfg.out_dir, "splitting.csv"))
+    if report.flags:
+        return 3
     if args.check:
-        good = [r for r in rows if not r["precision_flag"]]
+        good = [r for r in report.rows if not r["precision_flag"]]
         if not good:
             print("check failed: every row carries the precision flag",
                   file=sys.stderr)
@@ -156,25 +157,18 @@ def cmd_splitting(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     report = run_sweep(cfg)
-    for row in report.rows:
-        print(f"h = {row['h']:g}  gap12 = {format_value(row['gap12'])}  "
-              f"ratio_thm = {format_value(row['ratio_thm'])}  "
-              f"flag = {row['precision_flag']}")
-    for flag in report.flags:
-        print(f"flagged: {flag}")
+    _print_rows(report, lambda r: (
+        f"h = {r['h']:g}  gap12 = {format_value(r['gap12'])}  "
+        f"ratio_thm = {format_value(r['ratio_thm'])}  "
+        f"flag = {r['precision_flag']}"))
     if report.fits is not None:
         slope, intercept = report.fits
         print(f"fit: log(gap12) = {slope:.6f} / sqrt(h) + {intercept:.6f}")
         slope_c, intercept_c = report.fits_corrected
         print(f"fit (h^(5/4) removed): slope = {slope_c:.6f}, "
               f"intercept = {intercept_c:.6f}")
-    try:
-        _, deviations, verdict = convergence_ratios(report.rows)
-        print(f"|ratio_thm - 1| sequence: "
-              + " ".join(f"{d:.4f}" for d in deviations)
-              + f"  monotone = {verdict}")
-    except NumericError as exc:
-        print(f"convergence analytics unavailable: {exc}")
+    if report.flags:
+        return 3
     if args.check:
         if report.fits is None:
             print("check failed: too few unflagged rows for the action fit",

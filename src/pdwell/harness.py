@@ -2,10 +2,10 @@
 
 A sweep validates the model once, then runs the full pipeline (grid,
 operators, spectra, WKB diagnostics, tunneling comparison) at each h in a
-strictly decreasing list. Rows are written to CSV in h order regardless of
-worker completion order, every float printed with 17 significant digits so
-two runs of one config are bit-identical. A failure at one h flags that row
-and the sweep continues.
+strictly decreasing list; `pdwell sweep` and `pdwell splitting` both run it.
+Rows are written to CSV in h order regardless of worker completion order,
+every float printed with 17 significant digits so two runs of one config
+are bit-identical. A failure at one h flags that row and the sweep continues.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError
+from .errors import ConfigurationError
 from .model import Model, builtin_model, custom_model, validate_model
 from .quantize import Grid, assemble_L, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
@@ -33,7 +33,7 @@ from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
 
 __all__ = [
     "SweepConfig", "SweepReport", "SweepObjects", "auto_points", "load_config",
-    "build_model", "sweep_objects", "run_sweep", "convergence_ratios",
+    "build_model", "validated_model", "sweep_objects", "run_sweep",
     "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row", "format_value",
 ]
 
@@ -88,11 +88,10 @@ class SweepConfig:
         unknown = set(self.diagnostics) - set(ALL_DIAGNOSTICS)
         if unknown:
             raise ConfigurationError(f"unknown diagnostics {sorted(unknown)}")
-        # fail early if a fixed N cannot resolve the smallest h
-        n_small = self.points_for(min(hs))
-        if math.pi * min(hs) * n_small / self.L < self.xi_min:
-            raise ConfigurationError(
-                f"N = {n_small} violates the momentum cutoff at h = {min(hs)}")
+        # auto_points never ends for such L; make_grid checks N and the cutoff
+        if not 0.0 < self.L < math.inf:
+            raise ConfigurationError(f"domain length must be positive, got {self.L}")
+        self.grid_for(min(hs))
 
     def points_for(self, h: float) -> int:
         return self.N if self.N is not None else auto_points(self.L, h, self.xi_min)
@@ -139,6 +138,16 @@ class SweepObjects:
     cut: CutoffPair
 
 
+def validated_model(cfg: SweepConfig) -> Model:
+    """Build the config's model; a failed assumption is a ConfigurationError."""
+    m = build_model(cfg)
+    report = validate_model(m)
+    if not report.passed:
+        failing = [k for k, ok in report.checks.items() if not ok]
+        raise ConfigurationError(f"model assumptions failed: {failing}")
+    return m
+
+
 @functools.lru_cache(maxsize=1)
 def sweep_objects(cfg: SweepConfig) -> SweepObjects:
     """Validate the model and build the h-independent objects, once per process.
@@ -146,11 +155,7 @@ def sweep_objects(cfg: SweepConfig) -> SweepObjects:
     The cache is keyed on the config's plain values, so the serial sweep and
     each worker process build these objects once and no closure is pickled.
     """
-    m = build_model(cfg)
-    report = validate_model(m)
-    if not report.passed:
-        failing = [k for k, ok in report.checks.items() if not ok]
-        raise ConfigurationError(f"model assumptions failed: {failing}")
+    m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     phase = agmon_phase(m, seal, "left")
     return SweepObjects(model=m, seal=seal, phase=phase, cut=cutoff_pair(phase, seal))
@@ -222,17 +227,14 @@ def load_config(path) -> SweepConfig:
 # --------------------------------------------------------------------------
 
 def splitting_row(rep: InteractionReport) -> dict:
-    """Flatten an InteractionReport into the pinned splitting columns."""
+    """The tunneling columns of a row and the measured gap's two ratios."""
     return {
-        "h": rep.h, "lambda1": rep.lambda1, "lambda2": rep.lambda2,
-        "lambda3": rep.lambda3, "gap12": rep.measured_gap, "gap23": rep.gap23,
         "mu": rep.mu, "re_wh": rep.w_h.real, "im_wh": rep.w_h.imag,
         "two_abs_wh": 2.0 * abs(rep.w_h), "overlap_abs": abs(rep.overlap),
         "gram_gap": rep.gram_eigen_gap, "thm_pred": rep.thm_prediction,
         "formula_pred": rep.formula_prediction,
         "ratio_thm": rep.measured_gap / rep.thm_prediction,
         "ratio_formula": rep.measured_gap / rep.formula_prediction,
-        "precision_flag": int(rep.precision_flag),
     }
 
 
@@ -256,6 +258,10 @@ def _sweep_row(task: dict) -> dict:
 
     row = {c: math.nan for c in SWEEP_COLUMNS}
     row["h"] = h
+    lam = [p.value for p in pairs]
+    row.update({"lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2],
+                "gap12": lam[1] - lam[0], "gap23": lam[2] - lam[1],
+                "precision_flag": int(gap_near_residual(pairs, "splitting"))})
     row["parity1"] = parity_of(pairs[0], g)
     row["parity2"] = parity_of(pairs[1], g)
     for n, pair in enumerate(ow_pairs, start=1):
@@ -273,11 +279,6 @@ def _sweep_row(task: dict) -> dict:
 
     if "tunneling" in diagnostics:
         row.update(splitting_row(interaction_term(m, M, pairs, ow_pairs[0], s.cut)))
-    else:
-        lam = [p.value for p in pairs]
-        row.update({"lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2],
-                    "gap12": lam[1] - lam[0], "gap23": lam[2] - lam[1],
-                    "precision_flag": int(gap_near_residual(pairs, "splitting"))})
 
     if "localization" in diagnostics:
         xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
@@ -292,11 +293,8 @@ def _sweep_row_safe(task: dict) -> dict:
     try:
         return _sweep_row(task)
     except Exception as exc:  # crash isolation: flag the row, keep sweeping
-        row = {c: math.nan for c in SWEEP_COLUMNS}
-        row["h"] = task["h"]
-        row["precision_flag"] = 1
-        row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+        return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "h": task["h"],
+                "precision_flag": 1, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def format_value(v) -> str:
@@ -321,46 +319,34 @@ def _fit_gap(rows):
     return (float(slope), float(intercept)), (float(slope_c), float(intercept_c))
 
 
-def run_sweep(cfg: SweepConfig) -> SweepReport:
-    """Validate once, run the per-h pipeline, persist rows, fit the action."""
+def run_sweep(cfg: SweepConfig, columns=SWEEP_COLUMNS,
+              filename="sweep.csv") -> SweepReport:
+    """Validate once, run the per-h pipeline, write the columns, fit the action.
+
+    A row that raises is written as nan with precision_flag = 1, and its
+    error text goes to the report's flags; the other rows still run.
+    """
+    workers = os.environ.get("PDWELL_WORKERS", "1")
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ConfigurationError(
+            f"PDWELL_WORKERS must be a positive integer, got {workers!r}")
     sweep_objects(cfg)   # validates the model; serial rows reuse the objects
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     tasks = [{"cfg": cfg, "h": h} for h in cfg.h_list]
 
-    workers = int(os.environ.get("PDWELL_WORKERS", "1"))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ProcessPoolExecutor(int(workers)) if int(workers) > 1 else None
     rows = []
-    path = os.path.join(cfg.out_dir, "sweep.csv")
+    path = os.path.join(cfg.out_dir, filename)
     with pool or contextlib.nullcontext(), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
+        writer.writerow(columns)
         for row in (pool.map if pool else map)(_sweep_row_safe, tasks):
             rows.append(row)
-            writer.writerow([format_value(row[c]) for c in SWEEP_COLUMNS])
+            writer.writerow([format_value(row[c]) for c in columns])
             fh.flush()
     flags = [f"h={row['h']}: {row['error']}" for row in rows if "error" in row]
 
     fits, fits_corrected = _fit_gap(rows)
     return SweepReport(rows=rows, fits=fits, fits_corrected=fits_corrected,
                        flags=flags)
-
-
-def convergence_ratios(rows):
-    """Per-h ratios measured/thm_pred with a monotone-deviation verdict.
-
-    Returns (ratios, deviations, verdict); verdict is True when |ratio - 1|
-    is non-increasing across the unflagged rows (taken in h-descending order).
-    """
-    good = [r for r in rows
-            if not r.get("precision_flag")
-            and math.isfinite(r.get("gap12", math.nan))
-            and math.isfinite(r.get("thm_pred", math.nan))
-            and r.get("thm_pred", 0) > 0]
-    if len(good) < 2:
-        raise NumericError(
-            f"convergence analytics needs >= 2 unflagged rows, have {len(good)}")
-    ratios = [r["gap12"] / r["thm_pred"] for r in good]
-    deviations = [abs(r - 1.0) for r in ratios]
-    verdict = all(b <= a * (1.0 + 1e-9) for a, b in zip(deviations, deviations[1:]))
-    return ratios, deviations, verdict

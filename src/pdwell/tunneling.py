@@ -26,7 +26,7 @@ from scipy.linalg import eigvalsh, inv, sqrtm
 from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import Grid, OperatorMatrix
-from .spectra import Eigenpair, gap_near_residual, reverse_indices
+from .spectra import Eigenpair, reverse_indices
 from .wkb import AgmonPhase, SealingFunction, smoothstep
 from .effective import gap_Mhbar
 
@@ -73,11 +73,6 @@ class InteractionReport:
     measured_gap: float       # lambda_2 - lambda_1 of L_h
     thm_prediction: float     # h * effective-operator gap at sqrt(h)
     formula_prediction: float  # 2 * interaction_asymptotic
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    lambda3: float = 0.0
-    gap23: float = 0.0
-    precision_flag: bool = False
 
 
 def _inner(g: Grid, u: np.ndarray, v: np.ndarray) -> complex:
@@ -124,16 +119,12 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
                      ow: Eigenpair, cut: CutoffPair) -> InteractionReport:
     """Compute w_h and every gap route at the h of M's grid.
 
-    M is the assembled L_h and pairs its three lowest eigenpairs; ow is the
-    ground pair of the sealed left-well operator. The only solve made here
-    is the effective operator's, for the theorem prediction h times its gap
-    at hbar = sqrt(h) on M's window and point count.
+    M is the assembled L_h and pairs its lowest eigenpairs (two or more);
+    ow is the ground pair of the sealed left-well operator. The only solve
+    made here is the effective operator's, for the theorem prediction h
+    times its gap at hbar = sqrt(h) on M's window and point count.
     """
     g = M.grid
-    lam = [p.value for p in pairs]
-    gap12, gap23 = lam[1] - lam[0], lam[2] - lam[1]
-    flag = gap_near_residual(pairs, "splitting")
-
     mu = ow.value
     rev = reverse_indices(g.n_points)
     psi_r = Eigenpair(value=ow.value, vector=ow.vector[rev], residual=ow.residual)
@@ -149,10 +140,9 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
     formula = 2.0 * interaction_asymptotic(m, g.h)
 
     return InteractionReport(h=g.h, mu=mu, w_h=w_h, overlap=overlap,
-                             gram_eigen_gap=gram_gap, measured_gap=gap12,
-                             thm_prediction=thm, formula_prediction=formula,
-                             lambda1=lam[0], lambda2=lam[1], lambda3=lam[2],
-                             gap23=gap23, precision_flag=flag)
+                             gram_eigen_gap=gram_gap,
+                             measured_gap=pairs[1].value - pairs[0].value,
+                             thm_prediction=thm, formula_prediction=formula)
 
 
 def interaction_asymptotic(m: Model, h: float) -> float:

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface via cli.main."""
 
 import csv
+import io
 
 import numpy as np
+import pytest
 
 import pdwell
 from pdwell.cli import main
@@ -153,4 +155,103 @@ def test_sweep_check_rejects_desk_scale_action_fit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "fitted action" in captured.err
     assert "fit: log(gap12)" in captured.out
-    assert "monotone =" in captured.out
+
+
+def test_spectrum_and_effective_build_no_phase(tmp_path, capsys, monkeypatch):
+    from pdwell import cli, harness, wkb
+    calls = []
+    original = wkb.agmon_phase
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (cli, harness, wkb):
+        if getattr(mod, "agmon_phase", None) is original:
+            monkeypatch.setattr(mod, "agmon_phase", counted)
+    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["spectrum", cfg, "--h", "0.09", "--k", "1"]) == 0
+    assert main(["effective", cfg, "--hbar-list", "0.35"]) == 0
+    assert calls == []
+    # the counter sees the build that wkb does need
+    assert main(["wkb", cfg, "--h", "0.09"]) == 0
+    assert len(calls) == 1
+
+
+def test_effective_ignores_seal(tmp_path, capsys):
+    # a seal this low leaves a competing minimum; effective never uses it
+    cfg = _write(tmp_path, f"[seal]\nheight = 1e-12\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["effective", cfg, "--hbar-list", "0.35"]) == 0
+    assert main(["spectrum", cfg, "--h", "0.09"]) == 2
+    assert "competing minimum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, named", [
+    ("n = 1000", "N must be a power of two >= 2, got 1000"),
+    ("l = 0", "domain length must be positive, got 0.0"),
+    ("l = -8\nn = auto", "domain length must be positive, got -8.0"),
+], ids=["n_not_power_of_two", "l_zero", "l_negative_auto_n"])
+def test_bad_grid_exits_before_any_row(tmp_path, capsys, grid, named):
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[grid]\n{grid}\n[sweep]\nh_list = 0.09\n"
+                           f"[output]\ndir = {out_dir}\n")
+    assert main(["sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {named}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["two", "0", "-1", ""])
+def test_bad_worker_count_is_config_error(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("PDWELL_WORKERS", workers)
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n")
+    assert main(["sweep", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: PDWELL_WORKERS must be a positive "
+                   f"integer, got {workers!r}\n")
+    assert not out_dir.exists()
+
+
+def test_crashed_row_exits_3_after_last_row(tmp_path, capsys, monkeypatch):
+    import pdwell.harness as harness
+
+    def stub(task):
+        if task["h"] == 0.08:
+            raise RuntimeError("boom")
+        return {**{c: 1.0 for c in pdwell.SWEEP_COLUMNS},
+                "h": task["h"], "precision_flag": 0}
+
+    monkeypatch.setattr(harness, "_sweep_row", stub)
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.08 0.07\n"
+                           f"[output]\ndir = {out_dir}\n")
+    for command in ("sweep", "splitting"):
+        assert main([command, cfg]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in lines if line.startswith("h = ")] \
+            == ["0.09", "0.08", "0.07"]
+        assert [line for line in lines if line.startswith("flagged: ")] \
+            == ["flagged: h=0.08: RuntimeError: boom"]
+        with open(out_dir / f"{command}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["h"]) for r in rows] == [0.09, 0.08, 0.07]
+        assert [r["precision_flag"] for r in rows] == ["0", "1", "0"]
+        assert [r["gap12"] for r in rows] == ["1", "nan", "1"]
+
+
+@pytest.mark.parametrize("model", ["ModelA", "ModelB"])
+def test_splitting_csv_is_projection_of_sweep_csv(tmp_path, capsys, model):
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[model]\nname = {model}\n[sweep]\nh_list = 0.09\n"
+                           f"[output]\ndir = {out_dir}\n")
+    assert main(["sweep", cfg]) == 0
+    assert main(["splitting", cfg]) == 0
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    projection = io.StringIO()
+    writer = csv.writer(projection)
+    writer.writerow(pdwell.SPLITTING_COLUMNS)
+    for row in rows:
+        writer.writerow([row[c] for c in pdwell.SPLITTING_COLUMNS])
+    assert (out_dir / "splitting.csv").read_bytes() == projection.getvalue().encode()

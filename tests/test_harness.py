@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from pdwell import ConfigurationError, NumericError
+from pdwell import ConfigurationError
+from pdwell.cli import main
 from pdwell.harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
-                            auto_points, build_model, convergence_ratios,
-                            format_value, load_config, run_sweep, splitting_row)
+                            auto_points, build_model, format_value,
+                            load_config, run_sweep, splitting_row)
 from pdwell.tunneling import InteractionReport
 
 
@@ -146,6 +147,8 @@ def test_sweep_report_shape(sweep_report):
         for col in SWEEP_COLUMNS:
             assert col in row
         assert math.isfinite(row["gap12"])
+        assert row["gap12"] == row["lambda2"] - row["lambda1"]
+        assert row["gap23"] == row["lambda3"] - row["lambda2"]
     assert sweep_report.flags == []
     assert sweep_report.fits is not None
     assert sweep_report.fits_corrected is not None
@@ -214,6 +217,13 @@ def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch
     run_sweep(SweepConfig(h_list=(0.09,), out_dir=str(tmp_path / "one")))
     assert calls == {"lowest_eigenpairs": 3, "assemble_L": 1}
 
+    # pdwell splitting runs the same row, two rows here
+    calls.update(lowest_eigenpairs=0, assemble_L=0)
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(f"[sweep]\nh_list = 0.09 0.08\n[output]\ndir = {tmp_path / 'two'}\n")
+    assert main(["splitting", str(cfg)]) == 0
+    assert calls == {"lowest_eigenpairs": 6, "assemble_L": 2}
+
 
 def test_crash_isolation(tmp_path, monkeypatch):
     import pdwell.harness as harness
@@ -242,49 +252,6 @@ def test_crash_isolation(tmp_path, monkeypatch):
     assert len(lines) == 4  # header plus one line per h, crash included
 
 
-def test_convergence_ratios_trivial():
-    rows = [{"h": h, "gap12": 2.0*h, "thm_pred": 2.0*h, "precision_flag": 0}
-            for h in (0.09, 0.07, 0.05)]
-    ratios, devs, verdict = convergence_ratios(rows)
-    assert ratios == [1.0, 1.0, 1.0]
-    assert devs == [0.0, 0.0, 0.0]
-    assert verdict
-
-
-def test_convergence_ratios_synthetic_decreasing():
-    rows = [{"h": h, "gap12": (1.0 + math.sqrt(h))*3.0, "thm_pred": 3.0,
-             "precision_flag": 0}
-            for h in (0.09, 0.07, 0.05, 0.04)]
-    ratios, devs, verdict = convergence_ratios(rows)
-    assert verdict
-    assert devs == sorted(devs, reverse=True)
-
-
-def test_convergence_ratios_skips_flagged():
-    rows = [{"h": 0.09, "gap12": 1.0, "thm_pred": 1.0, "precision_flag": 0},
-            {"h": 0.07, "gap12": 99.0, "thm_pred": 1.0, "precision_flag": 1},
-            {"h": 0.05, "gap12": 1.0, "thm_pred": 1.0, "precision_flag": 0}]
-    ratios, _, verdict = convergence_ratios(rows)
-    assert ratios == [1.0, 1.0]
-    assert verdict
-
-
-def test_convergence_ratios_needs_two_rows():
-    rows = [{"h": 0.09, "gap12": 1.0, "thm_pred": 1.0, "precision_flag": 1},
-            {"h": 0.07, "gap12": 1.0, "thm_pred": 1.0, "precision_flag": 1}]
-    with pytest.raises(NumericError):
-        convergence_ratios(rows)
-
-
-def test_convergence_verdict_on_real_sweep(sweep_report):
-    ratios, devs, verdict = convergence_ratios(sweep_report.rows)
-    assert len(ratios) == 6
-    # measured deviations grow as h falls at desk scale, so the
-    # monotone-approach verdict comes back negative
-    assert not verdict
-    assert devs[-1] > devs[0]
-
-
 def test_format_value():
     assert format_value(3) == "3"
     assert format_value(np.int64(7)) == "7"
@@ -297,13 +264,18 @@ def test_splitting_row_mapping():
     rep = InteractionReport(h=0.05, mu=0.013, w_h=1e-4 + 1e-6j,
                             overlap=0.004 + 0j, gram_eigen_gap=2.1e-4,
                             measured_gap=2.0e-4, thm_prediction=1.9e-4,
-                            formula_prediction=2.5e-4, lambda1=0.0129,
-                            lambda2=0.0131, lambda3=0.025, gap23=0.0119,
-                            precision_flag=False)
+                            formula_prediction=2.5e-4)
     row = splitting_row(rep)
-    assert set(row) == set(SPLITTING_COLUMNS)
+    # the row sets h, the lambdas, both gaps and the flag from L_h's pairs
+    from_pairs = {"h", "lambda1", "lambda2", "lambda3", "gap12", "gap23",
+                  "precision_flag"}
+    assert set(row) == set(SPLITTING_COLUMNS) - from_pairs
+    assert row["mu"] == 0.013
     assert row["two_abs_wh"] == 2.0 * abs(rep.w_h)
     assert row["re_wh"] == 1e-4
     assert row["im_wh"] == 1e-6
+    assert row["overlap_abs"] == 0.004
+    assert row["gram_gap"] == 2.1e-4
+    assert (row["thm_pred"], row["formula_pred"]) == (1.9e-4, 2.5e-4)
     assert row["ratio_thm"] == rep.measured_gap / rep.thm_prediction
-    assert row["precision_flag"] == 0
+    assert row["ratio_formula"] == rep.measured_gap / rep.formula_prediction
