@@ -11,8 +11,9 @@ from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
                     action_integral, builtin_model, custom_model,
                     derived_constants, parse_symbol, validate_model)
 from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
-                       assemble_L, dump_matrix, fourier_multiplier_matrix,
-                       load_matrix, make_grid, weyl_matrix)
+                       assemble_L, auto_points, dump_matrix,
+                       fourier_multiplier_matrix, load_matrix, make_grid,
+                       weyl_matrix)
 from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
                       reverse_indices, spatial_tail)
@@ -23,11 +24,11 @@ from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
                   wkb_eigenvalue, wkb_quasimode)
 from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
-from .tunneling import (CutoffPair, InteractionReport, cutoff_pair,
-                        gram_reduction, interaction_asymptotic,
-                        interaction_term)
+from .tunneling import (InteractionReport, gram_reduction,
+                        interaction_asymptotic, interaction_term,
+                        overlap_cutoff)
 from .harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
-                      SweepReport, auto_points, build_model, format_value,
+                      SweepReport, build_model, format_value,
                       load_config, run_sweep, splitting_row)
 
 __version__ = "0.1.0"

@@ -19,10 +19,10 @@ import numpy as np
 
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
-from .harness import (SPLITTING_COLUMNS, auto_points, build_model, format_value,
+from .harness import (SPLITTING_COLUMNS, build_model, format_value,
                       load_config, run_sweep, sweep_objects, validated_model)
 from .model import derived_constants, validate_model
-from .quantize import assemble_L, dump_matrix, make_grid
+from .quantize import assemble_L, auto_points, dump_matrix, make_grid
 from .spectra import lowest_eigenpairs
 from .wkb import (assemble_onewell, leading_amplitude, sealing_function,
                   wkb_quasimode)
@@ -100,15 +100,15 @@ def cmd_effective(args) -> int:
     cfg = load_config(args.config)
     m = validated_model(cfg)
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
+    grids = [make_grid(cfg.L, auto_points(cfg.L, hbar, cfg.xi_min), hbar, cfg.xi_min)
+             for hbar in hbars]
     path = _out_path(cfg, "effective.csv")
     cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
             "gap12", "formula", "ratio"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
-        for hbar in hbars:
-            g = make_grid(cfg.L, auto_points(cfg.L, hbar, cfg.xi_min),
-                          hbar, cfg.xi_min)
+        for hbar, g in zip(hbars, grids):
             pairs = lowest_eigenpairs(assemble_Mhbar(m, g, hbar), 4)
             gap = pairs[1].value - pairs[0].value
             formula = classical_splitting_formula(m, hbar)

@@ -18,21 +18,21 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .model import Model, builtin_model, custom_model, validate_model
-from .quantize import Grid, assemble_L, make_grid
+from .quantize import Grid, assemble_L, auto_points, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
                       lowest_eigenpairs, parity_of, spatial_tail)
-from .tunneling import CutoffPair, InteractionReport, cutoff_pair, interaction_term
+from .tunneling import InteractionReport, interaction_term, overlap_cutoff
 from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
                   quasimode_residual, sealing_function, wkb_quasimode)
 
 __all__ = [
-    "SweepConfig", "SweepReport", "SweepObjects", "auto_points", "load_config",
+    "SweepConfig", "SweepReport", "SweepObjects", "load_config",
     "build_model", "validated_model", "sweep_objects", "run_sweep",
     "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row", "format_value",
 ]
@@ -88,9 +88,6 @@ class SweepConfig:
         unknown = set(self.diagnostics) - set(ALL_DIAGNOSTICS)
         if unknown:
             raise ConfigurationError(f"unknown diagnostics {sorted(unknown)}")
-        # auto_points never ends for such L; make_grid checks N and the cutoff
-        if not 0.0 < self.L < math.inf:
-            raise ConfigurationError(f"domain length must be positive, got {self.L}")
         self.grid_for(min(hs))
 
     def points_for(self, h: float) -> int:
@@ -108,14 +105,6 @@ class SweepReport:
     flags: list = field(default_factory=list)
 
 
-def auto_points(L: float, h: float, xi_min: float) -> int:
-    """Smallest power of two N >= 512 with pi h N / L >= xi_min."""
-    N = 512
-    while math.pi * h * N / L < xi_min:
-        N *= 2
-    return N
-
-
 def build_model(cfg: SweepConfig) -> Model:
     if cfg.model_name == "custom":
         if not (cfg.a_expr and cfg.b_expr and cfg.x_well):
@@ -131,11 +120,11 @@ def build_model(cfg: SweepConfig) -> Model:
 class SweepObjects:
     """The h-independent objects of a sweep: the validated model, the seal
     closing the right well, the left Agmon phase (which caches the WKB
-    amplitude) and the overlap cutoffs."""
+    amplitude) and the overlap cutoff."""
     model: Model
     seal: SealingFunction
     phase: AgmonPhase
-    cut: CutoffPair
+    chi_left: Callable
 
 
 def validated_model(cfg: SweepConfig) -> Model:
@@ -158,7 +147,8 @@ def sweep_objects(cfg: SweepConfig) -> SweepObjects:
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     phase = agmon_phase(m, seal, "left")
-    return SweepObjects(model=m, seal=seal, phase=phase, cut=cutoff_pair(phase, seal))
+    return SweepObjects(model=m, seal=seal, phase=phase,
+                        chi_left=overlap_cutoff(phase, seal))
 
 
 # --------------------------------------------------------------------------
@@ -272,20 +262,22 @@ def _sweep_row(task: dict) -> dict:
         row["wkb_lambda"] = q.lambda_wkb
         row["norm_raw"] = q.norm_raw
         row["wkb_residual"] = quasimode_residual(M_ow, q)
-        row["wkb_overlap"] = abs(g.dx * np.sum(q.vector * np.conj(ow_pairs[0].vector)))
+        row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
     # freed before interaction_term assembles M_hbar; holding both would
     # raise the peak memory of a row by one N x N matrix
     del M_ow
 
     if "tunneling" in diagnostics:
-        row.update(splitting_row(interaction_term(m, M, pairs, ow_pairs[0], s.cut)))
+        row.update(splitting_row(
+            interaction_term(m, M, pairs, ow_pairs[0], s.chi_left)))
 
     if "localization" in diagnostics:
         xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
+        phi_trunc = s.phase.truncated_evaluator(g.x_nodes)
         for n, pair in enumerate(ow_pairs, start=1):
             row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
             row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
-            row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, s.phase, 0.2)
+            row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc, 0.2)
     return row
 
 

@@ -150,10 +150,6 @@ def _fd1(f, x0, d):
     return (-f(x0 + 2*d) + 8*f(x0 + d) - 8*f(x0 - d) + f(x0 - 2*d)) / (12*d)
 
 
-def _fd1_richardson(f, x0, d=0.02, levels=3):
-    return _richardson(_fd1, f, x0, d, levels)
-
-
 # --------------------------------------------------------------------------
 # built-in models
 # --------------------------------------------------------------------------
@@ -294,11 +290,12 @@ def validate_model(m: Model) -> ValidationReport:
 # derived constants
 # --------------------------------------------------------------------------
 
-def _smooth_branch(m: Model):
-    """s -> sgn(s - x_left) sqrt(V(s)), the smooth branch through the left well."""
+def smooth_branch(landscape, x0):
+    """s -> sgn(s - x0) sqrt(max(landscape(s), 0)), the branch of the root
+    of a landscape vanishing quadratically at x0 that is smooth through x0."""
     def w(s):
         s = np.asarray(s, dtype=float)
-        return np.sign(s - m.x_left) * np.sqrt(np.maximum(m.potential(s), 0.0))
+        return np.sign(s - x0) * np.sqrt(np.maximum(landscape(s), 0.0))
     return w
 
 
@@ -324,8 +321,8 @@ def derived_constants(m: Model) -> ModelConstants:
     a2 = float(_fd2_richardson(m.a, 0.0))
     V2 = float(_fd2_richardson(lambda t: m.potential(t), m.x_left, d=0.05))
     c0 = float(np.sqrt(a2 * V2 / 4.0))
-    w = _smooth_branch(m)
-    kappa = float(_fd1_richardson(w, m.x_left))
+    w = smooth_branch(m.potential, m.x_left)
+    kappa = float(_richardson(_fd1, w, m.x_left, 0.02, 3))
     V0 = float(m.potential(np.array(0.0)))
 
     S, S_err = action_integral(m)
@@ -445,10 +442,7 @@ def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") 
         return b_raw(x, xi) + 0.0*x + 0.0*xi
 
     def b_dxi(x, xi, _d=1e-4):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return (-b_eval(x, xi + 2*_d) + 8*b_eval(x, xi + _d)
-                - 8*b_eval(x, xi - _d) + b_eval(x, xi - 2*_d)) / (12*_d)
+        return _fd1(lambda t: b_eval(x, t), np.asarray(xi, dtype=float), _d)
 
     return Model(a=SymbolA(a_eval),
                  b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),

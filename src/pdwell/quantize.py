@@ -18,6 +18,7 @@ solved in real arithmetic; symbols coupling x and xi stay complex Hermitian.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -28,9 +29,9 @@ from .errors import ConfigurationError, EvaluationError
 from .model import Model, SymbolA
 
 __all__ = [
-    "Grid", "OperatorMatrix", "make_grid", "weyl_matrix", "assemble_L",
-    "apply_fourier_multiplier", "fourier_multiplier_matrix", "reverse_indices",
-    "dump_matrix", "load_matrix",
+    "Grid", "OperatorMatrix", "auto_points", "make_grid", "weyl_matrix",
+    "assemble_L", "apply_fourier_multiplier", "fourier_multiplier_matrix",
+    "reverse_indices", "dump_matrix", "load_matrix",
 ]
 
 logger = logging.getLogger(__name__)
@@ -38,6 +39,9 @@ logger = logging.getLogger(__name__)
 # pre-symmetrization Hermiticity defect above this (relative to ||M||_F)
 # sets the warning flag on the result
 DEFECT_RTOL = 1e-9
+
+# largest N auto_points tries; no dense matrix of this size fits in memory
+MAX_POINTS = 2**20
 
 _MAGIC = b"PDOW"
 
@@ -70,6 +74,10 @@ class Grid:
         """Momentum lattice in FFT storage order (0 .. N/2-1, -N/2 .. -1)."""
         return 2.0*np.pi*self.h/self.length * np.fft.fftfreq(self.n_points, d=1.0/self.n_points)
 
+    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
+        """The dx-weighted inner product <u, v> = dx * sum u conj(v)."""
+        return complex(self.dx * np.sum(u * np.conj(v)))
+
 
 @dataclass
 class OperatorMatrix:
@@ -89,21 +97,36 @@ def reverse_indices(N: int) -> np.ndarray:
     return (-np.arange(N)) % N
 
 
-def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
-    """Build the grid, enforcing the momentum cutoff pi h N / L >= xi_min."""
-    if L <= 0:
+def auto_points(L: float, h: float, xi_min: float, floor: int = 512) -> int:
+    """Smallest power of two N >= floor with pi h N / L >= xi_min.
+
+    L outside (0, inf), h outside (0, 1], a non-finite xi_min (nan meets
+    the cutoff vacuously) and a cutoff no N <= MAX_POINTS meets are
+    configuration errors.
+    """
+    if not 0.0 < L < math.inf:
         raise ConfigurationError(f"domain length must be positive, got {L}")
     if not (0.0 < h <= 1.0):
         raise ConfigurationError(f"semiclassical parameter must be in (0, 1], got {h}")
+    if not math.isfinite(xi_min):
+        raise ConfigurationError(f"xi_min must be finite, got {xi_min}")
+    N = floor
+    while math.pi * h * N / L < xi_min:
+        N *= 2
+        if N > MAX_POINTS:
+            raise ConfigurationError(
+                f"no N <= {MAX_POINTS} meets pi*h*N/L >= {xi_min} at h = {h}, L = {L}")
+    return N
+
+
+def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
+    """Build the grid, enforcing the momentum cutoff pi h N / L >= xi_min."""
+    n_min = auto_points(L, h, xi_min, floor=2)
     if N < 2 or (N & (N - 1)) != 0:
         raise ConfigurationError(f"N must be a power of two >= 2, got {N}")
-    cutoff = np.pi * h * N / L
-    if cutoff < xi_min:
-        n_min = 2
-        while np.pi * h * n_min / L < xi_min:
-            n_min *= 2
+    if N < n_min:
         raise ConfigurationError(
-            f"momentum cutoff pi*h*N/L = {cutoff:.4f} < {xi_min}; "
+            f"momentum cutoff pi*h*N/L = {np.pi * h * N / L:.4f} < {xi_min}; "
             f"smallest admissible power of two is N = {n_min}")
     dx = L / N
     x = -L/2.0 + dx * np.arange(N)

@@ -18,7 +18,6 @@ from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericError, PrecisionWarning
 from .quantize import Grid, OperatorMatrix, reverse_indices
-from .wkb import AgmonPhase
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -84,8 +83,7 @@ def gap_near_residual(pairs: list[Eigenpair], label: str) -> bool:
 
 def parity_of(v: Eigenpair, g: Grid) -> float:
     """Re<v, Uv> with U the reflection v(x) -> v(-x); +-1 for definite parity."""
-    rev = v.vector[reverse_indices(g.n_points)]
-    return float(np.real(g.dx * np.sum(v.vector * np.conj(rev))))
+    return g.inner(v.vector, v.vector[reverse_indices(g.n_points)]).real
 
 
 def fourier_tail(v: Eigenpair, g: Grid, xi_cut: float) -> float:
@@ -109,17 +107,17 @@ def spatial_tail(v: Eigenpair, g: Grid, centers, radius: float) -> float:
     return float(np.sum(mass[~inside]) / np.sum(mass))
 
 
-def agmon_weighted_norm(v: Eigenpair, g: Grid, phase: AgmonPhase, eps: float) -> float:
+def agmon_weighted_norm(v: Eigenpair, g: Grid, phi_trunc, eps: float) -> float:
     """Weighted norm ||exp((1-eps) Phi~/sqrt(h)) v|| with dx weighting.
 
-    Phi~ is the truncated evaluator of phase, which fixes the side and the
-    seal the weight belongs to. All sums run in log space; a single-node
-    contribution past exp(700) raises a PrecisionWarning but the log-space
-    value is still returned.
+    phi_trunc holds the samples of the truncated phase Phi~ at g's nodes,
+    whose side and seal fix the weight. All sums run in log space; a
+    single-node contribution past exp(700) raises a PrecisionWarning but the
+    log-space value is still returned.
     """
     if not 0.0 < eps <= 1.0:
         raise ConfigurationError(f"eps must be in (0, 1], got {eps}")
-    w = (1.0 - eps) * np.asarray(phase.truncated_evaluator(g.x_nodes)) / np.sqrt(g.h)
+    w = (1.0 - eps) * np.asarray(phi_trunc) / np.sqrt(g.h)
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(v.vector))
     contrib = w + log_v

@@ -7,7 +7,7 @@ routes:
   * the interaction term w_h = <(L_h - mu) f_l, f_r> built from cut-off
     one-well ground states, predicting a gap of 2|w_h|;
   * the 2x2 Gram reduction of the quadratic form onto the projected
-    states g_* = Pi_h f_*;
+    states g_* = Pi_h f_*, with the same f_l and f_r;
   * the closed-form asymptotics, via the effective operator's gap at
     hbar = sqrt(h) and via the explicit constant of the interaction term.
 
@@ -25,28 +25,21 @@ from scipy.linalg import eigvalsh, inv, sqrtm
 
 from .errors import DegeneracyError
 from .model import Model, derived_constants
-from .quantize import Grid, OperatorMatrix
+from .quantize import OperatorMatrix
 from .spectra import Eigenpair, reverse_indices
 from .wkb import AgmonPhase, SealingFunction, smoothstep
 from .effective import gap_Mhbar
 
 __all__ = [
-    "CutoffPair", "InteractionReport", "cutoff_pair", "interaction_term",
+    "InteractionReport", "overlap_cutoff", "interaction_term",
     "gram_reduction", "interaction_asymptotic",
 ]
 
 
-@dataclass
-class CutoffPair:
-    """Smooth overlap cutoffs: chi_left = 1 on [-A, x_r - 2 eta], vanishing
-    left of -2A and right of x_r - eta; chi_right is its reflection."""
-    chi_left: Callable
-    chi_right: Callable
-    A_window: float
-    eta: float
-
-
-def cutoff_pair(phase: AgmonPhase, seal: SealingFunction) -> CutoffPair:
+def overlap_cutoff(phase: AgmonPhase, seal: SealingFunction) -> Callable:
+    """Smooth cutoff chi_left = 1 on [-A, x_r - 2 eta], vanishing left of
+    -2A and right of x_r - eta; the right state is the grid reflection of
+    the left one, so no right cutoff is built."""
     A = phase.A_window
     eta = seal.eta
     x_r = phase.model.x_right
@@ -56,11 +49,7 @@ def cutoff_pair(phase: AgmonPhase, seal: SealingFunction) -> CutoffPair:
         return (smoothstep(2.0*(x + 2.0*A)/A - 1.0)
                 * smoothstep(1.0 - 2.0*(x - (x_r - 2.0*eta))/eta))
 
-    def chi_right(x):
-        return chi_left(-np.asarray(x, dtype=float))
-
-    return CutoffPair(chi_left=chi_left, chi_right=chi_right,
-                      A_window=A, eta=eta)
+    return chi_left
 
 
 @dataclass
@@ -75,30 +64,22 @@ class InteractionReport:
     formula_prediction: float  # 2 * interaction_asymptotic
 
 
-def _inner(g: Grid, u: np.ndarray, v: np.ndarray) -> complex:
-    return complex(g.dx * np.sum(u * np.conj(v)))
-
-
-def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
-                   M: OperatorMatrix, mu: float, basis: list[Eigenpair]):
+def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
+                   mu: float, basis: list[Eigenpair]):
     """2x2 reduction onto the projected cut-off states.
 
-    Builds f_* = chi_* psi_*, projects onto the span of basis (the two
-    lowest eigenpairs of M), and returns (G, L, gap) where G is the Gram
-    matrix, L the quadratic-form matrix of M - mu, and gap the eigenvalue
+    Projects the states f_l and f_r onto the span of basis (the two lowest
+    eigenpairs of M), and returns (G, L, gap) where G is the Gram matrix,
+    L the quadratic-form matrix of M - mu, and gap the eigenvalue
     difference of G^(-1/2) L G^(-1/2). The mu-shift leaves gap unchanged.
     """
     g = M.grid
-    x = g.x_nodes
-    f_l = cut.chi_left(x) * psi_l.vector
-    f_r = cut.chi_right(x) * psi_r.vector
 
     def project(v):
-        return sum(e.vector * _inner(g, v, e.vector) for e in basis)
+        return sum(e.vector * g.inner(v, e.vector) for e in basis)
 
-    g_l, g_r = project(f_l), project(f_r)
-    pair = (g_l, g_r)
-    G = np.array([[_inner(g, a, b) for b in pair] for a in pair])
+    pair = (project(f_l), project(f_r))
+    G = np.array([[g.inner(a, b) for b in pair] for a in pair])
     G = 0.5 * (G + G.conj().T)
     if float(np.min(eigvalsh(G))) <= 0.0:
         raise DegeneracyError(
@@ -106,7 +87,7 @@ def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
             "well localization broke down")
 
     shifted = [M.entries @ v - mu * v for v in pair]
-    L = np.array([[_inner(g, sv, b) for b in pair] for sv in shifted])
+    L = np.array([[g.inner(sv, b) for b in pair] for sv in shifted])
     L = 0.5 * (L + L.conj().T)
 
     Gh_inv = inv(sqrtm(G))
@@ -116,25 +97,24 @@ def gram_reduction(psi_l: Eigenpair, psi_r: Eigenpair, cut: CutoffPair,
 
 
 def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
-                     ow: Eigenpair, cut: CutoffPair) -> InteractionReport:
+                     ow: Eigenpair, chi_left: Callable) -> InteractionReport:
     """Compute w_h and every gap route at the h of M's grid.
 
     M is the assembled L_h and pairs its lowest eigenpairs (two or more);
-    ow is the ground pair of the sealed left-well operator. The only solve
-    made here is the effective operator's, for the theorem prediction h
-    times its gap at hbar = sqrt(h) on M's window and point count.
+    ow is the ground pair of the sealed left-well operator. The left state
+    f_l = chi_left ow and its grid reflection f_r feed w_h, the overlap and
+    the Gram route alike. The only solve made here is the effective
+    operator's, for the theorem prediction h times its gap at hbar = sqrt(h)
+    on M's window and point count.
     """
     g = M.grid
     mu = ow.value
-    rev = reverse_indices(g.n_points)
-    psi_r = Eigenpair(value=ow.value, vector=ow.vector[rev], residual=ow.residual)
+    f_l = chi_left(g.x_nodes) * ow.vector
+    f_r = f_l[reverse_indices(g.n_points)]
+    w_h = g.inner(M.entries @ f_l - mu * f_l, f_r)
+    overlap = g.inner(f_l, f_r)
 
-    f_l = cut.chi_left(g.x_nodes) * ow.vector
-    f_r = f_l[rev]
-    w_h = _inner(g, M.entries @ f_l - mu * f_l, f_r)
-    overlap = _inner(g, f_l, f_r)
-
-    _, _, gram_gap = gram_reduction(ow, psi_r, cut, M, mu, pairs[:2])
+    _, _, gram_gap = gram_reduction(f_l, f_r, M, mu, pairs[:2])
 
     thm = g.h * gap_Mhbar(m, g, np.sqrt(g.h))
     formula = 2.0 * interaction_asymptotic(m, g.h)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError
-from .model import Model, derived_constants
+from .model import Model, _fd1, _fd2, derived_constants, smooth_branch
 from .quantize import Grid, OperatorMatrix
 
 __all__ = [
@@ -138,8 +138,8 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
         raise ConfigurationError(f"seal width must be in (0, {m.x_right}), got {eta}")
     if height is None:
         height = 2.0 * float(m.potential(np.array(0.0)))
-    if height <= 0:
-        raise ConfigurationError(f"seal height must be positive, got {height}")
+    if not 0.0 < height < np.inf:
+        raise ConfigurationError(f"seal height must lie in (0, inf), got {height}")
     x_r, hgt, w = m.x_right, float(height), float(eta)
 
     def k(x):
@@ -211,15 +211,11 @@ def _sealed_branch(m: Model, seal: SealingFunction, side: str):
     """s -> sgn(s - x_well) sqrt(b_sealed(s, 0)), smooth through the well."""
     x_well = m.x_left if side == "left" else m.x_right
 
-    def k_side(x):
-        return seal.evaluator(x) if side == "left" else seal.evaluator(-x)
+    def landscape(s):
+        k = seal.evaluator(s) if side == "left" else seal.evaluator(-s)
+        return np.asarray(m.potential(s), dtype=float) + k
 
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        land = np.asarray(m.potential(s), dtype=float) + k_side(s)
-        return np.sign(s - x_well) * np.sqrt(np.maximum(land, 0.0))
-
-    return g, x_well
+    return smooth_branch(landscape, x_well), x_well
 
 
 def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPhase:
@@ -245,8 +241,7 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
         return pref * g(x)
 
     def phi_second(x, d=_FD_STEP):
-        x = np.asarray(x, dtype=float)
-        return pref * (-g(x + 2*d) + 8*g(x + d) - 8*g(x - d) + g(x - 2*d)) / (12*d)
+        return pref * _fd1(g, np.asarray(x, dtype=float), d)
 
     # A_window: Phi is monotone on each side of the well, so the binding
     # constraint is the far branch reaching Phi(opposite well); the near
@@ -297,12 +292,9 @@ class _Amplitude:
         a2 = consts.a2
         well = phase.x_well
         pp_well = phase.second_at_well
-        d = _FD_STEP
         g_branch, _ = _sealed_branch(m, phase.seal, phase.side)
         # Phi''' = sqrt(2/a2) g''(well)
-        ppp_well = float(np.sqrt(2.0/a2) * (
-            -g_branch(well + 2*d) + 16*g_branch(well + d) - 30*g_branch(well)
-            + 16*g_branch(well - d) - g_branch(well - 2*d)) / (12*d*d))
+        ppp_well = float(np.sqrt(2.0/a2) * _fd2(g_branch, well, _FD_STEP))
         self.limit = ppp_well / (2.0 * pp_well)
         self.prefactor = (pp_well / np.pi) ** 0.25
 

@@ -54,10 +54,15 @@ def onewell05(model_a, grid05, seal_a):
 
 
 @pytest.fixture(scope="session")
-def sweep_report(tmp_path_factory):
+def sweep_dir(tmp_path_factory):
+    """Output directory of the sweep_report sweep."""
+    return tmp_path_factory.mktemp("sweep_default")
+
+
+@pytest.fixture(scope="session")
+def sweep_report(sweep_dir):
     """Default ModelA desk-scale sweep; rows feed harness and acceptance tests."""
-    out = tmp_path_factory.mktemp("sweep_default")
-    cfg = pdwell.SweepConfig(out_dir=str(out))
+    cfg = pdwell.SweepConfig(out_dir=str(sweep_dir))
     return pdwell.run_sweep(cfg)
 
 

@@ -201,6 +201,36 @@ def test_bad_grid_exits_before_any_row(tmp_path, capsys, grid, named):
     assert not out_dir.exists()
 
 
+H_RANGE = "semiclassical parameter must be in (0, 1], got "
+
+
+@pytest.mark.parametrize("argv, section, named", [
+    (["spectrum", "--h", "0"], "", H_RANGE + "0.0"),
+    (["spectrum", "--h", "-0.05"], "", H_RANGE + "-0.05"),
+    (["wkb", "--h", "0"], "", H_RANGE + "0.0"),
+    (["effective", "--hbar-list", "0"], "", H_RANGE + "0.0"),
+    (["effective", "--hbar-list", "0.3", "-0.1"], "", H_RANGE + "-0.1"),
+    (["spectrum", "--h", "1e-300"], "",
+     "no N <= 1048576 meets pi*h*N/L >= 3.0 at h = 1e-300, L = 8.0"),
+    (["sweep"], "[grid]\nxi_min = inf", "xi_min must be finite, got inf"),
+    (["sweep"], "[grid]\nxi_min = nan\nn = 512", "xi_min must be finite, got nan"),
+    (["sweep"], "[seal]\nheight = nan", "seal height must lie in (0, inf), got nan"),
+    (["sweep"], "[seal]\nheight = inf", "seal height must lie in (0, inf), got inf"),
+], ids=["spectrum_h_zero", "spectrum_h_negative", "wkb_h_zero",
+        "effective_hbar_zero", "effective_hbar_negative", "spectrum_h_tiny",
+        "xi_min_inf", "xi_min_nan", "seal_height_nan", "seal_height_inf"])
+def test_bad_scale_exits_2(tmp_path, capsys, argv, section, named):
+    # without the range checks the automatic grid rule doubled N until the
+    # int overflowed a float, xi_min = nan switched the cutoff off, and a
+    # non-finite seal height reached the phase root finder: tracebacks
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"{section}\n[sweep]\nh_list = 0.09\n"
+                           f"[output]\ndir = {out_dir}\n")
+    assert main([argv[0], cfg] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"configuration error: {named}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("workers", ["two", "0", "-1", ""])
 def test_bad_worker_count_is_config_error(tmp_path, capsys, monkeypatch, workers):
     monkeypatch.setenv("PDWELL_WORKERS", workers)

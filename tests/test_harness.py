@@ -7,11 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from pdwell import ConfigurationError
+from pdwell import ConfigurationError, harness
 from pdwell.cli import main
 from pdwell.harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
                             auto_points, build_model, format_value,
-                            load_config, run_sweep, splitting_row)
+                            load_config, run_sweep, splitting_row,
+                            sweep_objects)
 from pdwell.tunneling import InteractionReport
 
 
@@ -223,6 +224,41 @@ def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch
     cfg.write_text(f"[sweep]\nh_list = 0.09 0.08\n[output]\ndir = {tmp_path / 'two'}\n")
     assert main(["splitting", str(cfg)]) == 0
     assert calls == {"lowest_eigenpairs": 6, "assemble_L": 2}
+
+
+def test_one_row_samples_the_agmon_weight_once(monkeypatch):
+    # agmon_1..3 share one sampling of the truncated phase on the row's nodes
+    cfg = SweepConfig(h_list=(0.09,))
+    phase = sweep_objects(cfg).phase
+    calls = []
+
+    def counted(x, _original=phase.truncated_evaluator):
+        calls.append(len(x))
+        return _original(x)
+
+    monkeypatch.setattr(phase, "truncated_evaluator", counted)
+    row = harness._sweep_row({"cfg": cfg, "h": 0.09})
+    assert calls == [cfg.points_for(0.09)]
+    assert all(math.isfinite(row[f"agmon_{n}"]) for n in (1, 2, 3))
+
+
+def test_default_sweep_passes_benchmark_row_check(sweep_report, sweep_dir,
+                                                  perfbench_module):
+    # the row check of the modela-desk benchmark workload at seed 0, which
+    # runs this sweep: same h list, same N, frozen reference rows
+    check = perfbench_module("check")
+    desk = perfbench_module("workloads").WORKLOADS["modela-desk"]
+    cfg = SweepConfig()
+    assert cfg.h_list == desk.h_list(0)
+    assert {cfg.points_for(h) for h in cfg.h_list} == {desk.N} == {512}
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reference = check.parse_sweep(
+        (root / "perfbench" / "reference" / "modela-desk.csv").read_text())
+    rows = check.parse_sweep((sweep_dir / "sweep.csv").read_text())
+    results = check.check_sweep(rows, cfg.h_list, desk.N, reference)
+    assert [h for h, _, _ in results] == list(cfg.h_list)
+    assert [(h, problems) for h, failed, problems in results
+            if failed or problems] == []
 
 
 def test_crash_isolation(tmp_path, monkeypatch):

@@ -57,3 +57,45 @@ def test_parse_symbol_raises_only_configuration_error(expr):
         pdwell.parse_symbol(expr)
     except ConfigurationError:
         pass
+
+
+@PROPERTY
+@given(coefficients, grids)
+def test_weyl_symbol_in_x_only_is_diagonal(coeffs, g):
+    # p(x) quantizes to multiplication by p at the nodes: the midpoint of
+    # (x_j, x_j) is x_j and the momentum sum collapses to a Kronecker delta
+    M = pdwell.weyl_matrix(lambda x, xi: _poly(coeffs, x) + 0.0*xi, g)
+    D = np.diag(_poly(coeffs, g.x_nodes))
+    assert np.linalg.norm(M.entries - D) <= 4 * EPS * np.linalg.norm(D)
+
+
+@PROPERTY
+@given(coefficients, grids)
+def test_weyl_symbol_in_xi_only_is_circulant(coeffs, g):
+    # no parity assumed: the Nyquist frequency leaves the circulant
+    # non-Hermitian, and the assembly keeps its Hermitian part
+    def a(xi):
+        return _poly(coeffs, xi) / (1.0 + xi*xi)
+
+    M = pdwell.weyl_matrix(lambda x, xi: a(xi) + 0.0*x, g)
+    C = circulant(np.fft.ifft(a(g.eta_fft)))
+    C = 0.5 * (C + C.conj().T)
+    assert np.linalg.norm(M.entries - C) <= 4 * EPS * np.linalg.norm(C)
+
+
+@PROPERTY
+@given(coefficients, coefficients, grids)
+def test_reflection_commutes_with_xi_even_operator(ca, cv, g):
+    # U M U = M for U: x -> -x when a is even in xi and V even in x
+    def a(xi):
+        return _poly(ca, xi*xi) / (1.0 + xi*xi)
+
+    def b(x, xi):
+        return _poly(cv, x*x) + 0.0*xi
+
+    m = pdwell.Model(a=pdwell.SymbolA(a),
+                     b=pdwell.SymbolB(b, lambda x, xi: 0.0*x, xi_independent=True),
+                     x_left=-1.0, x_right=1.0)
+    M = pdwell.assemble_L(m, g).entries
+    rev = pdwell.reverse_indices(g.n_points)
+    assert np.linalg.norm(M[np.ix_(rev, rev)] - M) <= 4 * EPS * np.linalg.norm(M)

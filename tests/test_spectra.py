@@ -132,28 +132,34 @@ def test_spatial_tail_radius_error(grid05):
         pdwell.spatial_tail(pair, grid05, [0.0], 0.0)
 
 
-def test_agmon_eps_one_returns_norm(grid05, onewell05, phase_a_left):
+@pytest.fixture(scope="module")
+def phi05(phase_a_left, grid05):
+    """Samples of the left truncated phase at grid05's nodes."""
+    return phase_a_left.truncated_evaluator(grid05.x_nodes)
+
+
+def test_agmon_eps_one_returns_norm(grid05, onewell05, phi05):
     _, pairs = onewell05
-    val = pdwell.agmon_weighted_norm(pairs[0], grid05, phase_a_left, 1.0)
+    val = pdwell.agmon_weighted_norm(pairs[0], grid05, phi05, 1.0)
     assert abs(val - 1.0) < 1e-12
 
 
-def test_agmon_delta_at_well(grid05, phase_a_left):
+def test_agmon_delta_at_well(grid05, phi05):
     j = int(np.argmin(np.abs(grid05.x_nodes + 1.0)))
     assert grid05.x_nodes[j] == -1.0
     delta = np.zeros(grid05.n_points)
     delta[j] = 1.0
     pair = _pair(delta, grid05)
     for eps in (0.2, 0.5, 0.9):
-        val = pdwell.agmon_weighted_norm(pair, grid05, phase_a_left, eps)
+        val = pdwell.agmon_weighted_norm(pair, grid05, phi05, eps)
         assert abs(val - 1.0) < 1e-9
 
 
-def test_agmon_eps_domain(grid05, phase_a_left, onewell05):
+def test_agmon_eps_domain(grid05, phi05, onewell05):
     _, pairs = onewell05
     for eps in (0.0, -0.2, 1.5):
         with pytest.raises(ConfigurationError):
-            pdwell.agmon_weighted_norm(pairs[0], grid05, phase_a_left, eps)
+            pdwell.agmon_weighted_norm(pairs[0], grid05, phi05, eps)
 
 
 def test_agmon_overflow_warning(phase_a_left):
@@ -161,8 +167,9 @@ def test_agmon_overflow_warning(phase_a_left):
     delta = np.zeros(8)
     delta[np.argmin(np.abs(g.x_nodes - 3.0))] = 1.0
     pair = _pair(delta, g)
+    phi = phase_a_left.truncated_evaluator(g.x_nodes)
     with pytest.warns(PrecisionWarning), np.errstate(over="ignore"):
-        val = pdwell.agmon_weighted_norm(pair, g, phase_a_left, 0.2)
+        val = pdwell.agmon_weighted_norm(pair, g, phi, 0.2)
     assert val > 0  # may be inf; the flag is the contract, not the value
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import pdwell
-from pdwell import DegeneracyError, Eigenpair
-from pdwell.tunneling import (cutoff_pair, gram_reduction, interaction_asymptotic,
-                              interaction_term)
+from pdwell import DegeneracyError
+from pdwell.tunneling import (gram_reduction, interaction_asymptotic,
+                              interaction_term, overlap_cutoff)
 
 # frozen at h = 0.05, L = 8, N = 512 (deterministic pipeline)
 GAP12_FROZEN = 0.00021095742403959804
@@ -18,8 +18,8 @@ GAP12_009_FROZEN = 0.0017130268326770726
 
 
 @pytest.fixture(scope="module")
-def cut_a(phase_a_left, seal_a):
-    return cutoff_pair(phase_a_left, seal_a)
+def chi_a(phase_a_left, seal_a):
+    return overlap_cutoff(phase_a_left, seal_a)
 
 
 @pytest.fixture(scope="module")
@@ -29,23 +29,27 @@ def pairs05(model_a, grid05):
 
 
 @pytest.fixture(scope="module")
-def rep05(model_a, pairs05, cut_a, onewell05):
+def rep05(model_a, pairs05, chi_a, onewell05):
     M, pairs = pairs05
-    return interaction_term(model_a, M, pairs, onewell05[1][0], cut_a)
+    return interaction_term(model_a, M, pairs, onewell05[1][0], chi_a)
 
 
-def test_cutoff_geometry(cut_a, seal_a):
-    A, eta = cut_a.A_window, cut_a.eta
-    assert eta == seal_a.eta
+def _states(chi, ow, g):
+    """The cut-off left state and its grid reflection."""
+    f_l = chi(g.x_nodes) * ow.vector
+    return f_l, f_l[pdwell.reverse_indices(g.n_points)]
+
+
+def test_cutoff_geometry(chi_a, phase_a_left, seal_a):
+    A, eta = phase_a_left.A_window, seal_a.eta
     plateau = np.linspace(-A, 1.0 - 2*eta, 64)
-    assert np.all(cut_a.chi_left(plateau) == 1.0)
+    assert np.all(chi_a(plateau) == 1.0)
     dead = np.concatenate([np.linspace(-9.0, -2*A, 32),
                            np.linspace(1.0 - eta, 5.0, 32)])
-    assert np.all(cut_a.chi_left(dead) == 0.0)
+    assert np.all(chi_a(dead) == 0.0)
     xs = np.linspace(-9.0, 9.0, 400)
-    vals = cut_a.chi_left(xs)
+    vals = chi_a(xs)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
-    assert np.array_equal(cut_a.chi_right(xs), cut_a.chi_left(-xs))
 
 
 def test_measured_splitting_wide_grid(model_a):
@@ -94,15 +98,13 @@ def test_interaction_report_frozen(rep05, pairs05, consts_a):
     assert abs(rep05.gram_eigen_gap - rep05.measured_gap) <= 1e-8 * rep05.measured_gap
 
 
-def test_gram_matrix_properties(onewell05, model_a, grid05, cut_a):
+def test_gram_matrix_properties(onewell05, model_a, grid05, chi_a):
     M = pdwell.assemble_L(model_a, grid05)
     _, ow = onewell05
-    rev = pdwell.reverse_indices(grid05.n_points)
-    psi_r = Eigenpair(value=ow[0].value, vector=ow[0].vector[rev],
-                      residual=ow[0].residual)
+    f_l, f_r = _states(chi_a, ow[0], grid05)
     mu = ow[0].value
     basis = pdwell.lowest_eigenpairs(M, 2)
-    G, L, gap = gram_reduction(ow[0], psi_r, cut_a, M, mu, basis)
+    G, L, gap = gram_reduction(f_l, f_r, M, mu, basis)
 
     assert G.shape == (2, 2) and L.shape == (2, 2)
     assert G[0, 1] == np.conj(G[1, 0])
@@ -112,18 +114,42 @@ def test_gram_matrix_properties(onewell05, model_a, grid05, cut_a):
     assert gap > 0
 
     # shifting mu moves L by -delta G but leaves the reduced gap alone
-    _, _, gap_shift = gram_reduction(ow[0], psi_r, cut_a, M, mu + 0.37, basis)
+    _, _, gap_shift = gram_reduction(f_l, f_r, M, mu + 0.37, basis)
     assert abs(gap - gap_shift) < 1e-12
 
 
-def test_gram_degenerate_inputs(onewell05, model_a, grid05, cut_a):
+def test_gram_degenerate_inputs(onewell05, model_a, grid05):
     M = pdwell.assemble_L(model_a, grid05)
     _, ow = onewell05
-    dead = Eigenpair(value=ow[0].value, vector=np.zeros(grid05.n_points),
-                     residual=0.0)
+    dead = np.zeros(grid05.n_points)
     with pytest.raises(DegeneracyError):
-        gram_reduction(dead, dead, cut_a, M, ow[0].value,
+        gram_reduction(dead, dead, M, ow[0].value,
                        pdwell.lowest_eigenpairs(M, 2))
+
+
+def test_gram_route_gets_the_interaction_states(model_a, pairs05, chi_a,
+                                                onewell05, monkeypatch):
+    # w_h, the overlap and the Gram route read one pair of states; the
+    # reflection maps node 0 (x = -L/2) to itself, where chi_left != 0
+    import pdwell.tunneling as tunneling
+    seen = []
+
+    def spy(f_l, f_r, *rest):
+        seen.append((f_l, f_r))
+        return gram_reduction(f_l, f_r, *rest)
+
+    monkeypatch.setattr(tunneling, "gram_reduction", spy)
+    M, pairs = pairs05
+    ow = onewell05[1][0]
+    rep = interaction_term(model_a, M, pairs, ow, chi_a)
+    g = M.grid
+    f_l, f_r = _states(chi_a, ow, g)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0][0], f_l)
+    assert np.array_equal(seen[0][1], f_r)
+    assert f_r[0] == f_l[0] != 0.0
+    assert rep.w_h == g.inner(M.entries @ f_l - ow.value * f_l, f_r)
+    assert rep.overlap == g.inner(f_l, f_r)
 
 
 def test_theorem_prediction_positive(model_a):
@@ -180,10 +206,10 @@ def test_asymptotic_model_independent_of_coupling(model_a, model_b):
 def test_modelb_complex_interaction(model_b, grid05):
     seal = pdwell.sealing_function(model_b)
     phase = pdwell.agmon_phase(model_b, seal, "left")
-    cut = cutoff_pair(phase, seal)
+    chi = overlap_cutoff(phase, seal)
     M = pdwell.assemble_L(model_b, grid05)
     ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
-    rep = interaction_term(model_b, M, pdwell.lowest_eigenpairs(M, 3), ow, cut)
+    rep = interaction_term(model_b, M, pdwell.lowest_eigenpairs(M, 3), ow, chi)
     ratio = abs(rep.w_h.imag) / abs(rep.w_h)
     assert 1e-9 <= ratio <= 1e-6
     assert 0.7 <= 2.0 * abs(rep.w_h) / rep.measured_gap <= 1.3
