@@ -12,8 +12,8 @@ from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
                     derived_constants, parse_symbol, validate_model)
 from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
                        assemble_L, auto_points, dump_matrix,
-                       fourier_multiplier_matrix, load_matrix, make_grid,
-                       weyl_matrix)
+                       fourier_multiplier_matrix, frobenius_norm, load_matrix,
+                       make_grid, weyl_matrix)
 from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
                       reverse_indices, spatial_tail)

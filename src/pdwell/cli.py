@@ -10,6 +10,7 @@ the last row if a row raised), 4 failed acceptance check (--check only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -20,19 +21,14 @@ import numpy as np
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
 from .harness import (SPLITTING_COLUMNS, build_model, format_value,
-                      load_config, run_sweep, sweep_objects, validated_model)
+                      load_config, open_output, run_sweep, sweep_objects,
+                      validated_model)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, auto_points, dump_matrix, make_grid
 from .spectra import lowest_eigenpairs
-from .wkb import (assemble_onewell, leading_amplitude, sealing_function,
-                  wkb_quasimode)
+from .wkb import assemble_onewell, sealing_function, wkb_quasimode
 
 DEFAULT_HBAR_LIST = (0.35, 0.30, 0.25, 0.20, 0.15)
-
-
-def _out_path(cfg, name):
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
 
 
 def cmd_validate(args) -> int:
@@ -60,16 +56,19 @@ def cmd_spectrum(args) -> int:
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     g = cfg.grid_for(args.h)
-    M = assemble_L(m, g)
-    print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}  "
-          f"defect = {M.hermiticity_defect:.3e}")
-    M_ow = assemble_onewell(M, "left", seal)
-    for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
-        for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):
-            print(f"{label}_{i} = {format_value(p.value)}")
-    if args.dump_matrix:
-        dump_matrix(M, args.dump_matrix)
-        print(f"# matrix written to {args.dump_matrix}")
+    dump = (open_output(args.dump_matrix, "wb", make_dirs=False)
+            if args.dump_matrix else None)
+    with dump or contextlib.nullcontext():
+        M = assemble_L(m, g)
+        print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}  "
+              f"defect = {M.hermiticity_defect:.3e}")
+        M_ow = assemble_onewell(M, "left", seal)
+        for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
+            for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):
+                print(f"{label}_{i} = {format_value(p.value)}")
+        if dump:
+            dump_matrix(M, dump)
+            print(f"# matrix written to {args.dump_matrix}")
     return 0
 
 
@@ -78,16 +77,14 @@ def cmd_wkb(args) -> int:
     s = sweep_objects(cfg)
     g = cfg.grid_for(args.h)
     q = wkb_quasimode(s.model, g, s.phase)
-    x = g.x_nodes
-    u = leading_amplitude(s.model, s.phase, x)
-    path = _out_path(cfg, f"wkb_h{args.h:g}.csv")
-    with open(path, "w", newline="") as fh:
+    x, u = g.x_nodes, q.amplitude
+    path = os.path.join(cfg.out_dir, f"wkb_h{args.h:g}.csv")
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "phi_l", "phi_l_trunc", "re_u10", "im_u10", "psi_wkb"])
-        phi = np.asarray(s.phase.evaluator(x))
         phit = np.asarray(s.phase.truncated_evaluator(x))
         for j in range(g.n_points):
-            writer.writerow([format_value(x[j]), format_value(phi[j]),
+            writer.writerow([format_value(x[j]), format_value(q.phi[j]),
                              format_value(phit[j]), format_value(u[j].real),
                              format_value(u[j].imag), format_value(q.vector[j].real)])
     print(f"# A_window = {s.phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
@@ -102,10 +99,10 @@ def cmd_effective(args) -> int:
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
     grids = [make_grid(cfg.L, auto_points(cfg.L, hbar, cfg.xi_min), hbar, cfg.xi_min)
              for hbar in hbars]
-    path = _out_path(cfg, "effective.csv")
+    path = os.path.join(cfg.out_dir, "effective.csv")
     cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
             "gap12", "formula", "ratio"]
-    with open(path, "w", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for hbar, g in zip(hbars, grids):

@@ -34,7 +34,8 @@ from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
 __all__ = [
     "SweepConfig", "SweepReport", "SweepObjects", "load_config",
     "build_model", "validated_model", "sweep_objects", "run_sweep",
-    "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row", "format_value",
+    "open_output", "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row",
+    "format_value",
 ]
 
 ALL_DIAGNOSTICS = ("localization", "wkb", "tunneling")
@@ -289,6 +290,21 @@ def _sweep_row_safe(task: dict) -> dict:
                 "precision_flag": 1, "error": f"{type(exc).__name__}: {exc}"}
 
 
+def open_output(path: str, mode: str = "w", make_dirs: bool = True):
+    """Open an output file for writing, creating its directory if make_dirs.
+
+    An unwritable path (a regular file or a missing directory on the way,
+    no permission) is a ConfigurationError, so callers open their output
+    before the first row or solve runs.
+    """
+    try:
+        if make_dirs:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        return open(path, mode, newline=None if "b" in mode else "")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -324,13 +340,12 @@ def run_sweep(cfg: SweepConfig, columns=SWEEP_COLUMNS,
             f"PDWELL_WORKERS must be a positive integer, got {workers!r}")
     sweep_objects(cfg)   # validates the model; serial rows reuse the objects
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     tasks = [{"cfg": cfg, "h": h} for h in cfg.h_list]
+    n = int(workers)
 
-    pool = ProcessPoolExecutor(int(workers)) if int(workers) > 1 else None
     rows = []
-    path = os.path.join(cfg.out_dir, filename)
-    with pool or contextlib.nullcontext(), open(path, "w", newline="") as fh:
+    with (open_output(os.path.join(cfg.out_dir, filename)) as fh,
+          (ProcessPoolExecutor(n) if n > 1 else contextlib.nullcontext()) as pool):
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in (pool.map if pool else map)(_sweep_row_safe, tasks):

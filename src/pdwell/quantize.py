@@ -13,6 +13,12 @@ roundoff-sized Hermiticity defect; we record the defect and symmetrize.
 A multiplier a(xi) even on the lattice gives a real symmetric circulant (the
 inverse DFT of a real even sequence is real), so a(xi) + h V(x) is stored and
 solved in real arithmetic; symbols coupling x and xi stay complex Hermitian.
+
+The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
+Products of an assembled matrix with a vector go through scipy's BLAS
+(OperatorMatrix.apply), the library that also runs the eigensolves, and
+N x N norms use a reduction that calls no BLAS (frobenius_norm). numpy's
+pool then stays idle instead of spinning its workers against scipy's.
 """
 
 from __future__ import annotations
@@ -24,14 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import circulant
+from scipy.linalg.blas import get_blas_funcs
 
 from .errors import ConfigurationError, EvaluationError
 from .model import Model, SymbolA
 
 __all__ = [
-    "Grid", "OperatorMatrix", "auto_points", "make_grid", "weyl_matrix",
-    "assemble_L", "apply_fourier_multiplier", "fourier_multiplier_matrix",
-    "reverse_indices", "dump_matrix", "load_matrix",
+    "Grid", "OperatorMatrix", "frobenius_norm", "auto_points", "make_grid",
+    "weyl_matrix", "assemble_L", "apply_fourier_multiplier",
+    "fourier_multiplier_matrix", "reverse_indices", "dump_matrix", "load_matrix",
 ]
 
 logger = logging.getLogger(__name__)
@@ -91,6 +98,27 @@ class OperatorMatrix:
     def N(self) -> int:
         return self.entries.shape[0]
 
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The product entries @ v through scipy's BLAS gemv.
+
+        entries.T is Fortran-contiguous, so gemv with trans=1 reads the
+        matrix in place. A real matrix applies to the real and imaginary
+        parts of a complex vector separately instead of being cast to complex.
+        """
+        A = self.entries
+        if np.iscomplexobj(v) and not np.iscomplexobj(A):
+            return self.apply(v.real) + 1j * self.apply(v.imag)
+        gemv = get_blas_funcs("gemv", (A, v))
+        return gemv(1.0, A.T, v, trans=1)
+
+
+def frobenius_norm(A: np.ndarray) -> float:
+    """sqrt(sum |A_ij|^2) by an einsum reduction, which calls no BLAS."""
+    if np.iscomplexobj(A):
+        return math.sqrt(np.einsum("ij,ij->", A.real, A.real)
+                         + np.einsum("ij,ij->", A.imag, A.imag))
+    return math.sqrt(np.einsum("ij,ij->", A, A))
+
 
 def reverse_indices(N: int) -> np.ndarray:
     """Index permutation realizing x -> -x, and eta -> -eta in FFT order."""
@@ -136,8 +164,8 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
 
 
 def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
-    defect = float(np.linalg.norm(M - M.conj().T))
-    scale = float(np.linalg.norm(M))
+    defect = frobenius_norm(M - M.conj().T)
+    scale = frobenius_norm(M)
     warn = defect > DEFECT_RTOL * max(scale, 1e-300)
     if warn:
         logger.warning("Hermiticity defect %.3e exceeds %.1e of ||M||_F=%.3e",
@@ -220,12 +248,10 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
 # binary dump (little-endian; 16-byte header: magic, u32 N, f64 h)
 # --------------------------------------------------------------------------
 
-def dump_matrix(M: OperatorMatrix, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", M.N))
-        f.write(struct.pack("<d", M.grid.h))
-        f.write(np.ascontiguousarray(M.entries, dtype="<c16").tobytes())
+def dump_matrix(M: OperatorMatrix, f) -> None:
+    """Write M to f, a binary file open for writing."""
+    f.write(_MAGIC + struct.pack("<Id", M.N, M.grid.h))
+    f.write(np.ascontiguousarray(M.entries, dtype="<c16").tobytes())
 
 
 def load_matrix(path):
@@ -234,10 +260,9 @@ def load_matrix(path):
         head = f.read(16)
         if len(head) != 16 or head[:4] != _MAGIC:
             raise ConfigurationError(f"{path}: not a matrix dump (bad magic)")
-        N = struct.unpack("<I", head[4:8])[0]
-        h = struct.unpack("<d", head[8:16])[0]
-        data = np.frombuffer(f.read(), dtype="<c16")
-    if data.size != N * N:
+        N, h = struct.unpack("<Id", head[4:16])
+        payload = f.read()
+    if len(payload) != 16 * N * N:
         raise ConfigurationError(
-            f"{path}: payload has {data.size} entries, expected {N*N}")
-    return data.reshape(N, N).copy(), N, h
+            f"{path}: payload has {len(payload)} bytes, expected {16*N*N}")
+    return np.frombuffer(payload, dtype="<c16").reshape(N, N).copy(), N, h

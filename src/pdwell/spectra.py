@@ -17,7 +17,7 @@ from scipy.linalg import eigh
 from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericError, PrecisionWarning
-from .quantize import Grid, OperatorMatrix, reverse_indices
+from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -47,12 +47,12 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     if not 1 <= k <= N:
         raise ConfigurationError(f"k must be in [1, {N}], got {k}")
     vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
-    scale = float(np.linalg.norm(M.entries))
+    scale = frobenius_norm(M.entries)
     dx = M.grid.dx
     out = []
     for i in range(k):
         col = vecs[:, i]
-        resid = float(np.linalg.norm(M.entries @ col - vals[i] * col))
+        resid = float(np.linalg.norm(M.apply(col) - vals[i] * col))
         if resid > RESIDUAL_RTOL * max(scale, 1e-300):
             raise NumericError(
                 f"eigensolver residual {resid:.3e} exceeds "

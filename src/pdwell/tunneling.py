@@ -86,7 +86,7 @@ def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
             f"Gram matrix lost positive definiteness (eigenvalues {eigvalsh(G)}); "
             "well localization broke down")
 
-    shifted = [M.entries @ v - mu * v for v in pair]
+    shifted = [M.apply(v) - mu * v for v in pair]
     L = np.array([[g.inner(sv, b) for b in pair] for sv in shifted])
     L = 0.5 * (L + L.conj().T)
 
@@ -111,7 +111,7 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
     mu = ow.value
     f_l = chi_left(g.x_nodes) * ow.vector
     f_r = f_l[reverse_indices(g.n_points)]
-    w_h = g.inner(M.entries @ f_l - mu * f_l, f_r)
+    w_h = g.inner(M.apply(f_l) - mu * f_l, f_r)
     overlap = g.inner(f_l, f_r)
 
     _, _, gram_gap = gram_reduction(f_l, f_r, M, mu, pairs[:2])

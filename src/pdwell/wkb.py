@@ -74,7 +74,8 @@ class CumulativeIntegral:
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         xs = mids[:, None] + 0.5 * self.width * nodes[None, :]
         vals = np.asarray(f(xs.ravel())).reshape(n_cells, n_gauss)
-        cell = 0.5 * self.width * (vals @ weights)
+        # einsum, not @: numpy's @ would run a threaded BLAS gemv
+        cell = 0.5 * self.width * np.einsum("cg,g->c", vals, weights)
         self.cum = np.concatenate([np.zeros(1, dtype=cell.dtype), np.cumsum(cell)])
         self.nodes, self.weights = nodes, weights
 
@@ -88,7 +89,7 @@ class CumulativeIntegral:
         mid = 0.5 * (xc + a)
         xs = mid[..., None] + half[..., None] * self.nodes
         vals = np.asarray(self.f(xs.ravel())).reshape(xs.shape)
-        return self.cum[idx] + half * (vals @ self.weights)
+        return self.cum[idx] + half * np.einsum("...g,g->...", vals, self.weights)
 
 
 def bump(t):
@@ -330,6 +331,8 @@ class WkbQuasimode:
     vector: np.ndarray     # normalized grid samples
     lambda_wkb: float      # c0 h^(3/2)
     norm_raw: float        # norm before normalization; 1 + O(sqrt h)
+    phi: np.ndarray        # Agmon phase Phi at the grid nodes
+    amplitude: np.ndarray  # u_{1,0} at the grid nodes
 
 
 def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
@@ -344,11 +347,12 @@ def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
     x = g.x_nodes
     chi = smoothstep(2.0*x/A + 5.0) * smoothstep(5.0 - 2.0*x/A)
     u = _amplitude_of(m, phase)(x)
-    raw = g.h**(-0.125) * chi * u * np.exp(-np.asarray(phase.evaluator(x)) / np.sqrt(g.h))
+    phi = np.asarray(phase.evaluator(x))
+    raw = g.h**(-0.125) * chi * u * np.exp(-phi / np.sqrt(g.h))
     norm_raw = float(np.sqrt(g.dx * np.sum(np.abs(raw)**2)))
     return WkbQuasimode(vector=raw / norm_raw,
                         lambda_wkb=float(consts.c0 * g.h**1.5),
-                        norm_raw=norm_raw)
+                        norm_raw=norm_raw, phi=phi, amplitude=u)
 
 
 def wkb_eigenvalue(m: Model, h: float, n: int = 1) -> float:
@@ -410,5 +414,5 @@ def quasimode_residual(M_onewell: OperatorMatrix, q: WkbQuasimode) -> float:
     if v.shape != (M_onewell.N,):
         raise ConfigurationError(
             f"quasimode length {v.shape} does not match matrix N={M_onewell.N}")
-    return float(np.linalg.norm(M_onewell.entries @ v - q.lambda_wkb * v)
+    return float(np.linalg.norm(M_onewell.apply(v) - q.lambda_wkb * v)
                  / np.linalg.norm(v))

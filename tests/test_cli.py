@@ -285,3 +285,55 @@ def test_splitting_csv_is_projection_of_sweep_csv(tmp_path, capsys, model):
     for row in rows:
         writer.writerow([row[c] for c in pdwell.SPLITTING_COLUMNS])
     assert (out_dir / "splitting.csv").read_bytes() == projection.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep"], "sweep.csv"),
+    (["splitting"], "splitting.csv"),
+    (["wkb", "--h", "0.09"], "wkb_h0.09.csv"),
+    (["effective", "--hbar-list", "0.3"], "effective.csv"),
+], ids=["sweep", "splitting", "wkb", "effective"])
+def test_output_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch, argv, name):
+    from pdwell import cli, harness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the output was opened")
+
+    monkeypatch.setattr(harness, "_sweep_row", no_solve)
+    monkeypatch.setattr(cli, "lowest_eigenpairs", no_solve)
+    (tmp_path / "blocker").write_text("")
+    out_dir = tmp_path / "blocker" / "out"
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n")
+    assert main([argv[0], cfg] + argv[1:]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {out_dir / name}: Not a directory\n")
+
+
+def test_dump_into_missing_directory_exits_before_solves(tmp_path, capsys, monkeypatch):
+    from pdwell import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the dump file was opened")
+
+    monkeypatch.setattr(cli, "lowest_eigenpairs", no_solve)
+    dump = tmp_path / "missing" / "m.bin"
+    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["spectrum", cfg, "--h", "0.09", "--dump-matrix", str(dump)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: cannot write {dump}: No such file or directory\n")
+    assert not dump.parent.exists()
+
+
+def test_wkb_columns_are_the_quasimode_samples(tmp_path, capsys, model_a,
+                                               grid05, phase_a_left):
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[output]\ndir = {out_dir}\n")
+    assert main(["wkb", cfg, "--h", "0.05"]) == 0
+    with open(out_dir / "wkb_h0.05.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+    # 17 significant digits round-trip a double exactly
+    assert [float(r["phi_l"]) for r in rows] == q.phi.tolist()
+    assert [float(r["re_u10"]) for r in rows] == q.amplitude.real.tolist()
+    assert [float(r["im_u10"]) for r in rows] == q.amplitude.imag.tolist()
+    assert [float(r["psi_wkb"]) for r in rows] == q.vector.real.tolist()

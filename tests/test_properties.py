@@ -4,8 +4,10 @@ Derandomized: every run draws the same examples, so the suite stays
 reproducible.
 """
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant
 
@@ -57,6 +59,38 @@ def test_parse_symbol_raises_only_configuration_error(expr):
         pdwell.parse_symbol(expr)
     except ConfigurationError:
         pass
+
+
+# the custom-model grammar: literals, x, xi, + - * /, unary minus and
+# non-negative integer powers, with and without parentheses
+literals = st.integers(0, 9).map(str) | st.floats(0.0, 10.0).map(repr)
+
+
+def _compound(sub):
+    binary = st.tuples(sub, st.sampled_from("+-*/"), sub,
+                       st.sampled_from(["({}) {} ({})", "{} {} {}"]))
+    return (binary.map(lambda t: t[3].format(*t[:3]))
+            | sub.map(lambda e: f"-{e}")
+            | st.tuples(sub, st.integers(0, 3)).map(lambda t: f"({t[0]})**{t[1]}"))
+
+
+expressions = st.recursive(literals | st.sampled_from(["x", "xi"]), _compound,
+                           max_leaves=8)
+
+
+@PROPERTY
+@given(expressions, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_parse_symbol_accepts_its_grammar(text, x, xi):
+    f = pdwell.parse_symbol(text)
+    try:
+        expected = eval(text, {"__builtins__": {}}, {"x": x, "xi": xi})
+    except (ZeroDivisionError, OverflowError):
+        assume(False)
+    assume(math.isfinite(expected) and abs(expected) < 1e6)
+    with np.errstate(all="ignore"):
+        value = f(x, xi)
+    # numpy's vectorized power and libm's pow differ in the last bits
+    assert math.isclose(value, expected, rel_tol=1e-7, abs_tol=1e-7)
 
 
 @PROPERTY

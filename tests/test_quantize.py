@@ -235,7 +235,8 @@ def test_dump_load_roundtrip(model_a, tmp_path):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_L(model_a, g)
     path = tmp_path / "op.bin"
-    pdwell.dump_matrix(M, path)
+    with open(path, "wb") as f:
+        pdwell.dump_matrix(M, f)
     entries, N, h = pdwell.load_matrix(path)
     assert N == 128 and h == 0.07
     assert np.array_equal(entries, M.entries)
@@ -251,3 +252,12 @@ def test_load_matrix_bad_inputs(tmp_path):
                       + bytes(16))
     with pytest.raises(ConfigurationError):
         pdwell.load_matrix(short)
+
+
+def test_load_matrix_rejects_partial_entry(tmp_path):
+    # 65 bytes: four entries of N = 2 and one stray byte
+    ragged = tmp_path / "ragged.bin"
+    ragged.write_bytes(b"PDOW" + np.uint32(2).tobytes() + np.float64(0.1).tobytes()
+                       + bytes(65))
+    with pytest.raises(ConfigurationError, match="payload has 65 bytes, expected 64"):
+        pdwell.load_matrix(ragged)

@@ -1,5 +1,7 @@
 """Sealing, Agmon phase, amplitude, and quasimode checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -306,7 +308,7 @@ def test_quasimode_residual_scale(model_a, grid05, phase_a_left, onewell05):
     resid = pdwell.quasimode_residual(M_ow, q)
     assert resid <= 2.0 * grid05.h**2
 
-    exact = pdwell.WkbQuasimode(vector=ow[0].vector, lambda_wkb=ow[0].value,
+    exact = dataclasses.replace(q, vector=ow[0].vector, lambda_wkb=ow[0].value,
                                 norm_raw=1.0)
     assert pdwell.quasimode_residual(M_ow, exact) <= 1e-10
 
@@ -314,7 +316,7 @@ def test_quasimode_residual_scale(model_a, grid05, phase_a_left, onewell05):
 def test_quasimode_residual_shape_error(model_a, grid05, phase_a_left, onewell05):
     M_ow, _ = onewell05
     bad = pdwell.WkbQuasimode(vector=np.zeros(16), lambda_wkb=0.0,
-                              norm_raw=1.0)
+                              norm_raw=1.0, phi=np.zeros(16), amplitude=np.ones(16))
     with pytest.raises(ConfigurationError):
         pdwell.quasimode_residual(M_ow, bad)
 
