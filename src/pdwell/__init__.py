@@ -13,10 +13,10 @@ from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
 from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
                        assemble_L, auto_points, dump_matrix,
                        fourier_multiplier_matrix, frobenius_norm, load_matrix,
-                       make_grid, weyl_matrix)
+                       make_grid, reverse_indices, weyl_matrix)
 from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
-                      reverse_indices, spatial_tail)
+                      spatial_tail)
 from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
                   WkbQuasimode, agmon_phase, assemble_onewell, bump,
                   eikonal_residual, leading_amplitude, quasimode_residual,

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Model, derived_constants
-from .quantize import (Grid, OperatorMatrix, fourier_multiplier_matrix,
-                       make_grid, _symmetrize)
+from .quantize import Grid, OperatorMatrix, make_grid, _circulant_plus_diagonal
 from .spectra import gap_near_residual, lowest_eigenpairs
 
 __all__ = [
@@ -32,9 +31,8 @@ def schrodinger_matrix(potential, g: Grid, a2: float) -> OperatorMatrix:
     hbar is g.h: the kinetic multiplier (a2/2) eta^2 lives on the grid's
     momentum lattice. assemble_Mhbar rebuilds the grid for a given hbar.
     """
-    M = fourier_multiplier_matrix(lambda eta: 0.5 * a2 * eta * eta, g)
-    M[np.diag_indices_from(M)] += np.asarray(potential(g.x_nodes), dtype=float)
-    return _symmetrize(M, g)
+    return _circulant_plus_diagonal(lambda eta: 0.5 * a2 * eta * eta,
+                                    potential, 1.0, g)
 
 
 def assemble_Mhbar(m: Model, g: Grid, hbar: float) -> OperatorMatrix:

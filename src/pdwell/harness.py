@@ -3,20 +3,18 @@
 A sweep validates the model once, then runs the full pipeline (grid,
 operators, spectra, WKB diagnostics, tunneling comparison) at each h in a
 strictly decreasing list; `pdwell sweep` and `pdwell splitting` both run it.
-Rows are written to CSV in h order regardless of worker completion order,
-every float printed with 17 significant digits so two runs of one config
-are bit-identical. A failure at one h flags that row and the sweep continues.
+Rows run one after another and are written to CSV in h order, every float
+printed with 17 significant digits so two runs of one config are
+bit-identical. A failure at one h flags that row and the sweep continues.
 """
 
 from __future__ import annotations
 
 import configparser
-import contextlib
 import csv
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -140,10 +138,11 @@ def validated_model(cfg: SweepConfig) -> Model:
 
 @functools.lru_cache(maxsize=1)
 def sweep_objects(cfg: SweepConfig) -> SweepObjects:
-    """Validate the model and build the h-independent objects, once per process.
+    """Validate the model and build the h-independent objects, once per config.
 
-    The cache is keyed on the config's plain values, so the serial sweep and
-    each worker process build these objects once and no closure is pickled.
+    The cache is keyed on the frozen config, so run_sweep, each row and the
+    action check of `pdwell sweep --check` share one build of the Agmon
+    phase; `pdwell wkb` builds through it too.
     """
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
@@ -229,14 +228,13 @@ def splitting_row(rep: InteractionReport) -> dict:
     }
 
 
-def _sweep_row(task: dict) -> dict:
-    """Full pipeline at one h, from the task's config and h.
+def _sweep_row(cfg: SweepConfig, h: float) -> dict:
+    """Full pipeline at one h.
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
-    M_hbar inside interaction_term. Runs in a worker process; the task is
-    plain data and the h-independent objects come from sweep_objects.
+    M_hbar inside interaction_term. The h-independent objects come from
+    sweep_objects, built once for all rows.
     """
-    cfg, h = task["cfg"], task["h"]
     s = sweep_objects(cfg)
     m = s.model
     g = cfg.grid_for(h)
@@ -282,11 +280,11 @@ def _sweep_row(task: dict) -> dict:
     return row
 
 
-def _sweep_row_safe(task: dict) -> dict:
+def _sweep_row_safe(cfg: SweepConfig, h: float) -> dict:
     try:
-        return _sweep_row(task)
+        return _sweep_row(cfg, h)
     except Exception as exc:  # crash isolation: flag the row, keep sweeping
-        return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "h": task["h"],
+        return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "h": h,
                 "precision_flag": 1, "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -334,21 +332,14 @@ def run_sweep(cfg: SweepConfig, columns=SWEEP_COLUMNS,
     A row that raises is written as nan with precision_flag = 1, and its
     error text goes to the report's flags; the other rows still run.
     """
-    workers = os.environ.get("PDWELL_WORKERS", "1")
-    if not workers.isdecimal() or int(workers) < 1:
-        raise ConfigurationError(
-            f"PDWELL_WORKERS must be a positive integer, got {workers!r}")
-    sweep_objects(cfg)   # validates the model; serial rows reuse the objects
-
-    tasks = [{"cfg": cfg, "h": h} for h in cfg.h_list]
-    n = int(workers)
+    sweep_objects(cfg)   # validates the model before the output is opened
 
     rows = []
-    with (open_output(os.path.join(cfg.out_dir, filename)) as fh,
-          (ProcessPoolExecutor(n) if n > 1 else contextlib.nullcontext()) as pool):
+    with open_output(os.path.join(cfg.out_dir, filename)) as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in (pool.map if pool else map)(_sweep_row_safe, tasks):
+        for h in cfg.h_list:
+            row = _sweep_row_safe(cfg, h)
             rows.append(row)
             writer.writerow([format_value(row[c]) for c in columns])
             fh.flush()

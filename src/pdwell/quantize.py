@@ -163,6 +163,19 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
     return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
 
 
+def _finite(what: str, values, **axes) -> np.ndarray:
+    """values as floats, or an EvaluationError naming the first non-finite point.
+
+    axes maps each axis label, in the order of values' dimensions, to its nodes."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        point = ", ".join(f"{label}={nodes[i]}" for (label, nodes), i
+                          in zip(axes.items(), np.argwhere(bad)[0]))
+        raise EvaluationError(f"non-finite {what} value at {point}")
+    return values
+
+
 def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
     defect = frobenius_norm(M - M.conj().T)
     scale = frobenius_norm(M)
@@ -190,11 +203,8 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
     M = np.zeros((N, N), dtype=np.complex128)
     for start in range(0, 2*N - 1, _BLOCK):
         cs = np.arange(start, min(start + _BLOCK, 2*N - 1))
-        P = np.asarray(p(mids[cs][:, None], eta[None, :]), dtype=float)
-        if not np.all(np.isfinite(P)):
-            i, mcol = np.argwhere(~np.isfinite(P))[0]
-            raise EvaluationError(
-                f"non-finite symbol value at (x={mids[cs[i]]}, xi={eta[mcol]})")
+        P = _finite("symbol", p(mids[cs][:, None], eta[None, :]),
+                    x=mids[cs], xi=eta)
         W = np.fft.ifft(P, axis=1)
         for i, c in enumerate(cs):
             js = np.arange(max(0, c - N + 1), min(c, N - 1) + 1)
@@ -204,13 +214,18 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
 
 def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
     """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
-    vals = np.asarray(a(g.eta_fft), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = g.eta_fft[~np.isfinite(vals)][0]
-        raise EvaluationError(f"non-finite multiplier value at xi={bad}")
+    vals = _finite("multiplier", a(g.eta_fft), xi=g.eta_fft)
     col = np.fft.ifft(vals)
     even = np.array_equal(vals, vals[reverse_indices(g.n_points)])
     return circulant(col.real if even else col)
+
+
+def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> OperatorMatrix:
+    """Symmetrized circulant of the multiplier a(xi) plus the diagonal coupling V(x)."""
+    M = fourier_multiplier_matrix(a, g)
+    V = _finite("potential", potential(g.x_nodes), x=g.x_nodes)
+    M[np.diag_indices_from(M)] += coupling * V
+    return _symmetrize(M, g)
 
 
 def apply_fourier_multiplier(a: SymbolA, g: Grid, v: np.ndarray) -> np.ndarray:
@@ -230,13 +245,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
     symbol goes through the anti-diagonal assembly.
     """
     if m.b.xi_independent:
-        M = fourier_multiplier_matrix(m.a.evaluator, g)
-        V = np.asarray(m.potential(g.x_nodes), dtype=float)
-        if not np.all(np.isfinite(V)):
-            bad = g.x_nodes[~np.isfinite(V)][0]
-            raise EvaluationError(f"non-finite potential value at x={bad}")
-        M[np.diag_indices_from(M)] += g.h * V
-        return _symmetrize(M, g)
+        return _circulant_plus_diagonal(m.a.evaluator, m.potential, g.h, g)
 
     def combined(x, xi):
         return m.a(xi) + g.h * m.b(x, xi)

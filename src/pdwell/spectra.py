@@ -21,7 +21,7 @@ from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
-    "fourier_tail", "spatial_tail", "agmon_weighted_norm", "reverse_indices",
+    "fourier_tail", "spatial_tail", "agmon_weighted_norm",
 ]
 
 # solver residual contract, relative to the Frobenius norm of the matrix

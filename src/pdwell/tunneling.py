@@ -25,8 +25,8 @@ from scipy.linalg import eigvalsh, inv, sqrtm
 
 from .errors import DegeneracyError
 from .model import Model, derived_constants
-from .quantize import OperatorMatrix
-from .spectra import Eigenpair, reverse_indices
+from .quantize import OperatorMatrix, reverse_indices
+from .spectra import Eigenpair
 from .wkb import AgmonPhase, SealingFunction, smoothstep
 from .effective import gap_Mhbar
 

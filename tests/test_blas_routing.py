@@ -64,7 +64,7 @@ def test_sweep_row_takes_norms_of_vectors_only(monkeypatch):
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", spy)
-    harness._sweep_row({"cfg": pdwell.SweepConfig(h_list=(0.05,)), "h": 0.05})
+    harness._sweep_row(pdwell.SweepConfig(h_list=(0.05,)), 0.05)
     assert ndims and set(ndims) == {1}
 
 

@@ -176,6 +176,12 @@ def test_spectrum_and_effective_build_no_phase(tmp_path, capsys, monkeypatch):
     # the counter sees the build that wkb does need
     assert main(["wkb", cfg, "--h", "0.09"]) == 0
     assert len(calls) == 1
+    # run_sweep and the row share one build; one row is too few for the fit
+    calls.clear()
+    one_row = _write(tmp_path, f"[sweep]\nh_list = 0.09\n"
+                               f"[output]\ndir = {tmp_path / 'sweep'}\n", "sweep.ini")
+    assert main(["sweep", one_row, "--check"]) == 4
+    assert len(calls) == 1
 
 
 def test_effective_ignores_seal(tmp_path, capsys):
@@ -231,26 +237,14 @@ def test_bad_scale_exits_2(tmp_path, capsys, argv, section, named):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("workers", ["two", "0", "-1", ""])
-def test_bad_worker_count_is_config_error(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setenv("PDWELL_WORKERS", workers)
-    out_dir = tmp_path / "out"
-    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n")
-    assert main(["sweep", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err == ("configuration error: PDWELL_WORKERS must be a positive "
-                   f"integer, got {workers!r}\n")
-    assert not out_dir.exists()
-
-
 def test_crashed_row_exits_3_after_last_row(tmp_path, capsys, monkeypatch):
     import pdwell.harness as harness
 
-    def stub(task):
-        if task["h"] == 0.08:
+    def stub(cfg, h):
+        if h == 0.08:
             raise RuntimeError("boom")
         return {**{c: 1.0 for c in pdwell.SWEEP_COLUMNS},
-                "h": task["h"], "precision_flag": 0}
+                "h": h, "precision_flag": 0}
 
     monkeypatch.setattr(harness, "_sweep_row", stub)
     out_dir = tmp_path / "out"

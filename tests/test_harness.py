@@ -185,17 +185,6 @@ def test_single_h_no_fits_and_deterministic_csv(model_a, tmp_path):
     assert header == ",".join(SWEEP_COLUMNS)
 
 
-def test_worker_pool_matches_serial(model_a, tmp_path, monkeypatch):
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "pool"
-    run_sweep(SweepConfig(h_list=(0.09, 0.08), out_dir=str(out1),
-                          diagnostics=("tunneling",)))
-    monkeypatch.setenv("PDWELL_WORKERS", "2")
-    run_sweep(SweepConfig(h_list=(0.09, 0.08), out_dir=str(out2),
-                          diagnostics=("tunneling",)))
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
-
-
 def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch):
     # mu and lambda_ow1 both come from the one sealed solve
     for row in sweep_report.rows:
@@ -237,7 +226,7 @@ def test_one_row_samples_the_agmon_weight_once(monkeypatch):
         return _original(x)
 
     monkeypatch.setattr(phase, "truncated_evaluator", counted)
-    row = harness._sweep_row({"cfg": cfg, "h": 0.09})
+    row = harness._sweep_row(cfg, 0.09)
     assert calls == [cfg.points_for(0.09)]
     assert all(math.isfinite(row[f"agmon_{n}"]) for n in (1, 2, 3))
 
@@ -264,11 +253,11 @@ def test_default_sweep_passes_benchmark_row_check(sweep_report, sweep_dir,
 def test_crash_isolation(tmp_path, monkeypatch):
     import pdwell.harness as harness
 
-    def stub(task):
-        if task["h"] == 0.07:
+    def stub(cfg, h):
+        if h == 0.07:
             raise RuntimeError("boom")
         row = {c: math.nan for c in SWEEP_COLUMNS}
-        row["h"] = task["h"]
+        row["h"] = h
         row["precision_flag"] = 0
         row["gap12"] = 1.0
         return row

@@ -231,6 +231,35 @@ def test_weyl_nonfinite_symbol_raises():
     assert "x=" in str(exc.value)
 
 
+def _pole(eta):
+    with np.errstate(divide="ignore"):
+        return 1.0/np.asarray(eta, dtype=float)
+
+
+def _holed(x, xi=0.0):
+    # nan at the node x = -3 of the grid below, 1 elsewhere
+    x = np.asarray(x, dtype=float)
+    return np.where(x == -3.0, np.nan, 1.0) + 0.0*np.asarray(xi, dtype=float)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda g, m: pdwell.fourier_multiplier_matrix(_pole, g),
+     "non-finite multiplier value at xi=0.0"),
+    (lambda g, m: pdwell.assemble_L(pdwell.Model(
+        a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
+        x_left=-1.0, x_right=1.0), g),
+     "non-finite potential value at x=-3.0"),
+    (lambda g, m: pdwell.schrodinger_matrix(_holed, g, 1.0),
+     "non-finite potential value at x=-3.0"),
+], ids=["multiplier", "assemble_L_potential", "schrodinger_potential"])
+def test_nonfinite_multiplier_and_potential_raise(model_a, build, named):
+    g = pdwell.make_grid(8.0, 64, 0.15)
+    assert -3.0 in g.x_nodes and g.eta_fft[0] == 0.0
+    with pytest.raises(EvaluationError) as exc:
+        build(g, model_a)
+    assert str(exc.value) == named
+
+
 def test_dump_load_roundtrip(model_a, tmp_path):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_L(model_a, g)
