@@ -24,11 +24,10 @@ from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
                   wkb_eigenvalue, wkb_quasimode)
 from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
-from .tunneling import (InteractionReport, gram_reduction,
-                        interaction_asymptotic, interaction_term,
-                        overlap_cutoff)
+from .tunneling import (gram_reduction, interaction_asymptotic,
+                        interaction_term, overlap_cutoff)
 from .harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
                       SweepReport, build_model, format_value,
-                      load_config, run_sweep, splitting_row)
+                      load_config, run_sweep)
 
 __version__ = "0.1.0"

@@ -20,20 +20,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .effective import gap_Mhbar
 from .errors import ConfigurationError
 from .model import Model, builtin_model, custom_model, validate_model
 from .quantize import Grid, assemble_L, auto_points, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
                       lowest_eigenpairs, parity_of, spatial_tail)
-from .tunneling import InteractionReport, interaction_term, overlap_cutoff
+from .tunneling import interaction_asymptotic, interaction_term, overlap_cutoff
 from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
                   quasimode_residual, sealing_function, wkb_quasimode)
 
 __all__ = [
     "SweepConfig", "SweepReport", "SweepObjects", "load_config",
     "build_model", "validated_model", "sweep_objects", "run_sweep",
-    "open_output", "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "splitting_row",
-    "format_value",
+    "open_output", "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "format_value",
 ]
 
 ALL_DIAGNOSTICS = ("localization", "wkb", "tunneling")
@@ -216,23 +216,11 @@ def load_config(path) -> SweepConfig:
 # per-h pipeline
 # --------------------------------------------------------------------------
 
-def splitting_row(rep: InteractionReport) -> dict:
-    """The tunneling columns of a row and the measured gap's two ratios."""
-    return {
-        "mu": rep.mu, "re_wh": rep.w_h.real, "im_wh": rep.w_h.imag,
-        "two_abs_wh": 2.0 * abs(rep.w_h), "overlap_abs": abs(rep.overlap),
-        "gram_gap": rep.gram_eigen_gap, "thm_pred": rep.thm_prediction,
-        "formula_pred": rep.formula_prediction,
-        "ratio_thm": rep.measured_gap / rep.thm_prediction,
-        "ratio_formula": rep.measured_gap / rep.formula_prediction,
-    }
-
-
 def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     """Full pipeline at one h.
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
-    M_hbar inside interaction_term. The h-independent objects come from
+    M_hbar for the theorem prediction. The h-independent objects come from
     sweep_objects, built once for all rows.
     """
     s = sweep_objects(cfg)
@@ -262,13 +250,21 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
         row["norm_raw"] = q.norm_raw
         row["wkb_residual"] = quasimode_residual(M_ow, q)
         row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
-    # freed before interaction_term assembles M_hbar; holding both would
-    # raise the peak memory of a row by one N x N matrix
+    # freed before gap_Mhbar assembles M_hbar; holding both would raise
+    # the peak memory of a row by one N x N matrix
     del M_ow
 
     if "tunneling" in diagnostics:
-        row.update(splitting_row(
-            interaction_term(m, M, pairs, ow_pairs[0], s.chi_left)))
+        w_h, overlap, gram_gap = interaction_term(M, pairs, ow_pairs[0],
+                                                  s.chi_left)
+        thm = h * gap_Mhbar(m, g, np.sqrt(h))
+        formula = 2.0 * interaction_asymptotic(m, h)
+        row.update({"mu": ow_pairs[0].value, "re_wh": w_h.real,
+                    "im_wh": w_h.imag, "two_abs_wh": 2.0 * abs(w_h),
+                    "overlap_abs": abs(overlap), "gram_gap": gram_gap,
+                    "thm_pred": thm, "formula_pred": formula,
+                    "ratio_thm": row["gap12"] / thm,
+                    "ratio_formula": row["gap12"] / formula})
 
     if "localization" in diagnostics:
         xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)

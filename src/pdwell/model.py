@@ -117,12 +117,17 @@ class ValidationReport:
 # finite-difference helpers
 # --------------------------------------------------------------------------
 
-def _finite(vals, where):
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = np.asarray(where)[~np.isfinite(vals).ravel()][0]
-        raise EvaluationError(f"non-finite symbol value at {bad}")
-    return vals
+def _finite(what: str, values, **axes) -> np.ndarray:
+    """values as floats, or an EvaluationError naming the first non-finite point.
+
+    axes maps each axis label, in the order of values' dimensions, to its nodes."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        point = ", ".join(f"{label}={nodes[i]}" for (label, nodes), i
+                          in zip(axes.items(), np.argwhere(bad)[0]))
+        raise EvaluationError(f"non-finite {what} value at {point}")
+    return values
 
 
 def _fd2(f, x0, d):
@@ -221,7 +226,7 @@ def validate_model(m: Model) -> ValidationReport:
     checks, details = {}, {}
 
     xi = np.linspace(-_WINDOW, _WINDOW, _N_SAMPLES)
-    a_vals = _finite(m.a(xi), xi)
+    a_vals = _finite("symbol a", m.a(xi), xi=xi)
     a0 = float(m.a(np.array(0.0)))
     scale_a = max(np.max(np.abs(a_vals)), 1.0)
 
@@ -231,7 +236,7 @@ def validate_model(m: Model) -> ValidationReport:
     # minimum must not recur: a strictly positive away from the origin
     xi_away = np.concatenate([np.linspace(0.5, 4*_XI_FAR, 1000),
                               -np.linspace(0.5, 4*_XI_FAR, 1000)])
-    away = _finite(m.a(xi_away), xi_away)
+    away = _finite("symbol a", m.a(xi_away), xi=xi_away)
     checks["a_min_unique"] = bool(np.min(away) > _NONDEGENERACY_MIN)
     details["a_min_unique"] = f"min off-origin a={np.min(away):.3e}"
 
@@ -243,19 +248,20 @@ def validate_model(m: Model) -> ValidationReport:
     details["a_nondegenerate"] = f"a''(0)={a2:.6f}"
 
     xi_ff = np.linspace(_XI_FAR, 10*_XI_FAR, 500)
-    ff = np.minimum(_finite(m.a(xi_ff), xi_ff), _finite(m.a(-xi_ff), xi_ff))
+    ff = np.minimum(_finite("symbol a", m.a(xi_ff), xi=xi_ff),
+                    _finite("symbol a", m.a(-xi_ff), xi=-xi_ff))
     checks["a_far_field"] = bool(np.min(ff) > _FAR_MIN)
     details["a_far_field"] = f"inf |xi|>={_XI_FAR}: {np.min(ff):.4f}"
 
     xs = np.linspace(-_WINDOW, _WINDOW, _N_SAMPLES)
     X, XI = np.meshgrid(xs, xi, indexing="ij")
-    b_vals = _finite(m.b(X, XI), np.stack([X, XI], axis=-1).reshape(-1, 2))
+    b_vals = _finite("symbol b", m.b(X, XI), x=xs, xi=xi)
     b_flip = m.b(-X, -XI)
     scale_b = max(np.max(np.abs(b_vals)), 1.0)
     checks["b_even"] = bool(np.max(np.abs(b_vals - b_flip)) <= _SYM_TOL*scale_b)
     details["b_even"] = f"max |b(X)-b(-X)|={np.max(np.abs(b_vals - b_flip)):.3e}"
 
-    v_axis = _finite(m.potential(xs), xs)
+    v_axis = _finite("potential", m.potential(xs), x=xs)
     checks["b_nonneg_on_axis"] = bool(np.min(v_axis) >= -_ZERO_TOL)
     details["b_nonneg_on_axis"] = f"min V={np.min(v_axis):.3e}"
 
@@ -273,13 +279,13 @@ def validate_model(m: Model) -> ValidationReport:
     details["b_nondegenerate"] = f"V''(x_l)={V2:.6f}"
 
     x_ff = np.linspace(5.0, 50.0, 500)
-    b_ff = np.concatenate([_finite(m.potential(x_ff), x_ff),
-                           _finite(m.potential(-x_ff), x_ff)])
+    b_ff = np.concatenate([_finite("potential", m.potential(x_ff), x=x_ff),
+                           _finite("potential", m.potential(-x_ff), x=-x_ff)])
     checks["b_far_field"] = bool(np.min(b_ff) > _FAR_MIN)
     details["b_far_field"] = f"b_inf estimate={float(np.mean(b_ff)):.4f}"
 
     wide = np.linspace(-50.0, 50.0, 501)
-    b_wide = np.abs(_finite(m.potential(wide), wide))
+    b_wide = np.abs(_finite("potential", m.potential(wide), x=wide))
     checks["b_bounded"] = bool(np.max(b_wide) <= _BOUND_MAX)
     details["b_bounded"] = f"max |b(x,0)| on [-50,50]: {np.max(b_wide):.3e}"
 

@@ -32,8 +32,8 @@ import numpy as np
 from scipy.linalg import circulant
 from scipy.linalg.blas import get_blas_funcs
 
-from .errors import ConfigurationError, EvaluationError
-from .model import Model, SymbolA
+from .errors import ConfigurationError
+from .model import Model, SymbolA, _finite
 
 __all__ = [
     "Grid", "OperatorMatrix", "frobenius_norm", "auto_points", "make_grid",
@@ -161,19 +161,6 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
     m = np.arange(-N//2, N//2)
     eta = 2.0*np.pi*h/L * m
     return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
-
-
-def _finite(what: str, values, **axes) -> np.ndarray:
-    """values as floats, or an EvaluationError naming the first non-finite point.
-
-    axes maps each axis label, in the order of values' dimensions, to its nodes."""
-    values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        point = ", ".join(f"{label}={nodes[i]}" for (label, nodes), i
-                          in zip(axes.items(), np.argwhere(bad)[0]))
-        raise EvaluationError(f"non-finite {what} value at {point}")
-    return values
 
 
 def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:

@@ -8,8 +8,8 @@ routes:
     one-well ground states, predicting a gap of 2|w_h|;
   * the 2x2 Gram reduction of the quadratic form onto the projected
     states g_* = Pi_h f_*, with the same f_l and f_r;
-  * the closed-form asymptotics, via the effective operator's gap at
-    hbar = sqrt(h) and via the explicit constant of the interaction term.
+  * the asymptotics: the effective operator's gap at hbar = sqrt(h)
+    (effective.gap_Mhbar) and the closed-form interaction_asymptotic.
 
 Inner products are dx-weighted throughout, matching the eigenpair
 normalization.
@@ -17,7 +17,6 @@ normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,11 +27,10 @@ from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices
 from .spectra import Eigenpair
 from .wkb import AgmonPhase, SealingFunction, smoothstep
-from .effective import gap_Mhbar
 
 __all__ = [
-    "InteractionReport", "overlap_cutoff", "interaction_term",
-    "gram_reduction", "interaction_asymptotic",
+    "overlap_cutoff", "interaction_term", "gram_reduction",
+    "interaction_asymptotic",
 ]
 
 
@@ -50,18 +48,6 @@ def overlap_cutoff(phase: AgmonPhase, seal: SealingFunction) -> Callable:
                 * smoothstep(1.0 - 2.0*(x - (x_r - 2.0*eta))/eta))
 
     return chi_left
-
-
-@dataclass
-class InteractionReport:
-    h: float
-    mu: float                 # lambda_1 of the sealed operator
-    w_h: complex              # <(L_h - mu) f_l, f_r>
-    overlap: complex          # <f_l, f_r>
-    gram_eigen_gap: float     # gap of G^(-1/2) L G^(-1/2)
-    measured_gap: float       # lambda_2 - lambda_1 of L_h
-    thm_prediction: float     # h * effective-operator gap at sqrt(h)
-    formula_prediction: float  # 2 * interaction_asymptotic
 
 
 def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
@@ -96,16 +82,15 @@ def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
     return G, L, float(evals[1] - evals[0])
 
 
-def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
-                     ow: Eigenpair, chi_left: Callable) -> InteractionReport:
-    """Compute w_h and every gap route at the h of M's grid.
+def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
+                     chi_left: Callable) -> tuple[complex, complex, float]:
+    """(w_h, overlap, gram_gap) at the h of M's grid.
 
     M is the assembled L_h and pairs its lowest eigenpairs (two or more);
-    ow is the ground pair of the sealed left-well operator. The left state
-    f_l = chi_left ow and its grid reflection f_r feed w_h, the overlap and
-    the Gram route alike. The only solve made here is the effective
-    operator's, for the theorem prediction h times its gap at hbar = sqrt(h)
-    on M's window and point count.
+    ow is the ground pair of the sealed left-well operator, mu = ow.value.
+    The left state f_l = chi_left ow and its grid reflection f_r feed
+    w_h = <(L_h - mu) f_l, f_r>, the overlap <f_l, f_r> and the Gram route
+    alike. No eigensolve is made here.
     """
     g = M.grid
     mu = ow.value
@@ -115,14 +100,7 @@ def interaction_term(m: Model, M: OperatorMatrix, pairs: list[Eigenpair],
     overlap = g.inner(f_l, f_r)
 
     _, _, gram_gap = gram_reduction(f_l, f_r, M, mu, pairs[:2])
-
-    thm = g.h * gap_Mhbar(m, g, np.sqrt(g.h))
-    formula = 2.0 * interaction_asymptotic(m, g.h)
-
-    return InteractionReport(h=g.h, mu=mu, w_h=w_h, overlap=overlap,
-                             gram_eigen_gap=gram_gap,
-                             measured_gap=pairs[1].value - pairs[0].value,
-                             thm_prediction=thm, formula_prediction=formula)
+    return w_h, overlap, gram_gap
 
 
 def interaction_asymptotic(m: Model, h: float) -> float:

@@ -19,6 +19,7 @@ by integration and rescaling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -203,20 +204,14 @@ class AgmonPhase:
     second_derivative: Callable  # Phi'' by differentiating the branch
     second_at_well: float        # Phi''(x_well) from the eikonal identity
     x_well: float
+    branch: Callable             # sgn(s - x_well) sqrt(b_sealed(s, 0))
     model: Model = field(repr=False, default=None)
     seal: SealingFunction = field(repr=False, default=None)
-    _amplitude: Optional["_Amplitude"] = field(repr=False, default=None)
 
-
-def _sealed_branch(m: Model, seal: SealingFunction, side: str):
-    """s -> sgn(s - x_well) sqrt(b_sealed(s, 0)), smooth through the well."""
-    x_well = m.x_left if side == "left" else m.x_right
-
-    def landscape(s):
-        k = seal.evaluator(s) if side == "left" else seal.evaluator(-s)
-        return np.asarray(m.potential(s), dtype=float) + k
-
-    return smooth_branch(landscape, x_well), x_well
+    @functools.cached_property
+    def amplitude(self) -> "_Amplitude":
+        """The leading amplitude u_{1,0}, built on first use."""
+        return _Amplitude(self)
 
 
 def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPhase:
@@ -230,7 +225,13 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     consts = derived_constants(m)
     pref = np.sqrt(2.0 / consts.a2)
-    g, x_well = _sealed_branch(m, seal, side)
+    x_well = m.x_left if side == "left" else m.x_right
+
+    def landscape(s):
+        k = seal.evaluator(s) if side == "left" else seal.evaluator(-s)
+        return np.asarray(m.potential(s), dtype=float) + k
+
+    g = smooth_branch(landscape, x_well)
 
     cum = CumulativeIntegral(g, -_DOMAIN, _DOMAIN, _CELLS)
     anchor = cum(np.array(x_well))
@@ -270,7 +271,7 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
                       A_window=float(A), derivative=phi_prime,
                       second_derivative=phi_second,
                       second_at_well=float(pref * consts.kappa),
-                      x_well=x_well, model=m, seal=seal)
+                      x_well=x_well, branch=g, model=m, seal=seal)
 
 
 # --------------------------------------------------------------------------
@@ -288,14 +289,13 @@ class _Amplitude:
     Phi''' comes from a centered second-derivative stencil of the branch.
     """
 
-    def __init__(self, m: Model, phase: AgmonPhase):
-        consts = derived_constants(m)
-        a2 = consts.a2
+    def __init__(self, phase: AgmonPhase):
+        m = phase.model
+        a2 = derived_constants(m).a2
         well = phase.x_well
         pp_well = phase.second_at_well
-        g_branch, _ = _sealed_branch(m, phase.seal, phase.side)
         # Phi''' = sqrt(2/a2) g''(well)
-        ppp_well = float(np.sqrt(2.0/a2) * _fd2(g_branch, well, _FD_STEP))
+        ppp_well = float(np.sqrt(2.0/a2) * _fd2(phase.branch, well, _FD_STEP))
         self.limit = ppp_well / (2.0 * pp_well)
         self.prefactor = (pp_well / np.pi) ** 0.25
 
@@ -315,15 +315,10 @@ class _Amplitude:
         return self.prefactor * np.exp(-(self._cum(x) - self._anchor))
 
 
-def _amplitude_of(m: Model, phase: AgmonPhase) -> _Amplitude:
-    if phase._amplitude is None:
-        phase._amplitude = _Amplitude(m, phase)
-    return phase._amplitude
-
-
 def leading_amplitude(m: Model, phase: AgmonPhase, x):
-    """u_{1,0}(x); real positive at the well, complex when d_xi b(., 0) != 0."""
-    return _amplitude_of(m, phase)(x)
+    """u_{1,0}(x) of phase's model; real positive at the well, complex when
+    d_xi b(., 0) != 0."""
+    return phase.amplitude(x)
 
 
 @dataclass
@@ -346,7 +341,7 @@ def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
     A = phase.A_window
     x = g.x_nodes
     chi = smoothstep(2.0*x/A + 5.0) * smoothstep(5.0 - 2.0*x/A)
-    u = _amplitude_of(m, phase)(x)
+    u = phase.amplitude(x)
     phi = np.asarray(phase.evaluator(x))
     raw = g.h**(-0.125) * chi * u * np.exp(-phi / np.sqrt(g.h))
     norm_raw = float(np.sqrt(g.dx * np.sum(np.abs(raw)**2)))
@@ -379,8 +374,7 @@ def eikonal_residual(m: Model, phase: AgmonPhase, sample_xs, d: float = 2e-3) ->
     xs = np.asarray(sample_xs, dtype=float)
     consts = derived_constants(m)
     dphi = _fd8(phase.evaluator, xs, d)
-    g_branch, _ = _sealed_branch(m, phase.seal, phase.side)
-    landscape = g_branch(xs)**2
+    landscape = phase.branch(xs)**2
     return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * landscape)))
 
 
@@ -398,7 +392,7 @@ def transport_residual(m: Model, phase: AgmonPhase, sample_xs) -> float:
             "sample points must exclude the 1e-3 ball around the well")
     consts = derived_constants(m)
     a2, c0 = consts.a2, consts.c0
-    u_of = _amplitude_of(m, phase)
+    u_of = phase.amplitude
     u = u_of(xs)
     du = _fd8(u_of, xs, 1e-3)
     resid = (1j * np.asarray(phase.derivative(xs)) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u

@@ -11,9 +11,7 @@ from pdwell import ConfigurationError, harness
 from pdwell.cli import main
 from pdwell.harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
                             auto_points, build_model, format_value,
-                            load_config, run_sweep, splitting_row,
-                            sweep_objects)
-from pdwell.tunneling import InteractionReport
+                            load_config, run_sweep, sweep_objects)
 
 
 def test_config_rejects_empty_h_list():
@@ -285,22 +283,10 @@ def test_format_value():
     assert format_value(1.0) == "1"
 
 
-def test_splitting_row_mapping():
-    rep = InteractionReport(h=0.05, mu=0.013, w_h=1e-4 + 1e-6j,
-                            overlap=0.004 + 0j, gram_eigen_gap=2.1e-4,
-                            measured_gap=2.0e-4, thm_prediction=1.9e-4,
-                            formula_prediction=2.5e-4)
-    row = splitting_row(rep)
-    # the row sets h, the lambdas, both gaps and the flag from L_h's pairs
-    from_pairs = {"h", "lambda1", "lambda2", "lambda3", "gap12", "gap23",
-                  "precision_flag"}
-    assert set(row) == set(SPLITTING_COLUMNS) - from_pairs
-    assert row["mu"] == 0.013
-    assert row["two_abs_wh"] == 2.0 * abs(rep.w_h)
-    assert row["re_wh"] == 1e-4
-    assert row["im_wh"] == 1e-6
-    assert row["overlap_abs"] == 0.004
-    assert row["gram_gap"] == 2.1e-4
-    assert (row["thm_pred"], row["formula_pred"]) == (1.9e-4, 2.5e-4)
-    assert row["ratio_thm"] == rep.measured_gap / rep.thm_prediction
-    assert row["ratio_formula"] == rep.measured_gap / rep.formula_prediction
+def test_row_derives_the_splitting_columns(sweep_report):
+    # mu, both ratios and 2|w_h| are read off the row's own columns
+    for r in sweep_report.rows:
+        assert r["mu"] == r["lambda_ow1"]
+        assert r["ratio_thm"] == r["gap12"] / r["thm_pred"]
+        assert r["ratio_formula"] == r["gap12"] / r["formula_pred"]
+        assert r["two_abs_wh"] == 2.0 * abs(complex(r["re_wh"], r["im_wh"]))

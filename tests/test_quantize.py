@@ -237,7 +237,8 @@ def _pole(eta):
 
 
 def _holed(x, xi=0.0):
-    # nan at the node x = -3 of the grid below, 1 elsewhere
+    # nan at x = -3, a node of the grid below and a sample of validate_model;
+    # 1 elsewhere
     x = np.asarray(x, dtype=float)
     return np.where(x == -3.0, np.nan, 1.0) + 0.0*np.asarray(xi, dtype=float)
 
@@ -251,7 +252,12 @@ def _holed(x, xi=0.0):
      "non-finite potential value at x=-3.0"),
     (lambda g, m: pdwell.schrodinger_matrix(_holed, g, 1.0),
      "non-finite potential value at x=-3.0"),
-], ids=["multiplier", "assemble_L_potential", "schrodinger_potential"])
+    (lambda g, m: pdwell.validate_model(pdwell.Model(
+        a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
+        x_left=-1.0, x_right=1.0)),
+     "non-finite symbol b value at x=-3.0, xi=-5.0"),
+], ids=["multiplier", "assemble_L_potential", "schrodinger_potential",
+        "validate_model_symbol_b"])
 def test_nonfinite_multiplier_and_potential_raise(model_a, build, named):
     g = pdwell.make_grid(8.0, 64, 0.15)
     assert -3.0 in g.x_nodes and g.eta_fft[0] == 0.0

@@ -29,9 +29,17 @@ def pairs05(model_a, grid05):
 
 
 @pytest.fixture(scope="module")
-def rep05(model_a, pairs05, chi_a, onewell05):
+def rep05(pairs05, chi_a, onewell05):
+    """(w_h, overlap, gram_gap) at h = 0.05."""
     M, pairs = pairs05
-    return interaction_term(model_a, M, pairs, onewell05[1][0], chi_a)
+    return interaction_term(M, pairs, onewell05[1][0], chi_a)
+
+
+@pytest.fixture(scope="module")
+def preds05(model_a, grid05):
+    """(thm_pred, formula_pred) at h = 0.05, as a sweep row computes them."""
+    return (0.05 * pdwell.gap_Mhbar(model_a, grid05, np.sqrt(0.05)),
+            2.0 * interaction_asymptotic(model_a, 0.05))
 
 
 def _states(chi, ow, g):
@@ -60,42 +68,60 @@ def test_measured_splitting_wide_grid(model_a):
     assert gap23 / 0.05**1.5 >= 1.0
 
 
-def test_onewell_brackets_double_well(rep05, pairs05, onewell05):
+def test_onewell_brackets_double_well(pairs05, onewell05):
     _, ow = onewell05
-    lambda1 = pairs05[1][0].value   # pairs05 is (M, pairs)
+    _, pairs = pairs05
+    lambda1 = pairs[0].value
     # sealing raises the form, and the sealed ground level sits within
     # one splitting of the double-well ground level
     assert lambda1 <= ow[0].value + 1e-14
-    assert abs(lambda1 - ow[0].value) <= rep05.measured_gap
+    assert abs(lambda1 - ow[0].value) <= pairs[1].value - pairs[0].value
 
 
-def test_interaction_report_frozen(rep05, pairs05, consts_a):
-    _, pairs = pairs05
-    assert rep05.h == 0.05
+def test_interaction_report_frozen(rep05, preds05, pairs05, onewell05,
+                                   consts_a):
+    M, pairs = pairs05
+    w_h, overlap, gram_gap = rep05
+    thm, formula = preds05
+    gap = pairs[1].value - pairs[0].value
+    assert M.grid.h == 0.05
     assert not pdwell.gap_near_residual(pairs, "splitting")
-    assert abs(rep05.mu - MU_FROZEN) < 1e-9
-    assert abs(rep05.measured_gap - GAP12_FROZEN) < 1e-8 * GAP12_FROZEN
-    assert rep05.measured_gap == pairs[1].value - pairs[0].value
-    assert rep05.measured_gap >= 0.0
-    assert abs(rep05.overlap) <= 1.0
+    assert abs(onewell05[1][0].value - MU_FROZEN) < 1e-9
+    assert abs(gap - GAP12_FROZEN) < 1e-8 * GAP12_FROZEN
+    assert gap >= 0.0
+    assert abs(overlap) <= 1.0
 
-    two_abs = 2.0 * abs(rep05.w_h)
-    assert abs(two_abs - rep05.measured_gap) / rep05.measured_gap <= 1e-3
+    two_abs = 2.0 * abs(w_h)
+    assert abs(two_abs - gap) / gap <= 1e-3
 
     bound = np.exp(-0.8 * consts_a.S / np.sqrt(0.05))
-    assert abs(rep05.overlap) <= bound
-    assert abs(abs(rep05.overlap) - OVERLAP_ABS_FROZEN) < 1e-4
+    assert abs(overlap) <= bound
+    assert abs(abs(overlap) - OVERLAP_ABS_FROZEN) < 1e-4
 
     # real-symmetric model: w_h real under the phase convention
-    assert abs(rep05.w_h.imag) <= 1e-10 * abs(rep05.w_h)
+    assert abs(w_h.imag) <= 1e-10 * abs(w_h)
 
-    ratio_thm = rep05.measured_gap / rep05.thm_prediction
+    ratio_thm = gap / thm
     assert abs(ratio_thm - RATIO_THM_FROZEN) < 1e-6 * RATIO_THM_FROZEN
-    ratio_formula = rep05.measured_gap / rep05.formula_prediction
+    ratio_formula = gap / formula
     assert abs(ratio_formula - RATIO_FORMULA_FROZEN) < 1e-3
-    assert abs(rep05.thm_prediction / rep05.formula_prediction - 1.0) <= 0.4
+    assert abs(thm / formula - 1.0) <= 0.4
 
-    assert abs(rep05.gram_eigen_gap - rep05.measured_gap) <= 1e-8 * rep05.measured_gap
+    assert abs(gram_gap - gap) <= 1e-8 * gap
+
+
+def test_interaction_term_runs_no_eigensolve(pairs05, chi_a, onewell05,
+                                             monkeypatch):
+    # the row solves M_hbar; interaction_term only forms inner products
+    import pdwell.spectra as spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("interaction_term called eigh")
+
+    monkeypatch.setattr(spectra, "eigh", refuse)
+    M, pairs = pairs05
+    w_h, overlap, gram_gap = interaction_term(M, pairs, onewell05[1][0], chi_a)
+    assert gram_gap > 0 and abs(overlap) > 0 and abs(w_h) > 0
 
 
 def test_gram_matrix_properties(onewell05, model_a, grid05, chi_a):
@@ -127,8 +153,8 @@ def test_gram_degenerate_inputs(onewell05, model_a, grid05):
                        pdwell.lowest_eigenpairs(M, 2))
 
 
-def test_gram_route_gets_the_interaction_states(model_a, pairs05, chi_a,
-                                                onewell05, monkeypatch):
+def test_gram_route_gets_the_interaction_states(pairs05, chi_a, onewell05,
+                                                monkeypatch):
     # w_h, the overlap and the Gram route read one pair of states; the
     # reflection maps node 0 (x = -L/2) to itself, where chi_left != 0
     import pdwell.tunneling as tunneling
@@ -141,15 +167,15 @@ def test_gram_route_gets_the_interaction_states(model_a, pairs05, chi_a,
     monkeypatch.setattr(tunneling, "gram_reduction", spy)
     M, pairs = pairs05
     ow = onewell05[1][0]
-    rep = interaction_term(model_a, M, pairs, ow, chi_a)
+    w_h, overlap, _ = interaction_term(M, pairs, ow, chi_a)
     g = M.grid
     f_l, f_r = _states(chi_a, ow, g)
     assert len(seen) == 1
     assert np.array_equal(seen[0][0], f_l)
     assert np.array_equal(seen[0][1], f_r)
     assert f_r[0] == f_l[0] != 0.0
-    assert rep.w_h == g.inner(M.entries @ f_l - ow.value * f_l, f_r)
-    assert rep.overlap == g.inner(f_l, f_r)
+    assert w_h == g.inner(M.entries @ f_l - ow.value * f_l, f_r)
+    assert overlap == g.inner(f_l, f_r)
 
 
 def test_theorem_prediction_positive(model_a):
@@ -209,10 +235,11 @@ def test_modelb_complex_interaction(model_b, grid05):
     chi = overlap_cutoff(phase, seal)
     M = pdwell.assemble_L(model_b, grid05)
     ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
-    rep = interaction_term(model_b, M, pdwell.lowest_eigenpairs(M, 3), ow, chi)
-    ratio = abs(rep.w_h.imag) / abs(rep.w_h)
+    pairs = pdwell.lowest_eigenpairs(M, 3)
+    w_h, _, _ = interaction_term(M, pairs, ow, chi)
+    ratio = abs(w_h.imag) / abs(w_h)
     assert 1e-9 <= ratio <= 1e-6
-    assert 0.7 <= 2.0 * abs(rep.w_h) / rep.measured_gap <= 1.3
+    assert 0.7 <= 2.0 * abs(w_h) / (pairs[1].value - pairs[0].value) <= 1.3
 
 
 def test_gap12_frozen_at_009(sweep_report):
