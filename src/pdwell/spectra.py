@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import logsumexp
 
 from .errors import ConfigurationError, NumericError, PrecisionWarning
 from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
@@ -107,6 +106,14 @@ def spatial_tail(v: Eigenpair, g: Grid, centers, radius: float) -> float:
     return float(np.sum(mass[~inside]) / np.sum(mass))
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) shifted by the largest entry, as scipy's logsumexp."""
+    i = int(np.argmax(a))
+    terms = np.exp(a - a[i])
+    terms[i] = 0.0
+    return float(a[i] + np.log1p(np.sum(terms)))
+
+
 def agmon_weighted_norm(v: Eigenpair, g: Grid, phi_trunc, eps: float) -> float:
     """Weighted norm ||exp((1-eps) Phi~/sqrt(h)) v|| with dx weighting.
 
@@ -128,5 +135,5 @@ def agmon_weighted_norm(v: Eigenpair, g: Grid, phi_trunc, eps: float) -> float:
     finite = contrib[np.isfinite(contrib)]
     if finite.size == 0:
         return 0.0
-    log_sq = logsumexp(2.0 * finite) + np.log(g.dx)
+    log_sq = _logsumexp(2.0 * finite) + np.log(g.dx)
     return float(np.exp(0.5 * log_sq))

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConfigurationError
-from .model import Model, _fd1, _fd2, derived_constants, smooth_branch
+from .errors import ConfigurationError, NumericError
+from .model import CumulativeIntegral, Model, _fd1, _fd2, derived_constants, smooth_branch
 from .quantize import Grid, OperatorMatrix
 
 __all__ = [
@@ -55,43 +54,8 @@ _FD8_COEFF = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0
 
 
 # --------------------------------------------------------------------------
-# quadrature and cutoff primitives
+# cutoff primitives
 # --------------------------------------------------------------------------
-
-class CumulativeIntegral:
-    """Cumulative integral x -> int_lo^x f, cached on a uniform cell grid.
-
-    Cell sums use 16-point Gauss-Legendre; a query adds the partial-cell
-    contribution with the same rule. Works for real or complex f. Queries
-    are clipped to [lo, hi], which extends the result by constants.
-    """
-
-    def __init__(self, f, lo: float, hi: float, n_cells: int, n_gauss: int = 16):
-        nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-        self.f = f
-        self.lo, self.hi = float(lo), float(hi)
-        self.width = (hi - lo) / n_cells
-        self.edges = lo + self.width * np.arange(n_cells + 1)
-        mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        xs = mids[:, None] + 0.5 * self.width * nodes[None, :]
-        vals = np.asarray(f(xs.ravel())).reshape(n_cells, n_gauss)
-        # einsum, not @: numpy's @ would run a threaded BLAS gemv
-        cell = 0.5 * self.width * np.einsum("cg,g->c", vals, weights)
-        self.cum = np.concatenate([np.zeros(1, dtype=cell.dtype), np.cumsum(cell)])
-        self.nodes, self.weights = nodes, weights
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.lo, self.hi)
-        idx = np.minimum(((xc - self.lo) / self.width).astype(int),
-                         len(self.edges) - 2)
-        a = self.edges[idx]
-        half = 0.5 * (xc - a)
-        mid = 0.5 * (xc + a)
-        xs = mid[..., None] + half[..., None] * self.nodes
-        vals = np.asarray(self.f(xs.ravel())).reshape(xs.shape)
-        return self.cum[idx] + half * np.einsum("...g,g->...", vals, self.weights)
-
 
 def bump(t):
     """The compact C-infinity bump exp(-1/(1-t^2)) on (-1, 1), zero outside."""
@@ -247,13 +211,20 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
 
     # A_window: Phi is monotone on each side of the well, so the binding
     # constraint is the far branch reaching Phi(opposite well); the near
-    # branch only forces A >= |x_opposite|.
+    # branch only forces A >= |x_opposite|. The table's far-branch edges,
+    # ordered outward, bracket the root and Newton steps refine it.
     x_opp = m.x_right if side == "left" else m.x_left
     target = float(phi(np.array(x_opp)))
-    if side == "left":
-        root = brentq(lambda t: float(phi(np.array(t))) - target, -_DOMAIN, x_well)
+    far, order = (cum.edges - x_well) * x_well > 0, int(np.sign(x_well))
+    j = np.searchsorted(pref * (cum.cum[far][::order] - anchor), target)
+    root = float(cum.edges[far][::order][min(j, np.count_nonzero(far) - 1)])
+    for _ in range(8):
+        step = (float(phi(root)) - target) / float(phi_prime(root))
+        root -= step
+        if abs(step) <= 1e-14 * abs(root):
+            break
     else:
-        root = brentq(lambda t: float(phi(np.array(t))) - target, x_well, _DOMAIN)
+        raise NumericError(f"Agmon window root did not converge: last step {step:.3e}")
     A = max(abs(x_opp), abs(root))
 
     def chi0(s):

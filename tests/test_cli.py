@@ -41,6 +41,20 @@ def test_unknown_model_is_config_error(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_unconverged_quadrature_exits_3(tmp_path, capsys, command):
+    # the factor (x^2 - 0.09)^2 + 1e-5 puts a near-kink of sqrt(V) at x = +-0.3,
+    # which the fixed Gauss-Legendre panels of the action do not resolve
+    cfg = _write(tmp_path,
+                 "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"
+                 "b_expr = (x**2-1)**2*((x**2-0.09)**2+0.00001)/(1+x**8)\n"
+                 f"x_well = 1.0\n[sweep]\nh_list = 0.09\n[output]\ndir = {tmp_path}\n")
+    assert main([command, cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: action quadrature did not converge")
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_expression_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path,
                  "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"

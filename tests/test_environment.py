@@ -1,4 +1,5 @@
-"""The package reads no environment variable.
+"""The package reads no environment variable and imports only numpy and
+scipy.linalg.
 
 Every setting of a run comes from its config file or its command line, so a
 config and a command reproduce a run. The scan covers os.environ, os.getenv
@@ -6,7 +7,10 @@ and their bytes forms, by attribute, by name and by `from os import`.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pdwell
 
@@ -39,3 +43,20 @@ def test_no_environment_reads_in_package():
              for path in sorted(SRC.glob("*.py"))
              for line in _environment_reads(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _modules_after(statement):
+    """Names in sys.modules after statement runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+                         capture_output=True, text=True, check=True, env=env).stdout
+    return set(out.split())
+
+
+def test_cli_imports_only_numpy_and_scipy_linalg():
+    loaded = _modules_after("import pdwell.cli")
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse"}
+    assert sorted(heavy & loaded) == []
+    # scipy.linalg itself brings in numpy.f2py through scipy's array API layer
+    base = _modules_after("import numpy, scipy.linalg")
+    assert sorted(m for m in loaded - base if m.split(".")[0] in ("numpy", "scipy")) == []

@@ -5,15 +5,16 @@ import pytest
 from scipy.integrate import quad
 
 import pdwell
-from pdwell import ConfigurationError, EvaluationError
-from pdwell.model import SymbolA, SymbolB, Model
+from pdwell import ConfigurationError, EvaluationError, NumericError
+from pdwell.model import CumulativeIntegral, SymbolA, SymbolB, Model
 
 # quadrature/stencil truths for the reference double well, frozen from the
-# closed forms (a2, V2, kappa analytically; S and the prefactor by quad)
+# closed forms (a2, V2, kappa analytically; S to 30 digits, the prefactor by
+# quad)
 A2_EXACT = 2.0
 V2_EXACT = 4.0
 KAPPA_EXACT = np.sqrt(2.0)
-S_FROZEN = 1.2870742001039748
+S_FROZEN = 1.28707419972225596
 PREFACTOR_FROZEN = -0.2922172879262667
 A_FROZEN = 3.5946028107109025
 
@@ -91,9 +92,7 @@ def test_derived_constants_closed_forms(consts_a):
     assert abs(consts_a.V2 - V2_EXACT) < 1e-9
     assert abs(consts_a.kappa - KAPPA_EXACT) < 1e-9
     assert abs(consts_a.c0 - np.sqrt(2.0)) < 1e-9
-    # the action quadrature self-reports ~1e-10 accuracy; allow that slack
-    # against the independently computed reference value
-    assert abs(consts_a.S - S_FROZEN) < 5e-9
+    assert abs(consts_a.S - S_FROZEN) < 1e-13
     assert abs(consts_a.prefactor_integral - PREFACTOR_FROZEN) < 5e-8
     assert abs(consts_a.A - A_FROZEN) < 1e-6
     assert consts_a.c0 > 0 and consts_a.S > 0 and consts_a.A > 0 and consts_a.b_inf > 0
@@ -112,11 +111,24 @@ def test_c0_internal_consistency(consts_a):
     assert abs(consts_a.c0 - np.sqrt(consts_a.a2 * consts_a.V2) / 2.0) < 1e-10
 
 
-def test_action_invariant_under_refinement(model_a):
-    coarse, _ = pdwell.action_integral(model_a, epsabs=1e-9)
-    fine, err = pdwell.action_integral(model_a, epsabs=1e-13)
-    assert abs(coarse - fine) < 1e-10 * abs(fine)
+def test_action_invariant_under_refinement(model_a, consts_a):
+    S, err = pdwell.action_integral(model_a)
+    doubled = CumulativeIntegral(lambda s: np.sqrt(np.maximum(model_a.potential(s), 0.0)),
+                                 -1.0, 1.0, 32, 32).cum[-1]
+    assert abs(np.sqrt(2.0/consts_a.a2) * doubled - S) < 1e-13 * S
     assert err < 1e-10
+
+
+def test_unconverged_action_raises(model_a):
+    # a kink off the panel edges slows Gauss-Legendre to algebraic convergence
+    def kinked(x, xi):
+        x = np.asarray(x, dtype=float)
+        return (x*x - 1.0)**2 * (1.0 + np.abs(x - 0.3)) + 0.0*np.asarray(xi, dtype=float)
+
+    m = Model(a=model_a.a, b=SymbolB(kinked, lambda x, xi: np.zeros(np.shape(x)), True),
+              x_left=-1.0, x_right=1.0, name="kinked")
+    with pytest.raises(NumericError, match="action quadrature did not converge"):
+        pdwell.derived_constants(m)
 
 
 def test_action_against_independent_quadrature(model_a, consts_a):

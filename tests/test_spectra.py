@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import pdwell
 from pdwell import ConfigurationError, NumericError, PrecisionWarning
 from pdwell.quantize import OperatorMatrix
+from pdwell.spectra import _logsumexp
 
 
 def _wrap(entries, g):
@@ -197,3 +199,13 @@ def test_discrete_window_population(consts_a, onewell05):
     below = sum(1 for p in ow if p.value < threshold)
     assert below == 1
     assert ow[0].value < threshold < ow[1].value
+
+
+@pytest.mark.parametrize("case", ["random", "huge", "minus_inf"])
+def test_logsumexp_matches_scipy(rng, case):
+    a = rng.normal(scale=30.0, size=257)
+    if case == "huge":
+        a += 1500.0
+    elif case == "minus_inf":
+        a[::3] = -np.inf
+    assert abs(_logsumexp(a) - logsumexp(a)) <= 4e-16 * abs(logsumexp(a))

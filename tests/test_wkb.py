@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import pdwell
-from pdwell import ConfigurationError
+from pdwell import ConfigurationError, NumericError
 from pdwell.wkb import CumulativeIntegral, SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
@@ -122,6 +123,28 @@ def test_phase_window_constant(phase_a_left):
     xs = np.concatenate([np.linspace(-8.0, -A - 1e-6, 200),
                          np.linspace(A + 1e-6, 8.0, 200)])
     assert np.min(phase_a_left.evaluator(xs)) > target - 1e-10
+
+
+@pytest.mark.parametrize("name", ["ModelA", "ModelB"])
+def test_window_constant_is_side_symmetric(name):
+    m = pdwell.builtin_model(name)
+    seal = pdwell.sealing_function(m)
+    left = pdwell.agmon_phase(m, seal, "left")
+    right = pdwell.agmon_phase(m, seal, "right")
+    assert abs(right.A_window - left.A_window) < 1e-14 * left.A_window
+    # an independent bracketing root finder on the left phase's far branch
+    target = float(left.evaluator(np.array(1.0)))
+    root = brentq(lambda t: float(left.evaluator(np.array(t))) - target, -12.0, -1.0,
+                  xtol=1e-15)
+    assert abs(-root - left.A_window) < 1e-14 * left.A_window
+
+
+def test_window_root_out_of_domain_raises():
+    # a far field of 1e-4 keeps Phi on the far branch below its value at the
+    # opposite well, so the Newton steps run off the phase's domain
+    m = pdwell.custom_model("xi**2/(1+xi**2)", "(x**2-1)**2/(1+10000*x**4)", 1.0)
+    with pytest.raises(NumericError, match="Agmon window root did not converge"):
+        pdwell.agmon_phase(m, pdwell.sealing_function(m))
 
 
 def test_phase_frozen_values(phase_a_left):
