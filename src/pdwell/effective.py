@@ -7,8 +7,11 @@ rescaling hbar = sqrt(h), by
 
 discretized pseudo-spectrally: the kinetic part is the exact Fourier
 multiplier (a''(0)/2) eta^2 on the hbar-matched momentum lattice, even in
-eta, so M_hbar is real symmetric. Its ground-state gap admits the classical
-one-term asymptotics A hbar^(1/2) exp(-S/hbar), which this module evaluates.
+eta, so M_hbar is real symmetric. When the potential is even at the nodes
+bit for bit, as for the built-in models, M_hbar commutes exactly with the
+reflection x -> -x and is solved in parity sectors. Its ground-state gap
+admits the classical one-term asymptotics A hbar^(1/2) exp(-S/hbar), which
+this module evaluates.
 """
 
 from __future__ import annotations

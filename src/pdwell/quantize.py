@@ -13,6 +13,12 @@ roundoff-sized Hermiticity defect; we record the defect and symmetrize.
 A multiplier a(xi) even on the lattice gives a real symmetric circulant (the
 inverse DFT of a real even sequence is real), so a(xi) + h V(x) is stored and
 solved in real arithmetic; symbols coupling x and xi stay complex Hermitian.
+The Hermitian part of a circulant is the circulant of the symmetrized column
+0.5 (col + conj(col[rev])), so a multiplier plus a diagonal is symmetrized,
+and its defect taken, in O(N) instead of over the N x N matrix. When that
+column is real and V is even bit for bit, the matrix commutes exactly with
+the reflection U: x -> -x; the result records it (reflection_symmetric) and
+spectra.lowest_eigenpairs then solves its two parity sectors separately.
 
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
 Products of an assembled matrix with a vector go through scipy's BLAS
@@ -55,6 +61,9 @@ _MAGIC = b"PDOW"
 # anti-diagonals per FFT batch during assembly
 _BLOCK = 512
 
+# rows per block of the Hermiticity defect in _symmetrize
+_SYM_ROWS = 64
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -88,11 +97,17 @@ class Grid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense Hermitian matrix, real symmetric when the symbol is even in xi."""
+    """Dense Hermitian matrix, real symmetric when the symbol is even in xi.
+
+    reflection_symmetric is True only when entries commute exactly with the
+    reflection U = reverse_indices, i.e. entries[rev][:, rev] == entries bit
+    for bit; the builder that knows this sets it.
+    """
     entries: np.ndarray
     hermiticity_defect: float
     grid: Grid
     defect_warning: bool = field(default=False)
+    reflection_symmetric: bool = field(default=False)
 
     @property
     def N(self) -> int:
@@ -163,18 +178,35 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
     return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
 
 
-def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
-    defect = frobenius_norm(M - M.conj().T)
-    scale = frobenius_norm(M)
+def _operator(M: np.ndarray, defect: float, scale: float, grid: Grid,
+              reflection_symmetric: bool = False) -> OperatorMatrix:
+    """Wrap symmetrized entries, flagging a defect beyond DEFECT_RTOL of scale."""
     warn = defect > DEFECT_RTOL * max(scale, 1e-300)
     if warn:
         logger.warning("Hermiticity defect %.3e exceeds %.1e of ||M||_F=%.3e",
                        defect, DEFECT_RTOL, scale)
     else:
         logger.debug("Hermiticity defect %.3e (||M||_F=%.3e)", defect, scale)
-    M = 0.5 * (M + M.conj().T)
     return OperatorMatrix(entries=M, hermiticity_defect=defect, grid=grid,
-                          defect_warning=warn)
+                          defect_warning=warn,
+                          reflection_symmetric=reflection_symmetric)
+
+
+def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
+    """Replace M in place by 0.5 (M + M^H), recording ||M - M^H||_F.
+
+    The adjoint is formed once; the defect is summed over row blocks, so
+    besides M only the adjoint and one block are live.
+    """
+    H = M.conj().T
+    defect_sq = 0.0
+    for start in range(0, M.shape[0], _SYM_ROWS):
+        rows = slice(start, start + _SYM_ROWS)
+        defect_sq += frobenius_norm(M[rows] - H[rows]) ** 2
+    scale = frobenius_norm(M)
+    M += H
+    M *= 0.5
+    return _operator(M, math.sqrt(defect_sq), scale, grid)
 
 
 def weyl_matrix(p, g: Grid) -> OperatorMatrix:
@@ -199,20 +231,39 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
     return _symmetrize(M, g)
 
 
-def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
-    """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
+def _multiplier_column(a, g: Grid) -> np.ndarray:
+    """First column of the circulant of a(eta); real if a is even on the lattice."""
     vals = _finite("multiplier", a(g.eta_fft), xi=g.eta_fft)
     col = np.fft.ifft(vals)
     even = np.array_equal(vals, vals[reverse_indices(g.n_points)])
-    return circulant(col.real if even else col)
+    return col.real if even else col
+
+
+def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
+    """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
+    return circulant(_multiplier_column(a, g))
 
 
 def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> OperatorMatrix:
-    """Symmetrized circulant of the multiplier a(xi) plus the diagonal coupling V(x)."""
-    M = fourier_multiplier_matrix(a, g)
-    V = _finite("potential", potential(g.x_nodes), x=g.x_nodes)
+    """Symmetrized circulant of the multiplier a(xi) plus the diagonal coupling V(x).
+
+    C[j, k] = col[(j - k) mod N], so C^H is the circulant of conj(col[rev]):
+    the entries equal _symmetrize's 0.5 (M + M^H) bit for bit, and each entry
+    of col - conj(col[rev]) occurs N times in M - M^H (the real diagonal
+    cancels). The result commutes exactly with the reflection when the
+    column is real (its symmetrized form is then even) and V[rev] == V.
+    """
+    N = g.n_points
+    rev = reverse_indices(N)
+    col = _multiplier_column(a, g)
+    V = np.broadcast_to(_finite("potential", potential(g.x_nodes), x=g.x_nodes),
+                        (N,))
+    adjoint = np.conj(col[rev])
+    defect = math.sqrt(N) * float(np.linalg.norm(col - adjoint))
+    M = circulant(0.5 * (col + adjoint))
     M[np.diag_indices_from(M)] += coupling * V
-    return _symmetrize(M, g)
+    symmetric = not np.iscomplexobj(col) and np.array_equal(V, V[rev])
+    return _operator(M, defect, frobenius_norm(M), g, reflection_symmetric=symmetric)
 
 
 def apply_fourier_multiplier(a: SymbolA, g: Grid, v: np.ndarray) -> np.ndarray:

@@ -2,13 +2,19 @@
 
 Eigenvectors are normalized against the dx-weighted inner product
 <u, v> = dx * sum u conj(v) and carry a fixed phase (largest-modulus entry
-real positive). Diagnostics quantify where an eigenvector lives: momentum
+real positive, the lowest index among equal moduli). A matrix that commutes
+exactly with the reflection U: x -> -x (OperatorMatrix.reflection_symmetric)
+is block diagonal in the even and odd vectors, so its eigenpairs are those
+of two half-size blocks, solved separately and merged by value; each vector
+then satisfies Uv = +-v exactly. Every other matrix is solved whole.
+Diagnostics quantify where an eigenvector lives: momentum
 tail beyond a cutoff, spatial mass away from the wells, parity under
 x -> -x, and the exponentially weighted norm that measures Agmon decay.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,17 +41,68 @@ LOG_GUARD = 700.0
 
 @dataclass
 class Eigenpair:
+    """One eigenpair; vector has unit norm under the dx-weighted inner product.
+
+    Phase: the entry of largest modulus is real positive. np.argmax takes
+    the lowest index among equal moduli, so a vector with Uv = +-v, whose
+    moduli at j and N - j are equal, is positive at its peak with j <= N/2.
+    """
     value: float
-    vector: np.ndarray   # unit norm under the dx-weighted inner product
+    vector: np.ndarray
     residual: float
 
 
+def _parity_sectors(A: np.ndarray, k: int):
+    """The k smallest eigenpairs of A, which must commute with U, as eigh's.
+
+    The even block, in the basis e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2
+    for 0 < j < N/2, has size N/2 + 1; the odd block, in the basis
+    (e_j - e_{N-j})/sqrt 2, has size N/2 - 1. Up to k pairs of each are
+    solved, lifted back to the grid and merged by value, even first on ties.
+    """
+    N = A.shape[0]
+    half = N // 2
+    rev = reverse_indices(N)
+    # with U A = A U, <u_a, A u_b> = d_a d_b (A[a, b] +- A[a, N - b]), where
+    # d = 1/sqrt 2 on the singletons 0 and N/2 and 1 on the pairs
+    d = np.ones(half + 1)
+    d[[0, half]] = math.sqrt(0.5)
+    sectors = [(1.0, (A[:half + 1, :half + 1] + A[:half + 1, rev[:half + 1]]) * d * d[:, None])]
+    if half > 1:
+        sectors.append((-1.0, A[1:half, 1:half] - A[1:half, rev[1:half]]))
+    vals, vecs = [], []
+    for parity, block in sectors:
+        n = min(k, block.shape[0])
+        v, y = eigh(block, subset_by_index=(0, n - 1), overwrite_a=True)
+        lifted = np.zeros((N, n), dtype=y.dtype)
+        if parity > 0:
+            lifted[:half + 1] = y * (math.sqrt(0.5) / d)[:, None]
+        else:
+            lifted[1:half] = y * math.sqrt(0.5)
+        lifted[half + 1:] = parity * lifted[half - 1:0:-1]
+        vals.append(v)
+        vecs.append(lifted)
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:k]
+    return vals[order], np.concatenate(vecs, axis=1)[:, order]
+
+
 def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
-    """The k smallest eigenpairs, ascending, with the phase convention applied."""
+    """The k smallest eigenpairs, ascending, with the phase convention applied.
+
+    A reflection-symmetric M is solved in its parity sectors, so each
+    returned vector is exactly even or odd and, by Eigenpair's tie-break,
+    positive at its lowest-index peak. Every vector must meet the residual
+    contract against the full matrix; a wrong reflection flag therefore
+    raises NumericError instead of returning a wrong spectrum.
+    """
     N = M.N
     if not 1 <= k <= N:
         raise ConfigurationError(f"k must be in [1, {N}], got {k}")
-    vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
+    if M.reflection_symmetric:
+        vals, vecs = _parity_sectors(M.entries, k)
+    else:
+        vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
     scale = frobenius_norm(M.entries)
     dx = M.grid.dx
     out = []
@@ -56,7 +113,9 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
             raise NumericError(
                 f"eigensolver residual {resid:.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * ||M||_F = {RESIDUAL_RTOL*scale:.3e}")
-        j = int(np.argmax(np.abs(col)))
+        # the moduli of the returned vector, so that ties its scaling rounds
+        # together also resolve to the lowest index
+        j = int(np.argmax(np.abs(col) / np.sqrt(dx)))
         phase = col[j] / abs(col[j])
         out.append(Eigenpair(value=float(vals[i]),
                              vector=col * np.conj(phase) / np.sqrt(dx),

@@ -121,6 +121,44 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
         assert np.max(np.abs(got - ref)) <= 64 * eps * np.linalg.norm(M.entries, 2)
 
 
+def _split_model(a, V):
+    return pdwell.Model(a=pdwell.SymbolA(a),
+                        b=pdwell.SymbolB(lambda x, xi: V(x) + 0.0*xi,
+                                         lambda x, xi: 0.0*x, xi_independent=True),
+                        x_left=-1.0, x_right=1.0)
+
+
+def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a):
+    """Only builds that commute bit for bit with U: x -> -x carry the flag,
+    so only they go to the parity-sector solver."""
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    rev = pdwell.reverse_indices(128)
+    L_a = pdwell.assemble_L(model_a, g)
+    L_b = pdwell.assemble_L(model_b, g)
+    flagged = (L_a, pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h)),
+               pdwell.assemble_Mhbar(model_b, g, np.sqrt(g.h)))
+    for M in flagged:
+        assert M.reflection_symmetric
+        assert np.array_equal(M.entries[np.ix_(rev, rev)], M.entries)
+
+    bumped = g.x_nodes[3]
+
+    def one_node(x):
+        return model_a.potential(x) + np.where(x == bumped, 1e-3, 0.0)
+
+    def xi_odd(xi):
+        return model_a.a(xi) + 0.1*xi
+
+    unflagged = [L_b,
+                 pdwell.assemble_L(_split_model(model_a.a.evaluator, one_node), g),
+                 pdwell.assemble_L(_split_model(xi_odd, model_a.potential), g)]
+    unflagged += [pdwell.assemble_onewell(L, side, seal_a)
+                  for L in (L_a, L_b) for side in ("left", "right")]
+    for M in unflagged:
+        assert not M.reflection_symmetric
+    assert unflagged[2].entries.dtype == np.complex128
+
+
 def test_uneven_multiplier_keeps_complex_circulant():
     g = pdwell.make_grid(8.0, 128, 0.07)
 

@@ -1,5 +1,7 @@
 """Eigenpair contracts and localization diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -76,6 +78,16 @@ def test_residual_contract_violation(g64):
     M += 10.0 * np.tril(np.ones((64, 64)), k=-1)
     with pytest.raises(NumericError):
         pdwell.lowest_eigenpairs(_wrap(M, g64), 1)
+
+
+def test_wrong_reflection_flag_fails_residual_contract(model_b):
+    # ModelB's L_h is close to, not exactly, reflection symmetric; solved in
+    # parity sectors its vectors miss the full-matrix residual contract
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    M = pdwell.assemble_L(model_b, g)
+    assert not M.reflection_symmetric
+    with pytest.raises(NumericError):
+        pdwell.lowest_eigenpairs(dataclasses.replace(M, reflection_symmetric=True), 2)
 
 
 def test_parity_trivial_vectors(g64):
