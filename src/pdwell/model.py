@@ -304,12 +304,18 @@ def smooth_branch(landscape, x0):
     return w
 
 
+# cells per integrand call while a CumulativeIntegral is built
+_BLOCK_CELLS = 256
+
+
 class CumulativeIntegral:
     """Cumulative integral x -> int_lo^x f, cached on a uniform cell grid.
 
-    Cell sums use n_gauss-point Gauss-Legendre; a query adds the partial-cell
-    contribution with the same rule. Works for real or complex f. Queries
-    are clipped to [lo, hi], which extends the result by constants.
+    Cell sums use n_gauss-point Gauss-Legendre; a query strictly inside a
+    cell adds the partial-cell contribution with the same rule. Only those
+    queries evaluate f: a query on a cell edge returns the cached sum there,
+    one at or below lo returns 0 and one at or above hi the full integral.
+    Works for real or complex f; a 0-d query gives a scalar.
     """
 
     def __init__(self, f, lo: float, hi: float, n_cells: int, n_gauss: int = 16):
@@ -320,23 +326,33 @@ class CumulativeIntegral:
         self.edges = lo + self.width * np.arange(n_cells + 1)
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         xs = mids[:, None] + 0.5 * self.width * nodes[None, :]
-        vals = np.asarray(f(xs.ravel())).reshape(n_cells, n_gauss)
+        # f sees _BLOCK_CELLS cells at a time, which bounds its temporaries;
         # einsum, not @: numpy's @ would run a threaded BLAS gemv
-        cell = 0.5 * self.width * np.einsum("cg,g->c", vals, weights)
+        cell = np.concatenate([
+            0.5 * self.width * np.einsum(
+                "cg,g->c", np.asarray(f(block.ravel())).reshape(block.shape), weights)
+            for block in np.split(xs, range(_BLOCK_CELLS, n_cells, _BLOCK_CELLS))])
         self.cum = np.concatenate([np.zeros(1, dtype=cell.dtype), np.cumsum(cell)])
         self.nodes, self.weights = nodes, weights
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.lo, self.hi)
+        xc = np.clip(x, self.lo, self.hi).ravel()
         idx = np.minimum(((xc - self.lo) / self.width).astype(int),
                          len(self.edges) - 2)
         a = self.edges[idx]
-        half = 0.5 * (xc - a)
-        mid = 0.5 * (xc + a)
-        xs = mid[..., None] + half[..., None] * self.nodes
-        vals = np.asarray(self.f(xs.ravel())).reshape(xs.shape)
-        return self.cum[idx] + half * np.einsum("...g,g->...", vals, self.weights)
+        top = xc == self.hi
+        idx[top] = len(self.cum) - 1
+        out = self.cum[idx]
+        inside = (xc != a) & ~top
+        if inside.any():
+            xc, a = xc[inside], a[inside]
+            half = 0.5 * (xc - a)
+            mid = 0.5 * (xc + a)
+            xs = mid[:, None] + half[:, None] * self.nodes
+            vals = np.asarray(self.f(xs.ravel())).reshape(xs.shape)
+            out[inside] += half * np.einsum("...g,g->...", vals, self.weights)
+        return out.reshape(x.shape)[()]
 
 
 def _integral(f, lo: float, hi: float):

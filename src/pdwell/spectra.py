@@ -94,15 +94,19 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     returned vector is exactly even or odd and, by Eigenpair's tie-break,
     positive at its lowest-index peak. Every vector must meet the residual
     contract against the full matrix; a wrong reflection flag therefore
-    raises NumericError instead of returning a wrong spectrum.
+    raises NumericError instead of returning a wrong spectrum. So does a
+    LAPACK failure inside the solver.
     """
     N = M.N
     if not 1 <= k <= N:
         raise ConfigurationError(f"k must be in [1, {N}], got {k}")
-    if M.reflection_symmetric:
-        vals, vecs = _parity_sectors(M.entries, k)
-    else:
-        vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
+    try:
+        if M.reflection_symmetric:
+            vals, vecs = _parity_sectors(M.entries, k)
+        else:
+            vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed on N = {N}, k = {k}: {exc}") from exc
     scale = frobenius_norm(M.entries)
     dx = M.grid.dx
     out = []

@@ -72,7 +72,12 @@ _STEP_MASS: float = 0.0
 
 
 def smoothstep(t):
-    """Monotone C-infinity ramp: 0 for t <= -1, 1 for t >= 1."""
+    """Monotone C-infinity ramp: 0 for t <= -1, 1 for t >= 1.
+
+    The ramp is a cumulative table of bump on [-1, 1], so only points with
+    |t| < 1 off the table's cell edges evaluate bump; the flat parts cost a
+    comparison each.
+    """
     global _STEP_CUM, _STEP_MASS
     if _STEP_CUM is None:
         _STEP_CUM = CumulativeIntegral(bump, -1.0, 1.0, 256)

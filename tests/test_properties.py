@@ -13,6 +13,7 @@ from scipy.linalg import circulant, eigh
 
 import pdwell
 from pdwell import ConfigurationError
+from pdwell.model import CumulativeIntegral
 from pdwell.quantize import _circulant_plus_diagonal, _symmetrize
 
 EPS = np.finfo(float).eps
@@ -203,3 +204,85 @@ def test_column_symmetrization_matches_full_matrix(ca, cv, g, odd):
         assert got.entries.dtype == expected.dtype
         assert np.array_equal(got.entries, expected)
         assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+
+
+def _full_query(t, x):
+    """The query rule without shortcuts: clip, then the n_gauss-point sum over
+    the partial cell, also where its width is zero."""
+    x = np.asarray(x, dtype=float)
+    xc = np.clip(x, t.lo, t.hi)
+    idx = np.minimum(((xc - t.lo) / t.width).astype(int), len(t.edges) - 2)
+    a = t.edges[idx]
+    half = 0.5 * (xc - a)
+    mid = 0.5 * (xc + a)
+    xs = mid[..., None] + half[..., None] * t.nodes
+    vals = np.asarray(t.f(xs.ravel())).reshape(xs.shape)
+    return t.cum[idx] + half * np.einsum("...g,g->...", vals, t.weights)
+
+
+def _full_cumsum(t, n_cells):
+    """The cumulative table from one integrand call on every cell."""
+    mids = 0.5 * (t.edges[:-1] + t.edges[1:])
+    xs = mids[:, None] + 0.5 * t.width * t.nodes[None, :]
+    vals = np.asarray(t.f(xs.ravel())).reshape(n_cells, len(t.nodes))
+    cell = 0.5 * t.width * np.einsum("cg,g->c", vals, t.weights)
+    return np.concatenate([np.zeros(1, dtype=cell.dtype), np.cumsum(cell)])
+
+
+# dyadic tables (lo and the cell width powers of two times integers, like
+# every table the package builds) place hi on their last edge exactly, so
+# the full rule's sum over the last cell at hi is the cached cell sum; on
+# general tables hi - edges[-2] differs from the width by roundoff
+dyadic_tables = st.builds(lambda j, i, n: (-i * 2.0**-j, (n - i) * 2.0**-j, n, True),
+                          st.integers(0, 8), st.integers(0, 600), st.integers(1, 700))
+general_tables = st.builds(lambda lo, length, n: (lo, lo + length, n, False),
+                           st.floats(-6.0, 0.0), st.floats(0.1, 12.0), st.integers(1, 700))
+
+
+@PROPERTY
+@given(st.one_of(dyadic_tables, general_tables), st.floats(-2.0, 2.0),
+       st.sampled_from([0.0, -1.5, 2.5]),
+       st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=1, max_size=6),
+       st.floats(0.0, 5.0, exclude_min=True))
+def test_cumulative_query_matches_full_rule(table, c, w, edge_draws, fracs, beyond):
+    # exp(c x) + i exp(w x) has positive parts, so no cached sum past lo is a
+    # signed zero whose sign the skipped 0 * sum could have flipped
+    lo, hi, n, dyadic = table
+    if w == 0.0:
+        def f(x):
+            return np.exp(c * x)
+    else:
+        def f(x):
+            return np.exp(c * x) + 1j * np.exp(w * x)
+    t = CumulativeIntegral(f, lo, hi, n)
+    assert np.array_equal(t.cum, _full_cumsum(t, n))
+
+    edges = [float(t.edges[k % n]) for k in edge_draws]
+    inside = [float(t.edges[k % n] + u * t.width) for k, u in zip(edge_draws, fracs)]
+    inside = [x for x in inside if x not in t.edges and lo < x < hi]
+    exact = edges + inside + [lo - beyond, -1e300]
+    above = [hi + beyond, 1e300]
+    (exact if dyadic else above).append(hi)
+
+    for x in exact:
+        got, ref = t(np.float64(x)), _full_query(t, np.float64(x))
+        assert isinstance(got, np.generic) and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    grid = np.array(exact + exact[:1] * (len(exact) % 2)).reshape(2, -1)
+    got, ref = t(grid), _full_query(t, grid)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+    # at and above hi the table returns its full integral cum[-1]; the full
+    # rule added the last cell's sum again, with hi in place of the last edge
+    # computed as lo + n * width, which moves it by the integrand times that
+    # edge's rounding
+    slack = 16 * EPS * (np.max(np.abs(t.cum))
+                        + max(abs(lo), abs(hi)) * np.max(np.abs(f(t.edges[-2:]))))
+    for x in above:
+        got, ref = t(np.array(x)), _full_query(t, np.array(x))
+        assert isinstance(got, np.generic) and got.dtype == ref.dtype
+        assert got == t.cum[-1]
+        assert abs(got - ref) <= slack

@@ -80,6 +80,37 @@ def test_residual_contract_violation(g64):
         pdwell.lowest_eigenpairs(_wrap(M, g64), 1)
 
 
+def _scalar_even_operator():
+    # a(xi) = 4.8e-173/(1+xi^2) and V = 1.4375 on N = 16, h = 1/64: the
+    # operator is numerically scalar and its off-diagonal entries square to
+    # underflow, where LAPACK's index-range solver stops with an internal error
+    m = pdwell.Model(a=pdwell.SymbolA(lambda xi: 4.8e-173 / (1.0 + xi*xi)),
+                     b=pdwell.SymbolB(lambda x, xi: 1.4375 + 0.0*x + 0.0*xi,
+                                      lambda x, xi: 0.0*x, xi_independent=True),
+                     x_left=-1.0, x_right=1.0)
+    return pdwell.assemble_L(m, pdwell.make_grid(8.0, 16, 1/64, xi_min=0.001))
+
+
+def test_lapack_failure_in_parity_sectors_is_numeric_error():
+    M = _scalar_even_operator()
+    assert M.reflection_symmetric
+    with pytest.raises(NumericError, match=r"N = 16, k = 8"):
+        pdwell.lowest_eigenpairs(M, 8)
+
+
+def test_lapack_failure_in_dense_solve_is_numeric_error():
+    # the 9 x 9 even block of the operator above, solved whole, fails the same way
+    A = _scalar_even_operator().entries
+    rev = pdwell.reverse_indices(16)
+    d = np.ones(9)
+    d[[0, 8]] = np.sqrt(0.5)
+    block = (A[:9, :9] + A[:9, rev[:9]]) * d * d[:, None]
+    g = dataclasses.replace(pdwell.make_grid(8.0, 16, 1/64, xi_min=0.001), n_points=9)
+    M = OperatorMatrix(entries=block, hermiticity_defect=0.0, grid=g)
+    with pytest.raises(NumericError, match=r"N = 9, k = 8"):
+        pdwell.lowest_eigenpairs(M, 8)
+
+
 def test_wrong_reflection_flag_fails_residual_contract(model_b):
     # ModelB's L_h is close to, not exactly, reflection symmetric; solved in
     # parity sectors its vectors miss the full-matrix residual contract

@@ -1,6 +1,7 @@
 """Sealing, Agmon phase, amplitude, and quasimode checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,75 @@ def test_smoothstep_ramp():
     assert abs(s[-1] - 1.0) < 1e-12
     assert abs(float(pdwell.smoothstep(np.array(0.0))) - 0.5) < 1e-12
     assert np.all(np.diff(s) > -1e-15)
+
+
+@pytest.fixture
+def counted_tables(monkeypatch):
+    """Every table pdwell.wkb builds from here on, the smoothstep ramp's too,
+    each counting the integrand points its queries evaluate."""
+    tables = []
+
+    class Counted(CumulativeIntegral):
+        def __init__(self, f, *args, **kwargs):
+            super().__init__(f, *args, **kwargs)
+            self.points = 0
+
+            def counted(x):
+                self.points += np.size(x)
+                return f(x)
+
+            self.f = counted
+            tables.append(self)
+
+    monkeypatch.setattr(pdwell.wkb, "CumulativeIntegral", Counted)
+    monkeypatch.setattr(pdwell.wkb, "_STEP_CUM", None)
+    return tables
+
+
+def test_smoothstep_saturated_ramp_evaluates_no_bump(counted_tables):
+    t = np.array([-1e300, -7.0, -1.0, 1.0, 1.5, 7.0, 1e300])
+    assert pdwell.smoothstep(t).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    assert pdwell.smoothstep(np.float64(1.0)) == 1.0
+    (ramp,) = counted_tables
+    assert ramp.points == 0
+    pdwell.smoothstep(np.array([-1.0, 0.3, 1.0]))
+    assert ramp.points == 16
+
+
+def test_grid_nodes_are_table_edges(model_a, seal_a, counted_tables):
+    # dx = 8/N is a multiple of the tables' cell width 24/6144 = 1/256 for
+    # N <= 2048, so sampling at the nodes reads cached sums only
+    phase = pdwell.agmon_phase(model_a, seal_a, "left")
+    phase.amplitude
+    # built in order: the phase, the ramp (inside the truncated phase's
+    # build), the truncated phase, the amplitude
+    assert len(counted_tables) == 4
+    for t in counted_tables:
+        t.points = 0
+    for N in (512, 1024, 2048):
+        g = pdwell.make_grid(8.0, N, 0.05)
+        phase.evaluator(g.x_nodes)
+        phase.truncated_evaluator(g.x_nodes)
+        pdwell.wkb_quasimode(model_a, g, phase)
+        assert [t.points for t in counted_tables] == [0, 0, 0, 0]
+    # at N = 4096 every other node lies inside a cell
+    phase.evaluator(pdwell.make_grid(8.0, 4096, 0.05).x_nodes)
+    assert counted_tables[0].points == 16 * 2048
+
+
+def test_phase_and_amplitude_build_memory(seal_a):
+    # tracemalloc is deterministic. Building 256 cells per integrand call
+    # keeps the peak near 4 MiB; one call for all 6144 cells reaches
+    # 12.8 MiB, and querying 16 bump values at every node of the truncated
+    # phase's flat ramp reached 59 MiB
+    m = pdwell.builtin_model("ModelA")
+    tracemalloc.start()
+    try:
+        pdwell.agmon_phase(m, seal_a, "left").amplitude
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_seal_pointwise(seal_a, model_a):
