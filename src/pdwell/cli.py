@@ -56,6 +56,8 @@ def cmd_spectrum(args) -> int:
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     g = cfg.grid_for(args.h)
+    if not 1 <= args.k <= g.n_points:
+        raise ConfigurationError(f"k must be in [1, {g.n_points}], got {args.k}")
     dump = (open_output(args.dump_matrix, "wb", make_dirs=False)
             if args.dump_matrix else None)
     with dump or contextlib.nullcontext():

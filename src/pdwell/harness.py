@@ -250,13 +250,15 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
         row["norm_raw"] = q.norm_raw
         row["wkb_residual"] = quasimode_residual(M_ow, q)
         row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
-    # freed before gap_Mhbar assembles M_hbar; holding both would raise
-    # the peak memory of a row by one N x N matrix
-    del M_ow
-
     if "tunneling" in diagnostics:
         w_h, overlap, gram_gap = interaction_term(M, pairs, ow_pairs[0],
                                                   s.chi_left)
+    # L_h, whose entries the one-well operator shares, is freed before
+    # gap_Mhbar assembles M_hbar; holding both would raise the peak memory
+    # of a row by one N x N matrix
+    del M, M_ow
+
+    if "tunneling" in diagnostics:
         thm = h * gap_Mhbar(m, g, np.sqrt(h))
         formula = 2.0 * interaction_asymptotic(m, h)
         row.update({"mu": ow_pairs[0].value, "re_wh": w_h.real,

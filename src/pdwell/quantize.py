@@ -6,9 +6,10 @@ A symbol p(x, xi) becomes the dense matrix
 
 with eta_m = 2 pi h m / L for m = -N/2 .. N/2 - 1. Along an anti-diagonal
 j + k = c the midpoint is constant, so each anti-diagonal is one length-N
-inverse DFT of p(midpoint, .); the full matrix costs O(N^2 log N). The
-eta-lattice is asymmetric (m = -N/2 present, +N/2 absent), which leaves a
-roundoff-sized Hermiticity defect; we record the defect and symmetrize.
+inverse DFT of p(midpoint, .), done a small block at a time into the one
+N x N result; the full matrix costs O(N^2 log N). The eta-lattice is
+asymmetric (m = -N/2 present, +N/2 absent), which leaves a roundoff-sized
+Hermiticity defect; we record the defect and symmetrize in place, tile by tile.
 
 A multiplier a(xi) even on the lattice gives a real symmetric circulant (the
 inverse DFT of a real even sequence is real), so a(xi) + h V(x) is stored and
@@ -59,10 +60,10 @@ MAX_POINTS = 2**20
 _MAGIC = b"PDOW"
 
 # anti-diagonals per FFT batch during assembly
-_BLOCK = 512
+_BLOCK = 64
 
-# rows per block of the Hermiticity defect in _symmetrize
-_SYM_ROWS = 64
+# tile size of the in-place average in _symmetrize
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -99,22 +100,32 @@ class Grid:
 class OperatorMatrix:
     """Dense Hermitian matrix, real symmetric when the symbol is even in xi.
 
-    reflection_symmetric is True only when entries commute exactly with the
+    The operator is entries + diag(diagonal); the optional real diagonal lets
+    it share another's entries (assemble_onewell), and dense() materializes
+    it. reflection_symmetric is True only when entries commute exactly with the
     reflection U = reverse_indices, i.e. entries[rev][:, rev] == entries bit
-    for bit; the builder that knows this sets it.
+    for bit; the builder that knows this sets it, and never with a diagonal.
     """
     entries: np.ndarray
     hermiticity_defect: float
     grid: Grid
     defect_warning: bool = field(default=False)
     reflection_symmetric: bool = field(default=False)
+    diagonal: np.ndarray | None = field(default=None)
 
     @property
     def N(self) -> int:
         return self.entries.shape[0]
 
+    def dense(self, order: str = "C") -> np.ndarray:
+        """A new array holding entries + diag(diagonal), in the given order."""
+        A = np.array(self.entries, order=order)
+        if self.diagonal is not None:
+            A[np.diag_indices_from(A)] += self.diagonal
+        return A
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """The product entries @ v through scipy's BLAS gemv.
+        """The product (entries + diag(diagonal)) @ v through scipy's BLAS gemv.
 
         entries.T is Fortran-contiguous, so gemv with trans=1 reads the
         matrix in place. A real matrix applies to the real and imaginary
@@ -124,7 +135,8 @@ class OperatorMatrix:
         if np.iscomplexobj(v) and not np.iscomplexobj(A):
             return self.apply(v.real) + 1j * self.apply(v.imag)
         gemv = get_blas_funcs("gemv", (A, v))
-        return gemv(1.0, A.T, v, trans=1)
+        out = gemv(1.0, A.T, v, trans=1)
+        return out if self.diagonal is None else out + self.diagonal * v
 
 
 def frobenius_norm(A: np.ndarray) -> float:
@@ -195,17 +207,22 @@ def _operator(M: np.ndarray, defect: float, scale: float, grid: Grid,
 def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
     """Replace M in place by 0.5 (M + M^H), recording ||M - M^H||_F.
 
-    The adjoint is formed once; the defect is summed over row blocks, so
-    besides M only the adjoint and one block are live.
+    M is averaged one pair of tiles (I, J), (J, I) at a time, each entry as
+    (M_ij + conj M_ji) * 0.5, so besides M only a few tiles are live.
     """
-    H = M.conj().T
-    defect_sq = 0.0
-    for start in range(0, M.shape[0], _SYM_ROWS):
-        rows = slice(start, start + _SYM_ROWS)
-        defect_sq += frobenius_norm(M[rows] - H[rows]) ** 2
     scale = frobenius_norm(M)
-    M += H
-    M *= 0.5
+    defect_sq = 0.0
+    for i in range(0, M.shape[0], _TILE):
+        for j in range(i, M.shape[0], _TILE):
+            P, Q = M[i:i + _TILE, j:j + _TILE], M[j:j + _TILE, i:i + _TILE]
+            QH = Q.conj().T
+            # the tile pair holds M - M^H twice, a diagonal tile once
+            defect_sq += (1 if i == j else 2) * frobenius_norm(P - QH) ** 2
+            # each side from its own entries: conj of P's average would flip
+            # the sign of its zero imaginary parts
+            avg = (P + QH) * 0.5
+            Q[...] = (Q + P.conj().T) * 0.5
+            P[...] = avg
     return _operator(M, math.sqrt(defect_sq), scale, grid)
 
 
@@ -214,20 +231,22 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
 
     Anti-diagonal c = j + k has constant midpoint s_c = -L/2 + c dx/2
     (no periodic wrapping of midpoints); one inverse DFT per anti-diagonal,
-    batched in blocks. The entry rule is M[j, c-j] = W_c[(2j - c) mod N].
+    batched in blocks. The entry rule is M[j, c-j] = W_c[(2j - c) mod N],
+    one fancy-index assignment per block.
     """
     N = g.n_points
     eta = g.eta_fft
     mids = -g.length/2.0 + np.arange(2*N - 1) * (g.dx/2.0)
     M = np.zeros((N, N), dtype=np.complex128)
+    j = np.arange(N)
     for start in range(0, 2*N - 1, _BLOCK):
         cs = np.arange(start, min(start + _BLOCK, 2*N - 1))
         P = _finite("symbol", p(mids[cs][:, None], eta[None, :]),
                     x=mids[cs], xi=eta)
         W = np.fft.ifft(P, axis=1)
-        for i, c in enumerate(cs):
-            js = np.arange(max(0, c - N + 1), min(c, N - 1) + 1)
-            M[js, c - js] = W[i, (2*js - c) % N]
+        # (i, js) for every entry j + k = cs[i] with 0 <= k < N
+        i, js = np.nonzero((j <= cs[:, None]) & (j > cs[:, None] - N))
+        M[js, cs[i] - js] = W[i, (2*js - cs[i]) % N]
     return _symmetrize(M, g)
 
 
@@ -298,7 +317,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
 def dump_matrix(M: OperatorMatrix, f) -> None:
     """Write M to f, a binary file open for writing."""
     f.write(_MAGIC + struct.pack("<Id", M.N, M.grid.h))
-    f.write(np.ascontiguousarray(M.entries, dtype="<c16").tobytes())
+    f.write(np.ascontiguousarray(M.dense(), dtype="<c16").tobytes())
 
 
 def load_matrix(path):

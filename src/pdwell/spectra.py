@@ -67,13 +67,21 @@ def _parity_sectors(A: np.ndarray, k: int):
     # d = 1/sqrt 2 on the singletons 0 and N/2 and 1 on the pairs
     d = np.ones(half + 1)
     d[[0, half]] = math.sqrt(0.5)
-    sectors = [(1.0, (A[:half + 1, :half + 1] + A[:half + 1, rev[:half + 1]]) * d * d[:, None])]
+    # each block is built in place in a C-ordered np.take buffer; symmetric,
+    # it goes to eigh as its Fortran-ordered transpose, overwritten in place
+    even = np.take(A[:half + 1], rev[:half + 1], axis=1)
+    even += A[:half + 1, :half + 1]
+    even *= d
+    even *= d[:, None]
+    sectors = [(1.0, even)]
     if half > 1:
-        sectors.append((-1.0, A[1:half, 1:half] - A[1:half, rev[1:half]]))
+        odd = np.take(A[1:half], rev[1:half], axis=1)
+        np.subtract(A[1:half, 1:half], odd, out=odd)
+        sectors.append((-1.0, odd))
     vals, vecs = [], []
     for parity, block in sectors:
         n = min(k, block.shape[0])
-        v, y = eigh(block, subset_by_index=(0, n - 1), overwrite_a=True)
+        v, y = eigh(block.T, subset_by_index=(0, n - 1), overwrite_a=True)
         lifted = np.zeros((N, n), dtype=y.dtype)
         if parity > 0:
             lifted[:half + 1] = y * (math.sqrt(0.5) / d)[:, None]
@@ -100,14 +108,16 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     N = M.N
     if not 1 <= k <= N:
         raise ConfigurationError(f"k must be in [1, {N}], got {k}")
+    # a full solve gets its own Fortran-ordered copy, which LAPACK overwrites
+    A = M.entries if M.reflection_symmetric else M.dense(order="F")
+    scale = frobenius_norm(A)
     try:
         if M.reflection_symmetric:
-            vals, vecs = _parity_sectors(M.entries, k)
+            vals, vecs = _parity_sectors(A, k)
         else:
-            vals, vecs = eigh(M.entries, subset_by_index=(0, k - 1))
+            vals, vecs = eigh(A, subset_by_index=(0, k - 1), overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on N = {N}, k = {k}: {exc}") from exc
-    scale = frobenius_norm(M.entries)
     dx = M.grid.dx
     out = []
     for i in range(k):

@@ -20,7 +20,7 @@ by integration and rescaling.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,21 +142,19 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
 
 
 def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
-    """Matrix of the sealed operator: the assembled L_h plus h * diag(k).
+    """The sealed operator: the assembled L_h plus h * diag(k), at O(N) cost.
 
-    M is left unchanged. The seal enters at order h because it perturbs the
-    subprincipal symbol. side = "right" reflects the bump, sealing the left
-    well instead.
+    The result shares M's entries, copying no N x N array, and carries
+    h k(x_j) as its diagonal; M is left unchanged. The seal enters at order
+    h because it perturbs the subprincipal symbol. side = "right" reflects
+    the bump, sealing the left well instead.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     g = M.grid
     x = g.x_nodes if side == "left" else -g.x_nodes
-    entries = M.entries.copy()
-    entries[np.diag_indices_from(entries)] += g.h * seal.evaluator(x)
-    return OperatorMatrix(entries=entries,
-                          hermiticity_defect=M.hermiticity_defect,
-                          grid=g, defect_warning=M.defect_warning)
+    diagonal = g.h * seal.evaluator(x) + (0.0 if M.diagonal is None else M.diagonal)
+    return replace(M, diagonal=diagonal, reflection_symmetric=False)
 
 
 # --------------------------------------------------------------------------

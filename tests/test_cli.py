@@ -82,6 +82,19 @@ def test_spectrum_output_and_dump(tmp_path, capsys, model_a):
     assert np.array_equal(entries, fresh.entries)
 
 
+@pytest.mark.parametrize("k", ["0", "513"])
+def test_spectrum_bad_k_writes_no_dump(tmp_path, capsys, k):
+    dump = tmp_path / "m.bin"
+    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")
+    code = main(["spectrum", cfg, "--h", "0.05", "--k", k,
+                 "--dump-matrix", str(dump)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"configuration error: k must be in [1, 512], got {k}\n"
+    assert captured.out == ""
+    assert not dump.exists()
+
+
 def test_spectrum_momentum_cutoff_error(tmp_path, capsys):
     cfg = _write(tmp_path, "[grid]\nn = 8192\n")
     assert main(["spectrum", cfg, "--h", "0.0001"]) == 2

@@ -1,0 +1,75 @@
+"""Memory regression guards on the dense operators.
+
+tracemalloc sees every numpy allocation and none of OpenBLAS's own buffers,
+so the peaks below are deterministic. Each measured call is made once
+beforehand, so one-time caches do not count.
+"""
+
+import tracemalloc
+import weakref
+
+import numpy as np
+
+import pdwell
+from pdwell import harness
+from pdwell.harness import SweepConfig
+
+MiB = 2**20
+
+
+def _peak_above_live(f) -> float:
+    """Peak traced memory of f() above what was live when it started, in MiB."""
+    f()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f()
+        return (tracemalloc.get_traced_memory()[1] - live) / MiB
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_weyl_assembly_peak(model_b):
+    # the result alone is 4 MiB; the old route peaked at 18.0 MiB
+    g = pdwell.make_grid(8.0, 512, 0.07)
+    assert _peak_above_live(lambda: pdwell.assemble_L(model_b, g)) <= 8.0
+
+
+def test_onewell_build_and_solve_peak(model_a, seal_a):
+    # the solver's copy of the 8 MiB matrix plus LAPACK's workspace; the
+    # old route also copied L_h in assemble_onewell and peaked at 16.3 MiB
+    g = pdwell.make_grid(8.0, 1024, 0.012)
+    L = pdwell.assemble_L(model_a, g)
+
+    def build_and_solve():
+        pdwell.lowest_eigenpairs(pdwell.assemble_onewell(L, "left", seal_a), 3)
+
+    assert _peak_above_live(build_and_solve) <= 10.5
+
+
+def test_deep_row_frees_L_before_M_hbar(monkeypatch):
+    """A modela-deep row (N = 1024) holds L_h, which the one-well operator
+    shares, and M_hbar one after the other, never both at once."""
+    built = []
+    checked = []
+
+    def assemble_L(m, g):
+        M = pdwell.assemble_L(m, g)
+        built.append(weakref.ref(M.entries))
+        return M
+
+    def gap_Mhbar(m, g, hbar):
+        checked.append(all(ref() is None for ref in built))
+        return pdwell.gap_Mhbar(m, g, hbar)
+
+    monkeypatch.setattr(harness, "assemble_L", assemble_L)
+    monkeypatch.setattr(harness, "gap_Mhbar", gap_Mhbar)
+    cfg = SweepConfig(h_list=(0.012,))
+    row = harness._sweep_row(cfg, 0.012)
+    assert cfg.grid_for(0.012).n_points == 1024
+    assert len(built) == 1 and checked == [True]
+    assert np.isfinite(row["thm_pred"])

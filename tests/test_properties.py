@@ -7,6 +7,7 @@ reproducible.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import circulant, eigh
@@ -204,6 +205,67 @@ def test_column_symmetrization_matches_full_matrix(ca, cv, g, odd):
         assert got.entries.dtype == expected.dtype
         assert np.array_equal(got.entries, expected)
         assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+
+
+def _any_grid(N, h, L=8.0):
+    """Grid of any even size N; make_grid admits only powers of two."""
+    dx = L / N
+    return pdwell.Grid(n_points=N, length=L, h=h, dx=dx,
+                       x_nodes=-L/2.0 + dx * np.arange(N),
+                       eta_nodes=2.0*np.pi*h/L * np.arange(-N//2, N//2))
+
+
+def _weyl_oracle(p, g):
+    """The assembly route the lean one replaced: blocks of 512
+    anti-diagonals, a loop over anti-diagonals, then 0.5 (M + M^H) with the
+    full adjoint. Returns the entries and ||M - M^H||_F."""
+    N = g.n_points
+    eta = g.eta_fft
+    mids = -g.length/2.0 + np.arange(2*N - 1) * (g.dx/2.0)
+    M = np.zeros((N, N), dtype=np.complex128)
+    for start in range(0, 2*N - 1, 512):
+        cs = np.arange(start, min(start + 512, 2*N - 1))
+        P = np.asarray(p(mids[cs][:, None], eta[None, :]), dtype=float)
+        W = np.fft.ifft(P, axis=1)
+        for i, c in enumerate(cs):
+            js = np.arange(max(0, c - N + 1), min(c, N - 1) + 1)
+            M[js, c - js] = W[i, (2*js - c) % N]
+    adjoint = M.conj().T
+    return 0.5 * (M + adjoint), np.linalg.norm(M - adjoint)
+
+
+def _assert_matches_oracle(p, g):
+    got = pdwell.weyl_matrix(p, g)
+    entries, defect = _weyl_oracle(p, g)
+    # bytes, not values, so that the signs of zeros must agree too
+    assert got.entries.tobytes() == entries.tobytes()
+    assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+
+
+# sizes the 64-wide blocks and tiles do not divide (2N - 1 anti-diagonals
+# never; N = 2, 8, 96 not at all), one that they do (512)
+ODD_SIZES = (2, 8, 96, 512)
+
+
+@pytest.mark.parametrize("N", ODD_SIZES)
+def test_lean_weyl_assembly_matches_old_route_on_model_b(model_b, N):
+    g = _any_grid(N, 0.07)
+
+    def combined(x, xi):
+        return model_b.a(xi) + g.h * model_b.b(x, xi)
+
+    _assert_matches_oracle(combined, g)
+
+
+@PROPERTY
+@given(coefficients, coefficients, st.sampled_from(ODD_SIZES),
+       st.floats(0.01, 1.0), st.floats(0.1, 1.0))
+def test_lean_weyl_assembly_matches_old_route(cx, cxi, N, h, odd):
+    # a xi-odd symbol, so the matrix is complex Hermitian
+    def p(x, xi):
+        return _poly(cx, x) * (_poly(cxi, xi*xi) + odd * xi) / (1.0 + xi*xi)
+
+    _assert_matches_oracle(p, _any_grid(N, h))
 
 
 def _full_query(t, x):

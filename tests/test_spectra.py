@@ -252,3 +252,43 @@ def test_logsumexp_matches_scipy(rng, case):
     elif case == "minus_inf":
         a[::3] = -np.inf
     assert abs(_logsumexp(a) - logsumexp(a)) <= 4e-16 * abs(logsumexp(a))
+
+
+def test_solves_leave_their_operators_unchanged(model_a, model_b, seal_a):
+    """The solver overwrites only its own copy: entries (and a one-well
+    diagonal) are bit for bit the same after lowest_eigenpairs on every
+    path, the real parity sectors, the real and the complex full solve."""
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    L_a = pdwell.assemble_L(model_a, g)
+    L_b = pdwell.assemble_L(model_b, g)
+    ops = [L_a, L_b, pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h))]
+    ops += [pdwell.assemble_onewell(L, "left", seal_a) for L in (L_a, L_b)]
+    assert [M.reflection_symmetric for M in ops] == [True, False, True, False, False]
+    for M in ops:
+        before = M.entries.copy()
+        diagonal = None if M.diagonal is None else M.diagonal.copy()
+        pdwell.lowest_eigenpairs(M, 3)
+        assert np.array_equal(M.entries, before)
+        if diagonal is not None:
+            assert np.array_equal(M.diagonal, diagonal)
+
+
+def test_onewell_shares_L_and_applies_as_dense(model_a, model_b, seal_a):
+    """assemble_onewell copies no N x N array, and its operator applies as
+    the dense L_h + h diag(k)."""
+    eps = np.finfo(float).eps
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    rng = np.random.default_rng(0)
+    v_real = rng.standard_normal(g.n_points)
+    v_complex = v_real + 1j * rng.standard_normal(g.n_points)
+    for model in (model_a, model_b):
+        L = pdwell.assemble_L(model, g)
+        for side, x in (("left", g.x_nodes), ("right", -g.x_nodes)):
+            ow = pdwell.assemble_onewell(L, side, seal_a)
+            assert np.shares_memory(ow.entries, L.entries)
+            dense = L.entries.copy()
+            dense[np.diag_indices_from(dense)] += g.h * seal_a.evaluator(x)
+            assert np.array_equal(ow.dense(), dense)
+            for v in (v_real, v_complex):
+                bound = 64 * eps * np.linalg.norm(dense) * np.linalg.norm(v)
+                assert np.linalg.norm(ow.apply(v) - dense @ v) <= bound
