@@ -19,9 +19,9 @@ from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       spatial_tail)
 from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
                   WkbQuasimode, agmon_phase, assemble_onewell, bump,
-                  eikonal_residual, leading_amplitude, quasimode_residual,
-                  sealing_function, smoothstep, transport_residual,
-                  wkb_eigenvalue, wkb_quasimode)
+                  eikonal_residual, quasimode_residual, sealing_function,
+                  smoothstep, transport_residual, wkb_eigenvalue,
+                  wkb_quasimode)
 from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
 from .tunneling import (gram_reduction, interaction_asymptotic,

@@ -24,7 +24,7 @@ from .harness import (SPLITTING_COLUMNS, build_model, format_value,
                       load_config, open_output, run_sweep, sweep_objects,
                       validated_model)
 from .model import derived_constants, validate_model
-from .quantize import assemble_L, auto_points, dump_matrix, make_grid
+from .quantize import assemble_L, dump_matrix
 from .spectra import lowest_eigenpairs
 from .wkb import assemble_onewell, sealing_function, wkb_quasimode
 
@@ -99,8 +99,7 @@ def cmd_effective(args) -> int:
     cfg = load_config(args.config)
     m = validated_model(cfg)
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
-    grids = [make_grid(cfg.L, auto_points(cfg.L, hbar, cfg.xi_min), hbar, cfg.xi_min)
-             for hbar in hbars]
+    grids = [cfg.grid_for(hbar) for hbar in hbars]
     path = os.path.join(cfg.out_dir, "effective.csv")
     cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
             "gap12", "formula", "ratio"]
@@ -108,7 +107,7 @@ def cmd_effective(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for hbar, g in zip(hbars, grids):
-            pairs = lowest_eigenpairs(assemble_Mhbar(m, g, hbar), 4)
+            pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 4)
             gap = pairs[1].value - pairs[0].value
             formula = classical_splitting_formula(m, hbar)
             row = [hbar] + [p.value for p in pairs] + [gap, formula, gap/formula]

@@ -5,9 +5,11 @@ rescaling hbar = sqrt(h), by
 
     M_hbar = -hbar^2 (a''(0)/2) d^2/dx^2 + b(x, 0),
 
-discretized pseudo-spectrally: the kinetic part is the exact Fourier
-multiplier (a''(0)/2) eta^2 on the hbar-matched momentum lattice, even in
-eta, so M_hbar is real symmetric. When the potential is even at the nodes
+discretized pseudo-spectrally on a grid whose semiclassical parameter is
+hbar itself, sized by the same rule as every other operator's grid
+(SweepConfig.grid_for(hbar)): the kinetic part is the exact Fourier
+multiplier (a''(0)/2) eta^2 on that grid's momentum lattice, even in eta,
+so M_hbar is real symmetric. When the potential is even at the nodes
 bit for bit, as for the built-in models, M_hbar commutes exactly with the
 reflection x -> -x and is solved in parity sectors. Its ground-state gap
 admits the classical one-term asymptotics A hbar^(1/2) exp(-S/hbar), which
@@ -19,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Model, derived_constants
-from .quantize import Grid, OperatorMatrix, make_grid, _circulant_plus_diagonal
+from .quantize import Grid, OperatorMatrix, _circulant_plus_diagonal
 from .spectra import gap_near_residual, lowest_eigenpairs
 
 __all__ = [
@@ -32,25 +34,21 @@ def schrodinger_matrix(potential, g: Grid, a2: float) -> OperatorMatrix:
     """Dense matrix of -hbar^2 (a2/2) d^2 + potential on the grid window.
 
     hbar is g.h: the kinetic multiplier (a2/2) eta^2 lives on the grid's
-    momentum lattice. assemble_Mhbar rebuilds the grid for a given hbar.
+    momentum lattice.
     """
     return _circulant_plus_diagonal(lambda eta: 0.5 * a2 * eta * eta,
                                     potential, 1.0, g)
 
 
-def assemble_Mhbar(m: Model, g: Grid, hbar: float) -> OperatorMatrix:
-    """Effective operator at hbar, rebuilding the momentum lattice if needed.
-
-    The returned matrix's grid carries hbar as its semiclassical parameter.
-    """
-    if abs(g.h - hbar) > 1e-15:
-        g = make_grid(g.length, g.n_points, hbar)
+def assemble_Mhbar(m: Model, g: Grid) -> OperatorMatrix:
+    """Effective operator at hbar = g.h on the grid g."""
     return schrodinger_matrix(m.potential, g, derived_constants(m).a2)
 
 
-def gap_Mhbar(m: Model, g: Grid, hbar: float) -> float:
-    """Ground-state gap lambda_2 - lambda_1 of the effective operator."""
-    pairs = lowest_eigenpairs(assemble_Mhbar(m, g, hbar), 2)
+def gap_Mhbar(m: Model, g: Grid) -> float:
+    """Ground-state gap lambda_2 - lambda_1 of the effective operator at
+    hbar = g.h."""
+    pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 2)
     gap_near_residual(pairs, "effective gap")
     return float(pairs[1].value - pairs[0].value)
 

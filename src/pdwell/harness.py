@@ -220,8 +220,9 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     """Full pipeline at one h.
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
-    M_hbar for the theorem prediction. The h-independent objects come from
-    sweep_objects, built once for all rows.
+    M_hbar, on its own grid at hbar = sqrt(h), for the theorem prediction.
+    The h-independent objects come from sweep_objects, built once for all
+    rows.
     """
     s = sweep_objects(cfg)
     m = s.model
@@ -259,7 +260,7 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     del M, M_ow
 
     if "tunneling" in diagnostics:
-        thm = h * gap_Mhbar(m, g, np.sqrt(h))
+        thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h)))
         formula = 2.0 * interaction_asymptotic(m, h)
         row.update({"mu": ow_pairs[0].value, "re_wh": w_h.real,
                     "im_wh": w_h.imag, "two_abs_wh": 2.0 * abs(w_h),

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh, inv, sqrtm
+from scipy.linalg import eigvalsh
 
 from .errors import DegeneracyError
 from .model import Model, derived_constants
@@ -57,7 +57,8 @@ def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
     Projects the states f_l and f_r onto the span of basis (the two lowest
     eigenpairs of M), and returns (G, L, gap) where G is the Gram matrix,
     L the quadratic-form matrix of M - mu, and gap the eigenvalue
-    difference of G^(-1/2) L G^(-1/2). The mu-shift leaves gap unchanged.
+    difference of the generalized problem L c = lambda G c (that of
+    G^(-1/2) L G^(-1/2)). The mu-shift leaves gap unchanged.
     """
     g = M.grid
 
@@ -76,9 +77,7 @@ def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
     L = np.array([[g.inner(sv, b) for b in pair] for sv in shifted])
     L = 0.5 * (L + L.conj().T)
 
-    Gh_inv = inv(sqrtm(G))
-    T = Gh_inv @ L @ Gh_inv.conj().T
-    evals = eigvalsh(0.5 * (T + T.conj().T))
+    evals = eigvalsh(L, G)
     return G, L, float(evals[1] - evals[0])
 
 

@@ -33,7 +33,7 @@ __all__ = [
     "SealingFunction", "AgmonPhase", "WkbQuasimode",
     "bump", "smoothstep", "CumulativeIntegral",
     "sealing_function", "assemble_onewell", "agmon_phase",
-    "leading_amplitude", "wkb_quasimode", "wkb_eigenvalue",
+    "wkb_quasimode", "wkb_eigenvalue",
     "eikonal_residual", "transport_residual", "quasimode_residual",
 ]
 
@@ -177,7 +177,8 @@ class AgmonPhase:
 
     @functools.cached_property
     def amplitude(self) -> "_Amplitude":
-        """The leading amplitude u_{1,0}, built on first use."""
+        """The leading amplitude u_{1,0}, built on first use: a callable of x,
+        real positive at the well, complex when d_xi b(., 0) != 0."""
         return _Amplitude(self)
 
 
@@ -287,12 +288,6 @@ class _Amplitude:
 
     def __call__(self, x):
         return self.prefactor * np.exp(-(self._cum(x) - self._anchor))
-
-
-def leading_amplitude(m: Model, phase: AgmonPhase, x):
-    """u_{1,0}(x) of phase's model; real positive at the well, complex when
-    d_xi b(., 0) != 0."""
-    return phase.amplitude(x)
 
 
 @dataclass

@@ -17,7 +17,6 @@ import pytest
 import pdwell
 from pdwell.effective import schrodinger_matrix
 from pdwell.tunneling import interaction_asymptotic
-from pdwell.wkb import leading_amplitude
 
 
 @pytest.fixture
@@ -202,8 +201,8 @@ def test_criterion_09_transport_eikonal(model_a, model_b, phase_a_left,
         eik = pdwell.eikonal_residual(m, phl, grid05.x_nodes)
         tra = pdwell.transport_residual(m, phl, trans_xs)
         prod = (np.asarray(phl.derivative(inter))
-                * leading_amplitude(m, phl, inter)
-                * np.conj(leading_amplitude(m, phr, inter)))
+                * phl.amplitude(inter)
+                * np.conj(phr.amplitude(inter)))
         const = float(np.max(np.abs(prod - prod.mean())) / abs(prod.mean()))
         ok = ok and eik <= 1e-8 and tra <= 1e-6 and const <= 1e-6
         details.append(f"{tag}: eikonal {eik:.1e}, transport {tra:.1e}, "

@@ -23,14 +23,8 @@ PRODUCT_CALLS = ("dot", "matmul", "vdot")
 
 
 def _products(tree):
-    """Line numbers of matrix products outside gram_reduction's 2x2 algebra."""
-    allowed = set()
+    """Line numbers of matrix products."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "gram_reduction":
-            allowed.update(id(n) for n in ast.walk(node))
-    for node in ast.walk(tree):
-        if id(node) in allowed:
-            continue
         if (isinstance(node, (ast.BinOp, ast.AugAssign))
                 and isinstance(node.op, ast.MatMult)):
             yield node.lineno
@@ -42,8 +36,6 @@ def _products(tree):
 def test_scanner_sees_every_product_form():
     text = "a @ b\nc @= d\nnp.dot(a, b)\na.dot(b)\nnp.matmul(a, b)\nnp.vdot(a, b)\n"
     assert sorted(_products(ast.parse(text))) == [1, 2, 3, 4, 5, 6]
-    inside = "def gram_reduction(G, L):\n    return G @ L\n"
-    assert list(_products(ast.parse(inside))) == []
 
 
 def test_no_numpy_products_in_package():

@@ -158,6 +158,22 @@ def test_effective_table(tmp_path, capsys):
     assert abs(ratio - 0.6916) < 1e-3
 
 
+def test_effective_honours_fixed_grid_size(tmp_path, capsys, monkeypatch):
+    # [grid] n sizes M_hbar's grids as it sizes L_h's; the automatic rule
+    # would pick 512 at these hbar
+    from pdwell import cli
+    grids = []
+
+    def spy(m, g):
+        grids.append((g.n_points, g.h))
+        return pdwell.assemble_Mhbar(m, g)
+
+    monkeypatch.setattr(cli, "assemble_Mhbar", spy)
+    cfg = _write(tmp_path, f"[grid]\nn = 1024\n[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["effective", cfg, "--hbar-list", "0.3", "0.2"]) == 0
+    assert grids == [(1024, 0.3), (1024, 0.2)]
+
+
 def test_splitting_check_passes(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path,

@@ -10,6 +10,11 @@ from pdwell.effective import assemble_Mhbar, classical_splitting_formula, gap_Mh
 RATIO_03_FROZEN = 0.6916  # gap/formula at hbar = 0.3, L = 8, N = 512
 
 
+def _grid(hbar, N=512):
+    """The grid of M_hbar: hbar is its semiclassical parameter."""
+    return pdwell.make_grid(8.0, N, hbar)
+
+
 def test_zero_potential_pure_multiplier():
     g = pdwell.make_grid(8.0, 128, 0.3)
     M = pdwell.schrodinger_matrix(lambda x: np.zeros_like(x), g, 2.0)
@@ -27,10 +32,9 @@ def test_harmonic_oscillator_ladder():
 
 
 def test_ground_state_harmonic_limit(model_a, consts_a):
-    g = pdwell.make_grid(8.0, 512, 0.2)
     devs = []
     for hbar in (0.2, 0.1):
-        eff = assemble_Mhbar(model_a, g, hbar)
+        eff = assemble_Mhbar(model_a, _grid(hbar))
         lam1 = pdwell.lowest_eigenpairs(eff, 1)[0].value
         dev = abs(lam1 - consts_a.c0 * hbar)
         assert dev <= 0.9 * hbar
@@ -38,30 +42,29 @@ def test_ground_state_harmonic_limit(model_a, consts_a):
     assert devs[1] < devs[0]
 
 
-def test_rebuilds_momentum_lattice(model_a):
-    g = pdwell.make_grid(8.0, 512, 0.2)
-    eff = assemble_Mhbar(model_a, g, 0.1)
-    assert eff.grid.h == 0.1
-    assert eff.grid.n_points == 512
-    # matching hbar keeps the very same grid object
-    same = assemble_Mhbar(model_a, g, 0.2)
-    assert same.grid is g
+def test_grid_for_sets_momentum_lattice(model_a, consts_a):
+    """SweepConfig.grid_for(hbar) is M_hbar's grid: hbar = g.h, N from the
+    config's rule, and assemble_Mhbar builds no second grid."""
+    for cfg, N in ((pdwell.SweepConfig(), 512), (pdwell.SweepConfig(N=1024), 1024)):
+        g = cfg.grid_for(0.1)
+        assert (g.h, g.n_points) == (0.1, N)
+        eff = assemble_Mhbar(model_a, g)
+        assert eff.grid is g
+        ref = pdwell.schrodinger_matrix(model_a.potential, g, consts_a.a2)
+        assert np.array_equal(eff.entries, ref.entries)
 
 
 def test_gap_positive(model_a):
-    g = pdwell.make_grid(8.0, 512, 0.3)
-    assert gap_Mhbar(model_a, g, 0.3) > 0.0
+    assert gap_Mhbar(model_a, _grid(0.3)) > 0.0
 
 
 def test_gap_vs_formula_frozen(model_a):
-    g = pdwell.make_grid(8.0, 512, 0.3)
-    ratio = gap_Mhbar(model_a, g, 0.3) / classical_splitting_formula(model_a, 0.3)
+    ratio = gap_Mhbar(model_a, _grid(0.3)) / classical_splitting_formula(model_a, 0.3)
     assert abs(ratio - RATIO_03_FROZEN) < 1e-3
 
 
 def test_gap_strictly_decreasing(model_a):
-    g = pdwell.make_grid(8.0, 512, 0.35)
-    gaps = [gap_Mhbar(model_a, g, hb) for hb in (0.35, 0.30, 0.25, 0.20)]
+    gaps = [gap_Mhbar(model_a, _grid(hb)) for hb in (0.35, 0.30, 0.25, 0.20)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
@@ -87,26 +90,23 @@ def test_formula_definition(model_a, consts_a):
 def test_ratio_drift(model_a):
     # the one-term formula overshoots the gap at desk scale (ratio ~0.65 at
     # hbar = 0.35) and the ratio climbs monotonically toward 1 from below
-    g = pdwell.make_grid(8.0, 512, 0.35)
-    ratios = [gap_Mhbar(model_a, g, hb) / classical_splitting_formula(model_a, hb)
+    ratios = [gap_Mhbar(model_a, _grid(hb)) / classical_splitting_formula(model_a, hb)
               for hb in (0.35, 0.30, 0.25, 0.20, 0.15)]
     assert all(0.6 < r < 1.0 for r in ratios)
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
 def test_excited_gap_lower_bound(model_a, consts_a):
-    g = pdwell.make_grid(8.0, 512, 0.35)
     for hbar in (0.35, 0.25, 0.15):
-        eff = assemble_Mhbar(model_a, g, hbar)
+        eff = assemble_Mhbar(model_a, _grid(hbar))
         pairs = pdwell.lowest_eigenpairs(eff, 3)
         assert pairs[2].value - pairs[1].value >= 0.5 * consts_a.c0 * hbar
 
 
 def test_harmonic_ladder_trend(model_a, consts_a):
-    g = pdwell.make_grid(8.0, 512, 0.3)
     prev = None
     for hbar in (0.3, 0.2, 0.1):
-        eff = assemble_Mhbar(model_a, g, hbar)
+        eff = assemble_Mhbar(model_a, _grid(hbar))
         lam1 = pdwell.lowest_eigenpairs(eff, 1)[0].value
         # double-well levels coalesce pairwise onto the one-well ladder as
         # hbar drops; the ground level must approach c0 hbar from within
@@ -117,9 +117,8 @@ def test_harmonic_ladder_trend(model_a, consts_a):
 
 
 def test_residual_floor_warning(model_a):
-    g = pdwell.make_grid(8.0, 512, 0.04)
     with pytest.warns(PrecisionWarning):
-        gap = gap_Mhbar(model_a, g, 0.04)
+        gap = gap_Mhbar(model_a, _grid(0.04))
     assert gap < 1e-10
 
 

@@ -52,24 +52,24 @@ def test_onewell_build_and_solve_peak(model_a, seal_a):
 
 
 def test_deep_row_frees_L_before_M_hbar(monkeypatch):
-    """A modela-deep row (N = 1024) holds L_h, which the one-well operator
-    shares, and M_hbar one after the other, never both at once."""
+    """A modela-deep row holds L_h (N = 1024), which the one-well operator
+    shares, and M_hbar one after the other, never both at once. M_hbar is
+    on its own grid at hbar = sqrt(h), where the grid rule picks N = 512."""
     built = []
     checked = []
 
     def assemble_L(m, g):
         M = pdwell.assemble_L(m, g)
-        built.append(weakref.ref(M.entries))
+        built.append((g.n_points, weakref.ref(M.entries)))
         return M
 
-    def gap_Mhbar(m, g, hbar):
-        checked.append(all(ref() is None for ref in built))
-        return pdwell.gap_Mhbar(m, g, hbar)
+    def gap_Mhbar(m, g):
+        checked.append((g.n_points, g.h, all(ref() is None for _, ref in built)))
+        return pdwell.gap_Mhbar(m, g)
 
     monkeypatch.setattr(harness, "assemble_L", assemble_L)
     monkeypatch.setattr(harness, "gap_Mhbar", gap_Mhbar)
-    cfg = SweepConfig(h_list=(0.012,))
-    row = harness._sweep_row(cfg, 0.012)
-    assert cfg.grid_for(0.012).n_points == 1024
-    assert len(built) == 1 and checked == [True]
+    row = harness._sweep_row(SweepConfig(h_list=(0.012,)), 0.012)
+    assert [n for n, _ in built] == [1024]
+    assert checked == [(512, np.sqrt(0.012), True)]
     assert np.isfinite(row["thm_pred"])

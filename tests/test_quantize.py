@@ -111,9 +111,10 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
     g = pdwell.make_grid(8.0, 256, 0.07)
     L_a = pdwell.assemble_L(model_a, g)
     assert pdwell.assemble_L(model_b, g).entries.dtype == np.complex128
+    g_eff = pdwell.make_grid(8.0, 256, np.sqrt(g.h))
     for M in (L_a, pdwell.assemble_onewell(L_a, "left", seal_a),
-              pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h)),
-              pdwell.assemble_Mhbar(model_b, g, np.sqrt(g.h))):
+              pdwell.assemble_Mhbar(model_a, g_eff),
+              pdwell.assemble_Mhbar(model_b, g_eff)):
         assert M.entries.dtype == np.float64
         got = np.array([p.value for p in pdwell.lowest_eigenpairs(M, 3)])
         full = M.dense()
@@ -136,8 +137,9 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
     rev = pdwell.reverse_indices(128)
     L_a = pdwell.assemble_L(model_a, g)
     L_b = pdwell.assemble_L(model_b, g)
-    flagged = (L_a, pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h)),
-               pdwell.assemble_Mhbar(model_b, g, np.sqrt(g.h)))
+    g_eff = pdwell.make_grid(8.0, 128, np.sqrt(g.h))
+    flagged = (L_a, pdwell.assemble_Mhbar(model_a, g_eff),
+               pdwell.assemble_Mhbar(model_b, g_eff))
     for M in flagged:
         assert M.reflection_symmetric
         assert np.array_equal(M.entries[np.ix_(rev, rev)], M.entries)

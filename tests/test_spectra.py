@@ -261,7 +261,8 @@ def test_solves_leave_their_operators_unchanged(model_a, model_b, seal_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     L_a = pdwell.assemble_L(model_a, g)
     L_b = pdwell.assemble_L(model_b, g)
-    ops = [L_a, L_b, pdwell.assemble_Mhbar(model_a, g, np.sqrt(g.h))]
+    ops = [L_a, L_b,
+           pdwell.assemble_Mhbar(model_a, pdwell.make_grid(8.0, 128, np.sqrt(g.h)))]
     ops += [pdwell.assemble_onewell(L, "left", seal_a) for L in (L_a, L_b)]
     assert [M.reflection_symmetric for M in ops] == [True, False, True, False, False]
     for M in ops:

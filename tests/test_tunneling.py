@@ -36,9 +36,10 @@ def rep05(pairs05, chi_a, onewell05):
 
 
 @pytest.fixture(scope="module")
-def preds05(model_a, grid05):
+def preds05(model_a):
     """(thm_pred, formula_pred) at h = 0.05, as a sweep row computes them."""
-    return (0.05 * pdwell.gap_Mhbar(model_a, grid05, np.sqrt(0.05)),
+    g_eff = pdwell.SweepConfig().grid_for(np.sqrt(0.05))
+    return (0.05 * pdwell.gap_Mhbar(model_a, g_eff),
             2.0 * interaction_asymptotic(model_a, 0.05))
 
 
@@ -180,7 +181,7 @@ def test_gram_route_gets_the_interaction_states(pairs05, chi_a, onewell05,
 
 def test_theorem_prediction_positive(model_a):
     g_eff = pdwell.make_grid(8.0, 512, np.sqrt(0.05))
-    pred = 0.05 * pdwell.gap_Mhbar(model_a, g_eff, np.sqrt(0.05))
+    pred = 0.05 * pdwell.gap_Mhbar(model_a, g_eff)
     assert pred > 0
 
 

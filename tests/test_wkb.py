@@ -280,7 +280,7 @@ def test_second_at_well(phase_a_left, consts_a):
 
 
 def test_amplitude_at_well(model_a, phase_a_left):
-    u = pdwell.leading_amplitude(model_a, phase_a_left, np.array(-1.0))
+    u = phase_a_left.amplitude(np.array(-1.0))
     expected = (phase_a_left.second_at_well / np.pi) ** 0.25
     assert abs(u - expected) < 1e-12
     assert abs(float(np.real(u)) - U_AT_WELL_FROZEN) < 1e-9
@@ -289,7 +289,7 @@ def test_amplitude_at_well(model_a, phase_a_left):
 
 def test_amplitude_real_for_modela(model_a, phase_a_left):
     xs = np.linspace(-2.5, 2.5, 101)
-    u = pdwell.leading_amplitude(model_a, phase_a_left, xs)
+    u = phase_a_left.amplitude(xs)
     assert np.max(np.abs(np.imag(u))) < 1e-14
 
 
@@ -299,8 +299,8 @@ def test_amplitude_log_derivative_at_well(model_a, phase_a_left):
     # third-derivative stencil inside the amplitude integrand.
     d = 2e-3
     coeff = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
-    u0 = pdwell.leading_amplitude(model_a, phase_a_left, np.array(-1.0))
-    du = sum(c * pdwell.leading_amplitude(model_a, phase_a_left, np.array(-1.0 + k*d))
+    u0 = phase_a_left.amplitude(np.array(-1.0))
+    du = sum(c * phase_a_left.amplitude(np.array(-1.0 + k*d))
              for c, k in zip(coeff, range(-4, 5)) if c != 0.0) / d
     assert abs(float(np.real(du / u0)) + 0.5) < 1e-5
 
@@ -309,8 +309,8 @@ def test_amplitude_modelb_modulus_matches(model_a, model_b, phase_a_left):
     seal_b = pdwell.sealing_function(model_b)
     phase_b = pdwell.agmon_phase(model_b, seal_b, "left")
     xs = np.linspace(-2.5, 2.5, 101)
-    u_a = pdwell.leading_amplitude(model_a, phase_a_left, xs)
-    u_b = pdwell.leading_amplitude(model_b, phase_b, xs)
+    u_a = phase_a_left.amplitude(xs)
+    u_b = phase_b.amplitude(xs)
     assert np.max(np.abs(np.abs(u_b) - np.abs(u_a))) < 1e-10
     assert np.max(np.abs(np.imag(u_b))) > 1e-3  # genuinely complex
 
@@ -386,7 +386,7 @@ def test_transport_rejects_non_solution(model_a, phase_a_left, consts_a):
 
 def test_transport_operator_linearity(model_a, phase_a_left, consts_a):
     xs = _transport_samples()
-    u = pdwell.leading_amplitude(model_a, phase_a_left, xs)
+    u = phase_a_left.amplitude(xs)
 
     def op(vec):
         return (0.5 * consts_a.a2 * np.asarray(phase_a_left.second_derivative(xs)) * vec
