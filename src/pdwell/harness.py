@@ -140,13 +140,13 @@ def validated_model(cfg: SweepConfig) -> Model:
 def sweep_objects(cfg: SweepConfig) -> SweepObjects:
     """Validate the model and build the h-independent objects, once per config.
 
-    The cache is keyed on the frozen config, so run_sweep, each row and the
-    action check of `pdwell sweep --check` share one build of the Agmon
-    phase; `pdwell wkb` builds through it too.
+    The cache is keyed on the frozen config, so run_sweep, each row, `pdwell
+    sweep --check` and `pdwell wkb` share one build of the Agmon phase, whose
+    Phi~ and amplitude span the grid window.
     """
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    phase = agmon_phase(m, seal, "left")
+    phase = agmon_phase(m, seal, "left", span=cfg.L / 2)
     return SweepObjects(model=m, seal=seal, phase=phase,
                         chi_left=overlap_cutoff(phase, seal))
 

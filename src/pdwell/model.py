@@ -165,7 +165,8 @@ def _a_reference(xi):
 
 def _quartic_well(x):
     xl = np.asarray(x, dtype=float)
-    return (xl*xl - 1.0)**2 / (1.0 + xl**4)
+    x2 = xl*xl      # x2*x2, not xl**4: numpy squares fast but runs **4 through pow
+    return (x2 - 1.0)**2 / (1.0 + x2*x2)
 
 
 def builtin_model(name: str, eps: float = 0.2) -> Model:
@@ -309,16 +310,16 @@ _BLOCK_CELLS = 256
 
 
 class CumulativeIntegral:
-    """Cumulative integral x -> int_lo^x f, cached on a uniform cell grid.
+    """Cumulative integral x -> int_anchor^x f, cached on a uniform cell grid.
 
-    Cell sums use n_gauss-point Gauss-Legendre; a query strictly inside a
-    cell adds the partial-cell contribution with the same rule. Only those
-    queries evaluate f: a query on a cell edge returns the cached sum there,
-    one at or below lo returns 0 and one at or above hi the full integral.
-    Works for real or complex f; a 0-d query gives a scalar.
+    Cell sums use n_gauss-point Gauss-Legendre and add up outward from the
+    edge nearest anchor (default lo), so the span sets cost, never values. A
+    query strictly inside a cell adds the partial cell by the same rule; only
+    such queries evaluate f. Queries on an edge, or past lo or hi, read the
+    cached sum there. Works for real or complex f; a 0-d query gives a scalar.
     """
 
-    def __init__(self, f, lo: float, hi: float, n_cells: int, n_gauss: int = 16):
+    def __init__(self, f, lo: float, hi: float, n_cells: int, n_gauss: int = 16, anchor=None):
         nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
         self.f = f
         self.lo, self.hi = float(lo), float(hi)
@@ -332,8 +333,10 @@ class CumulativeIntegral:
             0.5 * self.width * np.einsum(
                 "cg,g->c", np.asarray(f(block.ravel())).reshape(block.shape), weights)
             for block in np.split(xs, range(_BLOCK_CELLS, n_cells, _BLOCK_CELLS))])
-        self.cum = np.concatenate([np.zeros(1, dtype=cell.dtype), np.cumsum(cell)])
+        k = 0 if anchor is None else int(round((anchor - self.lo) / self.width))
+        self.cum = np.concatenate([-np.cumsum(cell[:k][::-1])[::-1], [0], np.cumsum(cell[k:])])
         self.nodes, self.weights = nodes, weights
+        self.cum -= self(np.array(self.lo if anchor is None else anchor))   # 0 on an edge
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -9,8 +9,8 @@ Agmon phase
 
 and the leading quasimode is h^(-1/8) chi(x) u(x) exp(-Phi(x)/sqrt(h))
 with the amplitude u solving the first transport equation in closed form.
-Phases and amplitudes are cached composite Gauss-Legendre cumulative
-integrals, so evaluation at arbitrary points stays cheap and smooth.
+Phases and amplitudes are cached Gauss-Legendre cumulative integrals from
+the well, cheap and smooth to evaluate; Phi~ and u refuse x past their span.
 
 Every smooth cutoff in the package (seal, phase truncation, quasimode
 window, overlap cutoffs) is built from the single bump t -> exp(-1/(1-t^2))
@@ -37,10 +37,10 @@ __all__ = [
     "eikonal_residual", "transport_residual", "quasimode_residual",
 ]
 
-# integration domain for all cached cumulative phases; comfortably contains
-# the default grid window and the 3A support of every cutoff
+# span of the phase table (it holds the 3A support of every cutoff) and
+# default span of Phi~ and u; cells of width 1/256 put grid nodes on edges
 _DOMAIN = 12.0
-_CELLS = 6144
+_CELLS_PER_UNIT = 256
 
 # the removable singularity of the amplitude integrand is replaced by its
 # limit inside this radius around the well
@@ -174,6 +174,7 @@ class AgmonPhase:
     branch: Callable             # sgn(s - x_well) sqrt(b_sealed(s, 0))
     model: Model = field(repr=False, default=None)
     seal: SealingFunction = field(repr=False, default=None)
+    span: float = _DOMAIN        # Phi~ and the amplitude answer on [-span, span]
 
     @functools.cached_property
     def amplitude(self) -> "_Amplitude":
@@ -182,15 +183,31 @@ class AgmonPhase:
         return _Amplitude(self)
 
 
-def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPhase:
+def _table(f, span: float, well: float) -> CumulativeIntegral:
+    """f's table from the well on [-span, span], rounded up to whole cells."""
+    n = int(np.ceil(span * _CELLS_PER_UNIT))
+    return CumulativeIntegral(f, -n / _CELLS_PER_UNIT, n / _CELLS_PER_UNIT, 2 * n, anchor=well)
+
+
+def _read(table: CumulativeIntegral, x):
+    if np.abs(x).max(initial=0.0) > table.hi:
+        raise ConfigurationError(f"query outside the table span {table.hi:g}")
+    return table(x)
+
+
+def agmon_phase(m: Model, seal: SealingFunction, side: str = "left",
+                span: float = _DOMAIN) -> AgmonPhase:
     """Phase Phi, its truncation Phi~, and the window constant A.
 
     A is the smallest half-width such that Phi exceeds Phi at the opposite
     well outside [-A, A]; the truncation multiplies Phi' by a smooth cutoff
     equal to 1 on [-A, A] and 0 outside [-2A, 2A] before integrating.
+    Phi~ and the amplitude answer on [-span, span], Phi on [-12, 12].
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
+    if not abs(m.x_left) < span:
+        raise ConfigurationError(f"span {span:g} must contain the wells at +-{m.x_right:g}")
     consts = derived_constants(m)
     pref = np.sqrt(2.0 / consts.a2)
     x_well = m.x_left if side == "left" else m.x_right
@@ -201,11 +218,10 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
 
     g = smooth_branch(landscape, x_well)
 
-    cum = CumulativeIntegral(g, -_DOMAIN, _DOMAIN, _CELLS)
-    anchor = cum(np.array(x_well))
+    cum = _table(g, _DOMAIN, x_well)
 
     def phi(x):
-        return pref * (cum(x) - anchor)
+        return pref * cum(x)
 
     def phi_prime(x):
         return pref * g(x)
@@ -220,7 +236,7 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
     x_opp = m.x_right if side == "left" else m.x_left
     target = float(phi(np.array(x_opp)))
     far, order = (cum.edges - x_well) * x_well > 0, int(np.sign(x_well))
-    j = np.searchsorted(pref * (cum.cum[far][::order] - anchor), target)
+    j = np.searchsorted(pref * cum.cum[far][::order], target)
     root = float(cum.edges[far][::order][min(j, np.count_nonzero(far) - 1)])
     for _ in range(8):
         step = (float(phi(root)) - target) / float(phi_prime(root))
@@ -235,18 +251,13 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left") -> AgmonPha
         s = np.asarray(s, dtype=float)
         return smoothstep(2.0*s/A + 3.0) * smoothstep(3.0 - 2.0*s/A)
 
-    cum_trunc = CumulativeIntegral(lambda s: chi0(s) * phi_prime(s),
-                                   -_DOMAIN, _DOMAIN, _CELLS)
-    anchor_trunc = cum_trunc(np.array(x_well))
-
-    def phi_trunc(x):
-        return cum_trunc(x) - anchor_trunc
+    phi_trunc = functools.partial(_read, _table(lambda s: chi0(s) * phi_prime(s), span, x_well))
 
     return AgmonPhase(side=side, evaluator=phi, truncated_evaluator=phi_trunc,
                       A_window=float(A), derivative=phi_prime,
                       second_derivative=phi_second,
                       second_at_well=float(pref * consts.kappa),
-                      x_well=x_well, branch=g, model=m, seal=seal)
+                      x_well=x_well, branch=g, model=m, seal=seal, span=span)
 
 
 # --------------------------------------------------------------------------
@@ -283,11 +294,10 @@ class _Amplitude:
             imag_part = np.asarray(m.b.xi_derivative(s, 0.0), dtype=float) / a2
             return real_part + 1j * imag_part
 
-        self._cum = CumulativeIntegral(integrand, -_DOMAIN, _DOMAIN, _CELLS)
-        self._anchor = self._cum(np.array(well))
+        self._cum = _table(integrand, phase.span, well)
 
     def __call__(self, x):
-        return self.prefactor * np.exp(-(self._cum(x) - self._anchor))
+        return self.prefactor * np.exp(-_read(self._cum, x))
 
 
 @dataclass

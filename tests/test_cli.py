@@ -1,13 +1,21 @@
 """End-to-end tests of the command-line interface via cli.main."""
 
+import ast
 import csv
+import gc
 import io
+import pathlib
+import re
+import sys
 
 import numpy as np
 import pytest
 
 import pdwell
+from pdwell import cli
 from pdwell.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, body, name="run.ini"):
@@ -239,7 +247,8 @@ def test_effective_ignores_seal(tmp_path, capsys):
     ("n = 1000", "N must be a power of two >= 2, got 1000"),
     ("l = 0", "domain length must be positive, got 0.0"),
     ("l = -8\nn = auto", "domain length must be positive, got -8.0"),
-], ids=["n_not_power_of_two", "l_zero", "l_negative_auto_n"])
+    ("l = 1.5", "span 0.75 must contain the wells at +-1"),
+], ids=["n_not_power_of_two", "l_zero", "l_negative_auto_n", "l_misses_wells"])
 def test_bad_grid_exits_before_any_row(tmp_path, capsys, grid, named):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"[grid]\n{grid}\n[sweep]\nh_list = 0.09\n"
@@ -369,8 +378,39 @@ def test_wkb_columns_are_the_quasimode_samples(tmp_path, capsys, model_a,
     with open(out_dir / "wkb_h0.05.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
-    # 17 significant digits round-trip a double exactly
+    # 17 significant digits round-trip a double exactly; the command's phase
+    # has tables on the grid window, the fixture's on [-12, 12]
     assert [float(r["phi_l"]) for r in rows] == q.phi.tolist()
+    assert ([float(r["phi_l_trunc"]) for r in rows]
+            == phase_a_left.truncated_evaluator(grid05.x_nodes).tolist())
     assert [float(r["re_u10"]) for r in rows] == q.amplitude.real.tolist()
     assert [float(r["im_u10"]) for r in rows] == q.amplitude.imag.tolist()
     assert [float(r["psi_wkb"]) for r in rows] == q.vector.real.tolist()
+
+
+def test_script_and_main_block_name_one_entry():
+    scripts = re.search(r"^\[project\.scripts\]\n((?:\w+ = .*\n)+)",
+                        (ROOT / "pyproject.toml").read_text(), re.M).group(1)
+    tree = ast.parse((ROOT / "src" / "pdwell" / "cli.py").read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args and not stmt.value.keywords
+    assert scripts == f'pdwell = "pdwell.cli:{stmt.value.func.id}"\n'
+
+
+def test_in_process_main_leaves_collector_alone(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    cfg = _write(tmp_path, "[model]\nname = ModelA\n")
+    assert main(["validate", cfg, "--check"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_entry_freezes_before_dispatch(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda argv=None: calls.append("main") or 3)
+    monkeypatch.setattr(sys, "exit", lambda code=None: calls.append(("exit", code)))
+    cli.run()
+    assert calls == ["freeze", "main", ("exit", 3)]

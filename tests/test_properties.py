@@ -348,3 +348,38 @@ def test_cumulative_query_matches_full_rule(table, c, w, edge_draws, fracs, beyo
         assert isinstance(got, np.generic) and got.dtype == ref.dtype
         assert got == t.cum[-1]
         assert abs(got - ref) <= slack
+
+
+@PROPERTY
+@given(st.integers(4, 8), st.integers(-300, 300), st.integers(0, 300), st.integers(0, 300),
+       st.integers(0, 300), st.integers(0, 300), st.sampled_from([0.0, 0.25, 0.75]),
+       st.floats(-2.0, 2.0), st.sampled_from([0.0, -1.5, 2.5]),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8))
+def test_anchored_tables_agree_across_spans(j, a, left, right, wider_left, wider_right,
+                                            offset, c, w, fracs):
+    # two tables with cells of width 2^-j on a common lattice, both anchored
+    # at a (a lattice point plus an offset); the wider one extends the
+    # narrower by whole cells on either side, so the integrand's blocks fall
+    # differently. Every query inside the narrower span reads the same bits.
+    width = 2.0**-j
+    anchor = (a + offset) * width
+    lo, hi = (a - left) * width, (a + right + 1) * width
+    if w == 0.0:
+        def f(x):
+            return np.exp(c * x)
+    else:
+        def f(x):
+            return np.exp(c * x) + 1j * np.exp(w * x)
+    narrow = CumulativeIntegral(f, lo, hi, left + right + 1, anchor=anchor)
+    wide = CumulativeIntegral(f, lo - wider_left * width, hi + wider_right * width,
+                              left + right + 1 + wider_left + wider_right, anchor=anchor)
+    assert np.array_equal(narrow.edges, wide.edges[wider_left:len(wide.edges) - wider_right])
+    at_anchor = narrow(np.array(anchor))
+    assert at_anchor.tobytes() == wide(np.array(anchor)).tobytes()
+    assert abs(at_anchor) <= 4 * EPS * np.max(np.abs(narrow.cum))
+
+    xs = np.concatenate([narrow.edges, narrow.edges[:-1]
+                         + width * np.resize(np.array(fracs), len(narrow.edges) - 1)])
+    assert narrow(xs).tobytes() == wide(xs).tobytes()
+    for x in xs[::max(1, len(xs) // 8)]:
+        assert narrow(np.float64(x)).tobytes() == wide(np.float64(x)).tobytes()

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 import pdwell
 from pdwell import ConfigurationError, NumericError
+from pdwell.harness import SweepConfig, sweep_objects
 from pdwell.wkb import CumulativeIntegral, SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
@@ -59,19 +60,20 @@ def test_smoothstep_ramp():
 @pytest.fixture
 def counted_tables(monkeypatch):
     """Every table pdwell.wkb builds from here on, the smoothstep ramp's too,
-    each counting the integrand points its queries evaluate."""
+    each counting the integrand points its build evaluated (built) and those
+    its queries evaluate (points)."""
     tables = []
 
     class Counted(CumulativeIntegral):
         def __init__(self, f, *args, **kwargs):
-            super().__init__(f, *args, **kwargs)
             self.points = 0
 
             def counted(x):
                 self.points += np.size(x)
                 return f(x)
 
-            self.f = counted
+            super().__init__(counted, *args, **kwargs)
+            self.built, self.points = self.points, 0
             tables.append(self)
 
     monkeypatch.setattr(pdwell.wkb, "CumulativeIntegral", Counted)
@@ -89,32 +91,84 @@ def test_smoothstep_saturated_ramp_evaluates_no_bump(counted_tables):
     assert ramp.points == 16
 
 
+def _sweep_phase():
+    # the phase sweep_objects builds, past its cache so the build is counted
+    return sweep_objects.__wrapped__(SweepConfig()).phase
+
+
 def test_grid_nodes_are_table_edges(model_a, seal_a, counted_tables):
-    # dx = 8/N is a multiple of the tables' cell width 24/6144 = 1/256 for
-    # N <= 2048, so sampling at the nodes reads cached sums only
-    phase = pdwell.agmon_phase(model_a, seal_a, "left")
+    # dx = 8/N is a multiple of every table's cell width 1/256 (24/6144 on
+    # the default [-12, 12], 8/2048 on the sweep's [-4, 4]) for N <= 2048,
+    # so sampling at the nodes reads cached sums only
+    for build in (lambda: pdwell.agmon_phase(model_a, seal_a, "left"), _sweep_phase):
+        first = len(counted_tables)
+        phase = build()
+        phase.amplitude
+        for t in counted_tables:
+            t.points = 0
+        for N in (512, 1024, 2048):
+            g = pdwell.make_grid(8.0, N, 0.05)
+            phase.evaluator(g.x_nodes)
+            phase.truncated_evaluator(g.x_nodes)
+            pdwell.wkb_quasimode(model_a, g, phase)
+            assert [t.points for t in counted_tables] == [0] * len(counted_tables)
+        # at N = 4096 every other node lies inside a cell
+        phase.evaluator(pdwell.make_grid(8.0, 4096, 0.05).x_nodes)
+        assert counted_tables[first].points == 16 * 2048
+    # built in order, per phase: its table, the ramp (first build only,
+    # inside the truncated phase's build), the truncated phase, the amplitude
+    assert len(counted_tables) == 4 + 3
+
+
+def test_sweep_tables_span_the_grid_window(counted_tables):
+    # at L = 8 the truncated phase and the amplitude cover [-4, 4] in 2048
+    # cells of width 1/256: 32,768 build points each, against 98,304 on
+    # [-12, 12]; the phase itself keeps [-12, 12], where A_window is found
+    phase = _sweep_phase()
     phase.amplitude
-    # built in order: the phase, the ramp (inside the truncated phase's
-    # build), the truncated phase, the amplitude
-    assert len(counted_tables) == 4
-    for t in counted_tables:
-        t.points = 0
+    raw, ramp, trunc, amp = counted_tables
+    assert (raw.lo, raw.hi, len(raw.edges) - 1, raw.built) == (-12.0, 12.0, 6144, 98304)
+    for t in (trunc, amp):
+        assert (t.lo, t.hi, len(t.edges) - 1, t.built) == (-4.0, 4.0, 2048, 32768)
+    assert phase.span == 4.0
+
+
+def test_sweep_phase_reads_like_the_default_phase(phase_a_left):
+    # every table accumulates outward from the well, so the sweep's narrower
+    # tables give the default-span values bit for bit at the grid nodes
+    phase = sweep_objects(SweepConfig()).phase
+    assert (phase.span, phase_a_left.span) == (4.0, 12.0)
     for N in (512, 1024, 2048):
-        g = pdwell.make_grid(8.0, N, 0.05)
-        phase.evaluator(g.x_nodes)
-        phase.truncated_evaluator(g.x_nodes)
-        pdwell.wkb_quasimode(model_a, g, phase)
-        assert [t.points for t in counted_tables] == [0, 0, 0, 0]
-    # at N = 4096 every other node lies inside a cell
-    phase.evaluator(pdwell.make_grid(8.0, 4096, 0.05).x_nodes)
-    assert counted_tables[0].points == 16 * 2048
+        x = pdwell.make_grid(8.0, N, 0.05).x_nodes
+        for read in (lambda p: p.evaluator(x), lambda p: p.truncated_evaluator(x),
+                     lambda p: p.amplitude(x)):
+            assert read(phase).tobytes() == read(phase_a_left).tobytes()
+
+
+def test_narrow_tables_refuse_queries_past_their_span(model_a, seal_a, phase_a_left):
+    # a table would answer past its end with its end value, a wrong Phi~ and
+    # u_{1,0} on every node outside the span
+    phase = pdwell.agmon_phase(model_a, seal_a, "left", span=2.0)
+    g = pdwell.make_grid(8.0, 512, 0.05)
+    for read in (phase.truncated_evaluator, phase.amplitude,
+                 lambda x: pdwell.wkb_quasimode(model_a, g, phase)):
+        with pytest.raises(ConfigurationError,
+                           match=r"^query outside the table span 2$"):
+            read(g.x_nodes)
+    inside = g.x_nodes[np.abs(g.x_nodes) <= 2.0]
+    assert np.all(np.isfinite(phase.truncated_evaluator(inside)))
+    assert np.all(np.isfinite(phase.amplitude(inside)))
+    # the phase itself still spans [-12, 12]
+    assert np.array_equal(phase.evaluator(g.x_nodes), phase_a_left.evaluator(g.x_nodes))
+    with pytest.raises(ConfigurationError, match="^span 0.5 must contain the wells at"):
+        pdwell.agmon_phase(model_a, seal_a, "left", span=0.5)
 
 
 def test_phase_and_amplitude_build_memory(seal_a):
     # tracemalloc is deterministic. Building 256 cells per integrand call
-    # keeps the peak near 4 MiB; one call for all 6144 cells reaches
-    # 12.8 MiB, and querying 16 bump values at every node of the truncated
-    # phase's flat ramp reached 59 MiB
+    # keeps the peak near 4 MiB; one call for all 6144 cells of the default
+    # [-12, 12] tables reaches 12.8 MiB, and querying 16 bump values at every
+    # node of the truncated phase's flat ramp reached 59 MiB
     m = pdwell.builtin_model("ModelA")
     tracemalloc.start()
     try:
