@@ -31,7 +31,7 @@ __all__ = [
 
 
 def schrodinger_matrix(potential, g: Grid, a2: float) -> OperatorMatrix:
-    """Dense matrix of -hbar^2 (a2/2) d^2 + potential on the grid window.
+    """Operator -hbar^2 (a2/2) d^2 + potential on the grid window.
 
     hbar is g.h: the kinetic multiplier (a2/2) eta^2 lives on the grid's
     momentum lattice.

@@ -254,9 +254,9 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     if "tunneling" in diagnostics:
         w_h, overlap, gram_gap = interaction_term(M, pairs, ow_pairs[0],
                                                   s.chi_left)
-    # L_h, whose entries the one-well operator shares, is freed before
-    # gap_Mhbar assembles M_hbar; holding both would raise the peak memory
-    # of a row by one N x N matrix
+    # L_h, which the one-well operator shares, is freed before gap_Mhbar
+    # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
+    # peak memory of a row by one N x N matrix
     del M, M_ow
 
     if "tunneling" in diagnostics:

@@ -11,21 +11,23 @@ N x N result; the full matrix costs O(N^2 log N). The eta-lattice is
 asymmetric (m = -N/2 present, +N/2 absent), which leaves a roundoff-sized
 Hermiticity defect; we record the defect and symmetrize in place, tile by tile.
 
-A multiplier a(xi) even on the lattice gives a real symmetric circulant (the
-inverse DFT of a real even sequence is real), so a(xi) + h V(x) is stored and
-solved in real arithmetic; symbols coupling x and xi stay complex Hermitian.
-The Hermitian part of a circulant is the circulant of the symmetrized column
-0.5 (col + conj(col[rev])), so a multiplier plus a diagonal is symmetrized,
-and its defect taken, in O(N) instead of over the N x N matrix. When that
-column is real and V is even bit for bit, the matrix commutes exactly with
-the reflection U: x -> -x; the result records it (reflection_symmetric) and
+A multiplier a(xi) plus a diagonal h V(x) is held as the first column of its
+circulant and its main diagonal, O(N) numbers from which every product,
+norm, parity block and dense copy is made. A multiplier even on the lattice
+gives a real column (the inverse DFT of a real even sequence is real);
+symbols coupling x and xi stay complex Hermitian N x N matrices. The
+Hermitian part of a circulant is the circulant of the symmetrized column
+0.5 (col + conj(col[rev])), an O(N) symmetrization. When that column is real
+and V is even bit for bit, the operator commutes exactly with the reflection
+U: x -> -x; the result records it (reflection_symmetric) and
 spectra.lowest_eigenpairs then solves its two parity sectors separately.
 
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
-Products of an assembled matrix with a vector go through scipy's BLAS
-(OperatorMatrix.apply), the library that also runs the eigensolves, and
-N x N norms use a reduction that calls no BLAS (frobenius_norm). numpy's
-pool then stays idle instead of spinning its workers against scipy's.
+Products of a dense matrix with a vector go through scipy's BLAS
+(OperatorMatrix.apply), the library that also runs the eigensolves; circulant
+products use numpy's FFT and N x N norms an einsum (frobenius_norm), neither
+of which calls BLAS. numpy's pool then stays idle instead of spinning its
+workers against scipy's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import circulant
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import get_blas_funcs
 
 from .errors import ConfigurationError
@@ -98,45 +100,86 @@ class Grid:
 
 @dataclass
 class OperatorMatrix:
-    """Dense Hermitian matrix, real symmetric when the symbol is even in xi.
+    """Hermitian operator on the grid, real symmetric when its symbol is even in xi.
 
-    The operator is entries + diag(diagonal); the optional real diagonal lets
-    it share another's entries (assemble_onewell), and dense() materializes
-    it. reflection_symmetric is True only when entries commute exactly with the
-    reflection U = reverse_indices, i.e. entries[rev][:, rev] == entries bit
-    for bit; the builder that knows this sets it, and never with a diagonal.
+    A dense operator is entries + diag(diagonal); the optional real diagonal
+    lets it share another's entries (assemble_onewell). A circulant plus a
+    diagonal holds no N x N array: entries is None, column is the first
+    column of the circulant that gives its off-diagonal entries, and
+    diagonal is its whole real main diagonal. dense() materializes either
+    form. reflection_symmetric is True only when the operator commutes
+    exactly with the reflection U = reverse_indices, bit for bit; only the
+    circulant builder sets it.
     """
-    entries: np.ndarray
     hermiticity_defect: float
     grid: Grid
+    entries: np.ndarray | None = field(default=None)
+    column: np.ndarray | None = field(default=None)
+    diagonal: np.ndarray | None = field(default=None)
     defect_warning: bool = field(default=False)
     reflection_symmetric: bool = field(default=False)
-    diagonal: np.ndarray | None = field(default=None)
 
     @property
     def N(self) -> int:
-        return self.entries.shape[0]
+        return len(self.column if self.entries is None else self.entries)
 
     def dense(self, order: str = "C") -> np.ndarray:
-        """A new array holding entries + diag(diagonal), in the given order."""
+        """A new N x N array holding the operator, in the given order."""
+        if self.entries is None:
+            A = np.array(_circulant_view(self.column), order=order)
+            A[np.diag_indices_from(A)] = self.diagonal
+            return A
         A = np.array(self.entries, order=order)
         if self.diagonal is not None:
             A[np.diag_indices_from(A)] += self.diagonal
         return A
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """The product (entries + diag(diagonal)) @ v through scipy's BLAS gemv.
+    def frobenius_norm(self) -> float:
+        """||M||_F, in O(N) from the column and diagonal of a circulant."""
+        if self.entries is not None:
+            return frobenius_norm(self.dense())
+        return math.hypot(math.sqrt(self.N) * np.linalg.norm(self.column[1:]),
+                          np.linalg.norm(self.diagonal))
 
-        entries.T is Fortran-contiguous, so gemv with trans=1 reads the
-        matrix in place. A real matrix applies to the real and imaginary
-        parts of a complex vector separately instead of being cast to complex.
+    def parity_block(self, parity: float) -> np.ndarray:
+        """M[a, b] +- M[a, N - b] for 0 <= a, b <= N/2 (+1) or 0 < a, b < N/2 (-1).
+
+        A new C-ordered array read off a circulant's column: M[a, b] is a
+        Toeplitz block with M's diagonal, and M[a, N - b] = col[a + b] a
+        Hankel block, diagonal only where a = b = 0 or N/2.
         """
-        A = self.entries
-        if np.iscomplexobj(v) and not np.iscomplexobj(A):
-            return self.apply(v.real) + 1j * self.apply(v.imag)
-        gemv = get_blas_funcs("gemv", (A, v))
-        out = gemv(1.0, A.T, v, trans=1)
+        col, diag, half = self.column, self.diagonal, self.N // 2
+        lo, hi = (0, half + 1) if parity > 0 else (1, half)
+        n = hi - lo
+        block = np.array(_circulant_view(col)[lo:hi, lo:hi])
+        block[np.diag_indices(n)] = diag[lo:hi]
+        if parity < 0:
+            block -= sliding_window_view(col[2:], n)[:n]
+        else:
+            block += sliding_window_view(np.append(col, col[0]), n)
+            block[[0, half], [0, half]] = 2.0 * diag[[0, half]]
+        return block
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """M @ v: by FFT of the off-diagonal column plus diagonal * v, or by
+        scipy's gemv on entries.T, Fortran-contiguous, with trans=1."""
+        if self.entries is None:
+            off = self.column.copy()
+            off[0] = 0.0
+            if np.iscomplexobj(off) or np.iscomplexobj(v):
+                out = np.fft.ifft(np.fft.fft(off) * np.fft.fft(v))
+            else:
+                out = np.fft.irfft(np.fft.rfft(off) * np.fft.rfft(v), self.N)
+            return out + self.diagonal * v
+        gemv = get_blas_funcs("gemv", (self.entries, v))
+        out = gemv(1.0, self.entries.T, v, trans=1)
         return out if self.diagonal is None else out + self.diagonal * v
+
+
+def _circulant_view(col: np.ndarray) -> np.ndarray:
+    """Read-only N x N view C[j, k] = col[(j - k) mod N] over 2N - 1 numbers."""
+    rev = col[::-1]
+    return sliding_window_view(np.concatenate((rev, rev[:-1])), len(col))[::-1]
 
 
 def frobenius_norm(A: np.ndarray) -> float:
@@ -190,18 +233,15 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
     return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
 
 
-def _operator(M: np.ndarray, defect: float, scale: float, grid: Grid,
-              reflection_symmetric: bool = False) -> OperatorMatrix:
-    """Wrap symmetrized entries, flagging a defect beyond DEFECT_RTOL of scale."""
-    warn = defect > DEFECT_RTOL * max(scale, 1e-300)
-    if warn:
+def _flag_defect(M: OperatorMatrix, scale: float) -> OperatorMatrix:
+    """Flag M when its Hermiticity defect exceeds DEFECT_RTOL of scale."""
+    M.defect_warning = M.hermiticity_defect > DEFECT_RTOL * max(scale, 1e-300)
+    if M.defect_warning:
         logger.warning("Hermiticity defect %.3e exceeds %.1e of ||M||_F=%.3e",
-                       defect, DEFECT_RTOL, scale)
+                       M.hermiticity_defect, DEFECT_RTOL, scale)
     else:
-        logger.debug("Hermiticity defect %.3e (||M||_F=%.3e)", defect, scale)
-    return OperatorMatrix(entries=M, hermiticity_defect=defect, grid=grid,
-                          defect_warning=warn,
-                          reflection_symmetric=reflection_symmetric)
+        logger.debug("Hermiticity defect %.3e (||M||_F=%.3e)", M.hermiticity_defect, scale)
+    return M
 
 
 def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
@@ -223,7 +263,7 @@ def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
             avg = (P + QH) * 0.5
             Q[...] = (Q + P.conj().T) * 0.5
             P[...] = avg
-    return _operator(M, math.sqrt(defect_sq), scale, grid)
+    return _flag_defect(OperatorMatrix(math.sqrt(defect_sq), grid, entries=M), scale)
 
 
 def weyl_matrix(p, g: Grid) -> OperatorMatrix:
@@ -260,17 +300,18 @@ def _multiplier_column(a, g: Grid) -> np.ndarray:
 
 def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
     """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
-    return circulant(_multiplier_column(a, g))
+    return np.array(_circulant_view(_multiplier_column(a, g)))
 
 
 def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> OperatorMatrix:
     """Symmetrized circulant of the multiplier a(xi) plus the diagonal coupling V(x).
 
     C[j, k] = col[(j - k) mod N], so C^H is the circulant of conj(col[rev]):
-    the entries equal _symmetrize's 0.5 (M + M^H) bit for bit, and each entry
-    of col - conj(col[rev]) occurs N times in M - M^H (the real diagonal
-    cancels). The result commutes exactly with the reflection when the
-    column is real (its symmetrized form is then even) and V[rev] == V.
+    the symmetrized column gives _symmetrize's 0.5 (M + M^H) bit for bit,
+    and each entry of col - conj(col[rev]) occurs N times in M - M^H (the
+    real diagonal, c_0 + coupling V, cancels). The result commutes exactly
+    with the reflection when the column is real (its symmetrized form is
+    then even) and V[rev] == V.
     """
     N = g.n_points
     rev = reverse_indices(N)
@@ -278,11 +319,12 @@ def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> Operator
     V = np.broadcast_to(_finite("potential", potential(g.x_nodes), x=g.x_nodes),
                         (N,))
     adjoint = np.conj(col[rev])
-    defect = math.sqrt(N) * float(np.linalg.norm(col - adjoint))
-    M = circulant(0.5 * (col + adjoint))
-    M[np.diag_indices_from(M)] += coupling * V
-    symmetric = not np.iscomplexobj(col) and np.array_equal(V, V[rev])
-    return _operator(M, defect, frobenius_norm(M), g, reflection_symmetric=symmetric)
+    column = 0.5 * (col + adjoint)
+    M = OperatorMatrix(math.sqrt(N) * float(np.linalg.norm(col - adjoint)), g,
+                       column=column, diagonal=column[0].real + coupling * V,
+                       reflection_symmetric=(not np.iscomplexobj(col)
+                                             and np.array_equal(V, V[rev])))
+    return _flag_defect(M, M.frobenius_norm())
 
 
 def apply_fourier_multiplier(a: SymbolA, g: Grid, v: np.ndarray) -> np.ndarray:

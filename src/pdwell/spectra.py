@@ -52,36 +52,31 @@ class Eigenpair:
     residual: float
 
 
-def _parity_sectors(A: np.ndarray, k: int):
-    """The k smallest eigenpairs of A, which must commute with U, as eigh's.
+def _parity_sectors(M: OperatorMatrix, k: int):
+    """The k smallest eigenpairs, as eigh's, of a circulant M commuting with U.
 
     The even block, in the basis e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2
     for 0 < j < N/2, has size N/2 + 1; the odd block, in the basis
-    (e_j - e_{N-j})/sqrt 2, has size N/2 - 1. Up to k pairs of each are
-    solved, lifted back to the grid and merged by value, even first on ties.
+    (e_j - e_{N-j})/sqrt 2, has size N/2 - 1. Each is built just before its
+    solve; up to k pairs of each are solved, lifted back to the grid and
+    merged by value, even first on ties.
     """
-    N = A.shape[0]
+    N = M.N
     half = N // 2
-    rev = reverse_indices(N)
-    # with U A = A U, <u_a, A u_b> = d_a d_b (A[a, b] +- A[a, N - b]), where
+    # with U M = M U, <u_a, M u_b> = d_a d_b (M[a, b] +- M[a, N - b]), where
     # d = 1/sqrt 2 on the singletons 0 and N/2 and 1 on the pairs
     d = np.ones(half + 1)
     d[[0, half]] = math.sqrt(0.5)
-    # each block is built in place in a C-ordered np.take buffer; symmetric,
-    # it goes to eigh as its Fortran-ordered transpose, overwritten in place
-    even = np.take(A[:half + 1], rev[:half + 1], axis=1)
-    even += A[:half + 1, :half + 1]
-    even *= d
-    even *= d[:, None]
-    sectors = [(1.0, even)]
-    if half > 1:
-        odd = np.take(A[1:half], rev[1:half], axis=1)
-        np.subtract(A[1:half, 1:half], odd, out=odd)
-        sectors.append((-1.0, odd))
     vals, vecs = [], []
-    for parity, block in sectors:
+    for parity in (1.0, -1.0) if half > 1 else (1.0,):
+        # eigh overwrites the symmetric block's Fortran-ordered transpose
+        block = M.parity_block(parity)
+        if parity > 0:
+            block *= d
+            block *= d[:, None]
         n = min(k, block.shape[0])
         v, y = eigh(block.T, subset_by_index=(0, n - 1), overwrite_a=True)
+        del block
         lifted = np.zeros((N, n), dtype=y.dtype)
         if parity > 0:
             lifted[:half + 1] = y * (math.sqrt(0.5) / d)[:, None]
@@ -108,13 +103,15 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     N = M.N
     if not 1 <= k <= N:
         raise ConfigurationError(f"k must be in [1, {N}], got {k}")
-    # a full solve gets its own Fortran-ordered copy, which LAPACK overwrites
-    A = M.entries if M.reflection_symmetric else M.dense(order="F")
-    scale = frobenius_norm(A)
     try:
         if M.reflection_symmetric:
-            vals, vecs = _parity_sectors(A, k)
+            scale = M.frobenius_norm()
+            vals, vecs = _parity_sectors(M, k)
         else:
+            # a full solve gets its own Fortran-ordered copy, which LAPACK
+            # overwrites; for a circulant it is the only N x N array
+            A = M.dense(order="F")
+            scale = frobenius_norm(A)
             vals, vecs = eigh(A, subset_by_index=(0, k - 1), overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on N = {N}, k = {k}: {exc}") from exc

@@ -144,10 +144,10 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
 def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
     """The sealed operator: the assembled L_h plus h * diag(k), at O(N) cost.
 
-    The result shares M's entries, copying no N x N array, and carries
-    h k(x_j) as its diagonal; M is left unchanged. The seal enters at order
-    h because it perturbs the subprincipal symbol. side = "right" reflects
-    the bump, sealing the left well instead.
+    The result shares M's entries or circulant column, copying no N x N
+    array, and adds h k(x_j) to its diagonal; M is left unchanged. The seal
+    enters at order h because it perturbs the subprincipal symbol.
+    side = "right" reflects the bump, sealing the left well instead.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")

@@ -87,7 +87,7 @@ def test_spectrum_output_and_dump(tmp_path, capsys, model_a):
     entries, n_points, h = pdwell.load_matrix(str(dump))
     assert n_points == 512 and h == 0.09
     fresh = pdwell.assemble_L(model_a, pdwell.make_grid(8.0, 512, 0.09))
-    assert np.array_equal(entries, fresh.entries)
+    assert np.array_equal(entries, fresh.dense())
 
 
 @pytest.mark.parametrize("k", ["0", "513"])

@@ -18,7 +18,7 @@ def _grid(hbar, N=512):
 def test_zero_potential_pure_multiplier():
     g = pdwell.make_grid(8.0, 128, 0.3)
     M = pdwell.schrodinger_matrix(lambda x: np.zeros_like(x), g, 2.0)
-    vals = np.linalg.eigvalsh(M.entries)
+    vals = np.linalg.eigvalsh(M.dense())
     expected = np.sort(g.eta_fft**2)
     assert np.max(np.abs(vals - expected)) < 1e-10
 
@@ -51,7 +51,7 @@ def test_grid_for_sets_momentum_lattice(model_a, consts_a):
         eff = assemble_Mhbar(model_a, g)
         assert eff.grid is g
         ref = pdwell.schrodinger_matrix(model_a.potential, g, consts_a.a2)
-        assert np.array_equal(eff.entries, ref.entries)
+        assert np.array_equal(eff.dense(), ref.dense())
 
 
 def test_gap_positive(model_a):

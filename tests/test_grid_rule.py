@@ -74,7 +74,7 @@ def test_theorem_prediction_matches_effective_table(sweep_report, model_a, tmp_p
     gap = float(table[0]["gap12"])
     M = pdwell.schrodinger_matrix(model_a.potential, pdwell.SweepConfig().grid_for(hbar),
                                   pdwell.derived_constants(model_a).a2)
-    bound = 64 * EPS * pdwell.frobenius_norm(M.entries) / gap
+    bound = 64 * EPS * pdwell.frobenius_norm(M.dense()) / gap
     assert abs(row["thm_pred"] / h - gap) / gap <= bound
 
 

@@ -1,4 +1,4 @@
-"""Memory regression guards on the dense operators.
+"""Memory regression guards on the operators.
 
 tracemalloc sees every numpy allocation and none of OpenBLAS's own buffers,
 so the peaks below are deterministic. Each measured call is made once
@@ -39,9 +39,25 @@ def test_weyl_assembly_peak(model_b):
     assert _peak_above_live(lambda: pdwell.assemble_L(model_b, g)) <= 8.0
 
 
+def test_circulant_assembly_peak(model_a):
+    # ModelA's L_h is a column and a diagonal; the dense route peaked at 8.1 MiB
+    g = pdwell.make_grid(8.0, 1024, 0.012)
+    assert _peak_above_live(lambda: pdwell.assemble_L(model_a, g)) <= 0.5
+
+
+def test_parity_sector_solve_peak(model_a):
+    # one 2 MiB half block at a time, built from the column and solved in
+    # place; both blocks at once would be 4.0 MiB, and the dense L_h's
+    # sector solve peaked at 4.3 MiB on top of its 8 MiB matrix
+    L = pdwell.assemble_L(model_a, pdwell.make_grid(8.0, 1024, 0.012))
+    assert L.reflection_symmetric
+    assert _peak_above_live(lambda: pdwell.lowest_eigenpairs(L, 3)) <= 3.0
+
+
 def test_onewell_build_and_solve_peak(model_a, seal_a):
-    # the solver's copy of the 8 MiB matrix plus LAPACK's workspace; the
-    # old route also copied L_h in assemble_onewell and peaked at 16.3 MiB
+    # the solver's Fortran-ordered 8 MiB matrix, built from the column, plus
+    # LAPACK's workspace; the route that copied L_h in assemble_onewell
+    # peaked at 16.3 MiB
     g = pdwell.make_grid(8.0, 1024, 0.012)
     L = pdwell.assemble_L(model_a, g)
 
@@ -49,6 +65,13 @@ def test_onewell_build_and_solve_peak(model_a, seal_a):
         pdwell.lowest_eigenpairs(pdwell.assemble_onewell(L, "left", seal_a), 3)
 
     assert _peak_above_live(build_and_solve) <= 10.5
+
+
+def test_deep_row_peak():
+    # the one-well solve's 8 MiB matrix is the only N x N array of a
+    # modela-deep row; with a dense L_h beside it the row peaked at 17.05 MiB
+    cfg = SweepConfig(h_list=(0.012,))
+    assert _peak_above_live(lambda: harness._sweep_row(cfg, 0.012)) <= 9.5
 
 
 def test_deep_row_frees_L_before_M_hbar(monkeypatch):
@@ -60,7 +83,7 @@ def test_deep_row_frees_L_before_M_hbar(monkeypatch):
 
     def assemble_L(m, g):
         M = pdwell.assemble_L(m, g)
-        built.append((g.n_points, weakref.ref(M.entries)))
+        built.append((g.n_points, weakref.ref(M)))
         return M
 
     def gap_Mhbar(m, g):

@@ -49,9 +49,9 @@ def test_symmetrized_matrices_exactly_hermitian(cx, cxi, g):
     coupled = pdwell.weyl_matrix(lambda x, xi: _poly(cx, x) * _poly(cxi, xi), g)
     assert coupled.entries.dtype == np.complex128
     even = pdwell.schrodinger_matrix(lambda x: _poly(cx, x), g, 2.0)
-    assert even.entries.dtype == np.float64
-    for M in (coupled, even):
-        assert np.array_equal(M.entries, M.entries.conj().T)
+    assert even.dense().dtype == np.float64
+    for A in (coupled.entries, even.dense()):
+        assert np.array_equal(A, A.conj().T)
 
 
 @PROPERTY
@@ -137,7 +137,7 @@ def _even_model(ca, cv):
 @given(coefficients, coefficients, grids)
 def test_reflection_commutes_with_xi_even_operator(ca, cv, g):
     # U M U = M for U: x -> -x when a is even in xi and V even in x
-    M = pdwell.assemble_L(_even_model(ca, cv), g).entries
+    M = pdwell.assemble_L(_even_model(ca, cv), g).dense()
     rev = pdwell.reverse_indices(g.n_points)
     assert np.linalg.norm(M[np.ix_(rev, rev)] - M) <= 4 * EPS * np.linalg.norm(M)
 
@@ -162,8 +162,9 @@ def test_parity_sectors_match_dense_eigh(ca, cv, g, k_rule):
     N = g.n_points
     k = {"1": 1, "N/2": N // 2, "N": N}[k_rule]
     pairs = pdwell.lowest_eigenpairs(M, k)
-    ref, Q = eigh(M.entries)
-    norm = np.linalg.norm(M.entries, 2)
+    A = M.dense()
+    ref, Q = eigh(A)
+    norm = np.linalg.norm(A, 2)
     got = np.array([p.value for p in pairs])
     assert np.max(np.abs(got - ref[:k])) <= 32 * EPS * norm
 
@@ -202,9 +203,57 @@ def test_column_symmetrization_matches_full_matrix(ca, cv, g, odd):
     expected = 0.5 * (M + adjoint)
     defect = np.linalg.norm(M - adjoint)
     for got in (fast, _symmetrize(M.copy(), g)):
-        assert got.entries.dtype == expected.dtype
-        assert np.array_equal(got.entries, expected)
+        assert got.dense().dtype == expected.dtype
+        assert np.array_equal(got.dense(), expected)
         assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+
+
+def _take_blocks(A):
+    """The parity blocks of A by the np.take route the column one replaced,
+    before the even block's scaling."""
+    N = A.shape[0]
+    half = N // 2
+    rev = pdwell.reverse_indices(N)
+    even = np.take(A[:half + 1], rev[:half + 1], axis=1)
+    even += A[:half + 1, :half + 1]
+    odd = np.take(A[1:half], rev[1:half], axis=1)
+    np.subtract(A[1:half, 1:half], odd, out=odd)
+    return even, odd
+
+
+@PROPERTY
+@given(coefficients, coefficients, coefficients, grids,
+       st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_column_form_matches_circulant_route(ca, cv, ck, g, odd, sealed, seed):
+    # a circulant plus a diagonal, held as column and diagonal, against the
+    # N x N routes it replaced: scipy's circulant of the symmetrized column
+    # plus the diagonals in the order (c_0 + h V) + h k, its product, and
+    # its parity blocks taken with np.take
+    def a(xi):
+        return (_poly(ca, xi*xi) + odd * xi) / (1.0 + xi*xi)
+
+    M = _circulant_plus_diagonal(a, lambda x: _poly(cv, x), g.h, g)
+    assert M.entries is None
+    expected = circulant(M.column)
+    expected[np.diag_indices_from(expected)] += g.h * _poly(cv, g.x_nodes)
+    if sealed:
+        seal = pdwell.SealingFunction(evaluator=lambda x: _poly(ck, x),
+                                      support=(0.0, 0.0), height=0.0, eta=0.4)
+        M = pdwell.assemble_onewell(M, "left", seal)
+        expected[np.diag_indices_from(expected)] += g.h * _poly(ck, g.x_nodes)
+    dense, fortran = M.dense(), M.dense(order="F")
+    assert fortran.flags.f_contiguous
+    assert dense.tobytes() == fortran.tobytes() == expected.tobytes()
+
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(g.n_points)
+    for w in (v, v + 1j * rng.standard_normal(g.n_points)):
+        bound = 64 * EPS * np.linalg.norm(dense) * np.linalg.norm(w)
+        assert np.linalg.norm(M.apply(w) - dense @ w) <= bound
+
+    for parity, block in zip((1.0, -1.0), _take_blocks(expected)):
+        assert M.parity_block(parity).tobytes() == block.tobytes()
 
 
 def _any_grid(N, h, L=8.0):

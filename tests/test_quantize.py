@@ -100,7 +100,7 @@ def test_assemble_split_vs_weyl(model_a):
         return model_a.a(xi) + g.h * model_a.b(x, xi)
 
     direct = pdwell.weyl_matrix(combined, g)
-    diff = np.linalg.norm(split.entries - direct.entries)
+    diff = np.linalg.norm(split.dense() - direct.entries)
     assert diff < 1e-10
 
 
@@ -115,7 +115,7 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
     for M in (L_a, pdwell.assemble_onewell(L_a, "left", seal_a),
               pdwell.assemble_Mhbar(model_a, g_eff),
               pdwell.assemble_Mhbar(model_b, g_eff)):
-        assert M.entries.dtype == np.float64
+        assert M.dense().dtype == np.float64
         got = np.array([p.value for p in pdwell.lowest_eigenpairs(M, 3)])
         full = M.dense()
         ref = eigh(full.astype(np.complex128), eigvals_only=True,
@@ -142,7 +142,8 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
                pdwell.assemble_Mhbar(model_b, g_eff))
     for M in flagged:
         assert M.reflection_symmetric
-        assert np.array_equal(M.entries[np.ix_(rev, rev)], M.entries)
+        A = M.dense()
+        assert np.array_equal(A[np.ix_(rev, rev)], A)
 
     bumped = g.x_nodes[3]
 
@@ -159,7 +160,7 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
                   for L in (L_a, L_b) for side in ("left", "right")]
     for M in unflagged:
         assert not M.reflection_symmetric
-    assert unflagged[2].entries.dtype == np.complex128
+    assert unflagged[2].dense().dtype == np.complex128
 
 
 def test_uneven_multiplier_keeps_complex_circulant():
@@ -177,7 +178,7 @@ def test_assemble_h_scaling(model_a):
     # subtracting the h-order potential leaves the pure multiplier, whose
     # spectrum lies inside [0, sup a]
     g = pdwell.make_grid(8.0, 128, 0.07)
-    M = pdwell.assemble_L(model_a, g).entries.copy()
+    M = pdwell.assemble_L(model_a, g).dense()
     M[np.diag_indices_from(M)] -= g.h * model_a.potential(g.x_nodes)
     C = pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g)
     assert np.max(np.abs(M - C)) < 1e-14
@@ -213,7 +214,7 @@ def test_apply_fourier_multiplier_shape_error(model_a):
 
 def test_parity_covariance_modela_exact(model_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
-    M = pdwell.assemble_L(model_a, g).entries
+    M = pdwell.assemble_L(model_a, g).dense()
     rev = pdwell.reverse_indices(128)
     M_refl = M[np.ix_(rev, rev)]
     assert np.linalg.norm(M_refl - M) <= 1e-14 * np.linalg.norm(M)
@@ -237,7 +238,7 @@ def test_parity_covariance_modelb_seam_decays(model_b):
 def test_operator_norm_bound(model_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_L(model_a, g)
-    top = float(np.max(np.abs(eigvalsh(M.entries))))
+    top = float(np.max(np.abs(eigvalsh(M.dense()))))
     bound = (float(np.max(model_a.a(g.eta_fft)))
              + g.h * float(np.max(model_a.potential(g.x_nodes))))
     assert top <= bound + 1e-10
@@ -315,7 +316,7 @@ def test_dump_load_roundtrip(model_a, tmp_path):
         pdwell.dump_matrix(M, f)
     entries, N, h = pdwell.load_matrix(path)
     assert N == 128 and h == 0.07
-    assert np.array_equal(entries, M.entries)
+    assert np.array_equal(entries, M.dense())
 
 
 def test_load_matrix_bad_inputs(tmp_path):

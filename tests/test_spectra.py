@@ -44,7 +44,7 @@ def test_eigenpair_contracts(model_a, grid05):
     pairs = pdwell.lowest_eigenpairs(M, 4)
     values = [p.value for p in pairs]
     assert values == sorted(values)
-    scale = np.linalg.norm(M.entries)
+    scale = np.linalg.norm(M.dense())
     for p in pairs:
         assert p.residual <= 1e-10 * scale
         norm = np.sqrt(grid05.dx * np.sum(np.abs(p.vector)**2))
@@ -100,7 +100,7 @@ def test_lapack_failure_in_parity_sectors_is_numeric_error():
 
 def test_lapack_failure_in_dense_solve_is_numeric_error():
     # the 9 x 9 even block of the operator above, solved whole, fails the same way
-    A = _scalar_even_operator().entries
+    A = _scalar_even_operator().dense()
     rev = pdwell.reverse_indices(16)
     d = np.ones(9)
     d[[0, 8]] = np.sqrt(0.5)
@@ -111,12 +111,13 @@ def test_lapack_failure_in_dense_solve_is_numeric_error():
         pdwell.lowest_eigenpairs(M, 8)
 
 
-def test_wrong_reflection_flag_fails_residual_contract(model_b):
-    # ModelB's L_h is close to, not exactly, reflection symmetric; solved in
-    # parity sectors its vectors miss the full-matrix residual contract
+def test_wrong_reflection_flag_fails_residual_contract(model_a, seal_a):
+    # the sealed one-well operator is a circulant plus a diagonal that is not
+    # reflection symmetric; solved in parity sectors its vectors miss the
+    # full-matrix residual contract
     g = pdwell.make_grid(8.0, 128, 0.07)
-    M = pdwell.assemble_L(model_b, g)
-    assert not M.reflection_symmetric
+    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, g), "left", seal_a)
+    assert M.entries is None and not M.reflection_symmetric
     with pytest.raises(NumericError):
         pdwell.lowest_eigenpairs(dataclasses.replace(M, reflection_symmetric=True), 2)
 
@@ -255,7 +256,7 @@ def test_logsumexp_matches_scipy(rng, case):
 
 
 def test_solves_leave_their_operators_unchanged(model_a, model_b, seal_a):
-    """The solver overwrites only its own copy: entries (and a one-well
+    """The solver overwrites only its own copy: entries or column (and
     diagonal) are bit for bit the same after lowest_eigenpairs on every
     path, the real parity sectors, the real and the complex full solve."""
     g = pdwell.make_grid(8.0, 128, 0.07)
@@ -266,17 +267,15 @@ def test_solves_leave_their_operators_unchanged(model_a, model_b, seal_a):
     ops += [pdwell.assemble_onewell(L, "left", seal_a) for L in (L_a, L_b)]
     assert [M.reflection_symmetric for M in ops] == [True, False, True, False, False]
     for M in ops:
-        before = M.entries.copy()
-        diagonal = None if M.diagonal is None else M.diagonal.copy()
+        held = [a for a in (M.entries, M.column, M.diagonal) if a is not None]
+        before = [a.copy() for a in held]
         pdwell.lowest_eigenpairs(M, 3)
-        assert np.array_equal(M.entries, before)
-        if diagonal is not None:
-            assert np.array_equal(M.diagonal, diagonal)
+        assert all(np.array_equal(a, b) for a, b in zip(held, before))
 
 
 def test_onewell_shares_L_and_applies_as_dense(model_a, model_b, seal_a):
-    """assemble_onewell copies no N x N array, and its operator applies as
-    the dense L_h + h diag(k)."""
+    """assemble_onewell copies no N x N array or column, and its operator
+    applies as the dense L_h + h diag(k)."""
     eps = np.finfo(float).eps
     g = pdwell.make_grid(8.0, 128, 0.07)
     rng = np.random.default_rng(0)
@@ -286,8 +285,8 @@ def test_onewell_shares_L_and_applies_as_dense(model_a, model_b, seal_a):
         L = pdwell.assemble_L(model, g)
         for side, x in (("left", g.x_nodes), ("right", -g.x_nodes)):
             ow = pdwell.assemble_onewell(L, side, seal_a)
-            assert np.shares_memory(ow.entries, L.entries)
-            dense = L.entries.copy()
+            assert ow.entries is L.entries and ow.column is L.column
+            dense = L.dense()
             dense[np.diag_indices_from(dense)] += g.h * seal_a.evaluator(x)
             assert np.array_equal(ow.dense(), dense)
             for v in (v_real, v_complex):

@@ -175,7 +175,7 @@ def test_gram_route_gets_the_interaction_states(pairs05, chi_a, onewell05,
     assert np.array_equal(seen[0][0], f_l)
     assert np.array_equal(seen[0][1], f_r)
     assert f_r[0] == f_l[0] != 0.0
-    assert w_h == g.inner(M.entries @ f_l - ow.value * f_l, f_r)
+    assert w_h == g.inner(M.apply(f_l) - ow.value * f_l, f_r)
     assert overlap == g.inner(f_l, f_r)
 
 

@@ -223,7 +223,7 @@ def test_onewell_zero_seal_equals_double_well(model_a, grid05):
                            support=(1.0, 1.0), height=0.0, eta=0.4)
     M = pdwell.assemble_L(model_a, grid05)
     M_ow = pdwell.assemble_onewell(M, "left", zero)
-    assert np.array_equal(M_ow.dense(), M.entries)
+    assert np.array_equal(M_ow.dense(), M.dense())
 
 
 def test_onewell_side_error(model_a, grid05, seal_a):
