@@ -26,8 +26,7 @@ from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
 from .tunneling import (gram_reduction, interaction_asymptotic,
                         interaction_term, overlap_cutoff)
-from .harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
-                      SweepReport, build_model, format_value,
-                      load_config, run_sweep)
+from .harness import (SWEEP_COLUMNS, SweepConfig, SweepReport, build_model,
+                      fit_action, format_value, load_config, run_sweep)
 
 __version__ = "0.1.0"

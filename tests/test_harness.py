@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from pdwell import ConfigurationError, harness
-from pdwell.cli import main
-from pdwell.harness import (SPLITTING_COLUMNS, SWEEP_COLUMNS, SweepConfig,
-                            auto_points, build_model, format_value,
-                            load_config, run_sweep, sweep_objects)
+from pdwell.harness import (SWEEP_COLUMNS, SweepConfig, auto_points,
+                            build_model, format_value, load_config, run_sweep,
+                            sweep_objects)
 
 
 def test_config_rejects_empty_h_list():
@@ -149,21 +148,17 @@ def test_sweep_report_shape(sweep_report):
         assert row["gap12"] == row["lambda2"] - row["lambda1"]
         assert row["gap23"] == row["lambda3"] - row["lambda2"]
     assert sweep_report.flags == []
-    assert sweep_report.fits is not None
-    assert sweep_report.fits_corrected is not None
+    assert sweep_report.fit is not None
 
 
 def test_sweep_fit_slope(sweep_report, consts_a):
-    # the raw log-gap fit at desk scale lands far from -S; freeze what it
-    # actually produces so drift is caught
-    slope, _ = sweep_report.fits
-    assert slope < 0
-    assert abs(-slope - consts_a.S) / consts_a.S > 0.25
-    assert abs(slope - (-1.81)) < 0.05
-    # removing the h^(5/4) prefactor pulls the slope toward -S
-    slope_c, _ = sweep_report.fits_corrected
-    assert slope < slope_c < 0
-    assert abs(-slope_c - consts_a.S) < abs(-slope - consts_a.S)
+    # log(gap12 / h^(5/4)) = log A - S/hbar + alpha hbar over the desk rows;
+    # freeze what it produces so drift is caught
+    S, log_A, alpha = sweep_report.fit
+    assert abs(S - 1.29933) < 1e-4
+    assert abs(log_A - 1.44311) < 1e-4
+    assert abs(alpha - (-1.57188)) < 1e-4
+    assert abs(S - consts_a.S) / consts_a.S < 0.05
 
 
 def test_single_h_no_fits_and_deterministic_csv(model_a, tmp_path):
@@ -174,8 +169,7 @@ def test_single_h_no_fits_and_deterministic_csv(model_a, tmp_path):
     rep1 = run_sweep(cfg1)
     rep2 = run_sweep(cfg2)
     assert len(rep1.rows) == 1
-    assert rep1.fits is None
-    assert rep1.fits_corrected is None
+    assert rep1.fit is None
     b1 = (out1 / "sweep.csv").read_bytes()
     b2 = (out2 / "sweep.csv").read_bytes()
     assert b1 == b2
@@ -204,13 +198,6 @@ def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch
 
     run_sweep(SweepConfig(h_list=(0.09,), out_dir=str(tmp_path / "one")))
     assert calls == {"lowest_eigenpairs": 3, "assemble_L": 1}
-
-    # pdwell splitting runs the same row, two rows here
-    calls.update(lowest_eigenpairs=0, assemble_L=0)
-    cfg = tmp_path / "two.ini"
-    cfg.write_text(f"[sweep]\nh_list = 0.09 0.08\n[output]\ndir = {tmp_path / 'two'}\n")
-    assert main(["splitting", str(cfg)]) == 0
-    assert calls == {"lowest_eigenpairs": 6, "assemble_L": 2}
 
 
 def test_one_row_samples_the_agmon_weight_once(monkeypatch):
