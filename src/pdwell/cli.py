@@ -4,9 +4,10 @@ Subcommands mirror the pipeline stages: validate a model, print spectra at
 one h, dump WKB profiles, tabulate the effective operator, and run the sweep
 that compares the measured splitting with its predictions. Exit codes:
 0 success, 2 configuration error, 3 numeric failure (in sweep, after the
-last row if a row raised), 4 failed acceptance check (--check only).
-`run`, the process entry, freezes the ~40,000 objects the numpy and scipy
-imports leave, so no collection walks them again, even at exit; `main` does not.
+last row if a row raised), 4 failed acceptance check (--check only). `main`
+reads the config once and passes it on: cmd_*(args, cfg). `run`, the process
+entry, freezes the ~40,000 objects the numpy and scipy imports leave, so no
+collection walks them again, even at exit; `main` does not.
 """
 
 from __future__ import annotations
@@ -23,37 +24,30 @@ import numpy as np
 from .effective import assemble_Mhbar, classical_splitting_formula
 from .errors import ConfigurationError, EvaluationError, NumericError
 from .harness import (build_model, format_value, load_config, open_output,
-                      run_sweep, sweep_objects, validated_model)
+                      run_sweep, sweep_phase, validated_model)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix
-from .spectra import lowest_eigenpairs
+from .spectra import gap_near_residual, lowest_eigenpairs
 from .wkb import assemble_onewell, sealing_function, wkb_quasimode
 
 DEFAULT_HBAR_LIST = (0.35, 0.30, 0.25, 0.20, 0.15)
 
 
-def cmd_validate(args) -> int:
-    cfg = load_config(args.config)
+def cmd_validate(args, cfg) -> int:
     m = build_model(cfg)
     report = validate_model(m)
     for line in report.lines():
         print(line)
     if report.passed:
         c = derived_constants(m)
-        print(f"a2 = {c.a2:.12g}")
-        print(f"V2 = {c.V2:.12g}")
-        print(f"c0 = {c.c0:.12g}")
-        print(f"kappa = {c.kappa:.12g}")
-        print(f"S = {c.S:.12g}")
-        print(f"A = {c.A:.12g}")
-        print(f"b_inf = {c.b_inf:.12g}")
+        for name in ("a2", "V2", "c0", "kappa", "S", "A", "b_inf"):
+            print(f"{name} = {getattr(c, name):.12g}")
     if args.check and not report.passed:
         return 4
     return 0
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
+def cmd_spectrum(args, cfg) -> int:
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
     g = cfg.grid_for(args.h)
@@ -75,29 +69,27 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def cmd_wkb(args) -> int:
-    cfg = load_config(args.config)
-    s = sweep_objects(cfg)
+def cmd_wkb(args, cfg) -> int:
+    phase = sweep_phase(cfg)
     g = cfg.grid_for(args.h)
-    q = wkb_quasimode(s.model, g, s.phase)
+    q = wkb_quasimode(phase.model, g, phase)
     x, u = g.x_nodes, q.amplitude
     path = os.path.join(cfg.out_dir, f"wkb_h{args.h:g}.csv")
     with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "phi_l", "phi_l_trunc", "re_u10", "im_u10", "psi_wkb"])
-        phit = np.asarray(s.phase.truncated_evaluator(x))
+        phit = np.asarray(phase.truncated_evaluator(x))
         for j in range(g.n_points):
             writer.writerow([format_value(x[j]), format_value(q.phi[j]),
                              format_value(phit[j]), format_value(u[j].real),
                              format_value(u[j].imag), format_value(q.vector[j].real)])
-    print(f"# A_window = {s.phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
+    print(f"# A_window = {phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
           f"lambda_wkb = {q.lambda_wkb:.12g}")
     print(path)
     return 0
 
 
-def cmd_effective(args) -> int:
-    cfg = load_config(args.config)
+def cmd_effective(args, cfg) -> int:
     m = validated_model(cfg)
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
     grids = [cfg.grid_for(hbar) for hbar in hbars]
@@ -110,17 +102,17 @@ def cmd_effective(args) -> int:
         for hbar, g in zip(hbars, grids):
             pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 4)
             gap = pairs[1].value - pairs[0].value
+            flag = int(gap_near_residual(pairs, "effective gap"))
             formula = classical_splitting_formula(m, hbar)
             row = [hbar] + [p.value for p in pairs] + [gap, formula, gap/formula]
             writer.writerow([format_value(v) for v in row])
             print(f"hbar = {hbar:g}  gap12 = {gap:.6e}  formula = {formula:.6e}  "
-                  f"ratio = {gap/formula:.4f}")
+                  f"ratio = {gap/formula:.4f}  flag = {flag}")
     print(path)
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg) -> int:
     report = run_sweep(cfg)
     for r in report.rows:
         print(f"h = {r['h']:g}  gap12 = {format_value(r['gap12'])}  "
@@ -149,7 +141,7 @@ def cmd_sweep(args) -> int:
             print("check failed: too few unflagged rows for the action fit",
                   file=sys.stderr)
             return 4
-        S = derived_constants(sweep_objects(cfg).model).S
+        S = derived_constants(sweep_phase(cfg).model).S
         rel = abs(report.fit[0] - S) / S
         if not (rel <= 0.05):
             print(f"check failed: fitted action {report.fit[0]:.6f} deviates "
@@ -197,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Sweep orchestration: configuration, per-h pipeline, analytics, CSV.
 
-A sweep validates the model once, then runs the full pipeline (grid,
-operators, spectra, WKB diagnostics, tunneling comparison) at each h in a
-strictly decreasing list; `pdwell sweep` runs it. Rows run one after
-another and are written to CSV in h order, every float printed with 17
+A sweep validates the model and builds the left Agmon phase once
+(sweep_phase), then runs the full pipeline (grid, operators, spectra, WKB
+diagnostics, tunneling comparison) at each h in a strictly decreasing list;
+`pdwell sweep` runs it. Rows run one after another in run_sweep, the only
+loop over h, and are written to CSV in h order, every float printed with 17
 significant digits so two runs of one config are bit-identical. A failure at
 one h flags that row and the sweep continues. The action S is fitted once,
 from the finished rows.
@@ -17,7 +18,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,12 +29,12 @@ from .quantize import Grid, assemble_L, auto_points, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
                       lowest_eigenpairs, parity_of, spatial_tail)
 from .tunneling import interaction_asymptotic, interaction_term, overlap_cutoff
-from .wkb import (AgmonPhase, SealingFunction, agmon_phase, assemble_onewell,
-                  quasimode_residual, sealing_function, wkb_quasimode)
+from .wkb import (AgmonPhase, agmon_phase, assemble_onewell, quasimode_residual,
+                  sealing_function, wkb_quasimode)
 
 __all__ = [
-    "SweepConfig", "SweepReport", "SweepObjects", "load_config",
-    "build_model", "validated_model", "sweep_objects", "run_sweep",
+    "SweepConfig", "SweepReport", "load_config", "build_model",
+    "validated_model", "sweep_phase", "run_sweep",
     "open_output", "SWEEP_COLUMNS", "format_value", "fit_action",
 ]
 
@@ -111,17 +112,6 @@ def build_model(cfg: SweepConfig) -> Model:
     return builtin_model(cfg.model_name)
 
 
-@dataclass(frozen=True)
-class SweepObjects:
-    """The h-independent objects of a sweep: the validated model, the seal
-    closing the right well, the left Agmon phase (which caches the WKB
-    amplitude) and the overlap cutoff."""
-    model: Model
-    seal: SealingFunction
-    phase: AgmonPhase
-    chi_left: Callable
-
-
 def validated_model(cfg: SweepConfig) -> Model:
     """Build the config's model; a failed assumption is a ConfigurationError."""
     m = build_model(cfg)
@@ -133,18 +123,18 @@ def validated_model(cfg: SweepConfig) -> Model:
 
 
 @functools.lru_cache(maxsize=1)
-def sweep_objects(cfg: SweepConfig) -> SweepObjects:
-    """Validate the model and build the h-independent objects, once per config.
+def sweep_phase(cfg: SweepConfig) -> AgmonPhase:
+    """Validate the model and build the left Agmon phase, once per config.
 
+    The phase holds the validated model and the seal closing the right well
+    (.model, .seal) and caches the WKB amplitude; none of them depends on h.
     The cache is keyed on the frozen config, so run_sweep, each row, `pdwell
-    sweep --check` and `pdwell wkb` share one build of the Agmon phase, whose
-    Phi~ and amplitude span the grid window.
+    sweep --check` and `pdwell wkb` share one build, whose Phi~ and amplitude
+    span the grid window.
     """
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    phase = agmon_phase(m, seal, "left", span=cfg.L / 2)
-    return SweepObjects(model=m, seal=seal, phase=phase,
-                        chi_left=overlap_cutoff(phase, seal))
+    return agmon_phase(m, seal, "left", span=cfg.L / 2)
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +173,12 @@ def load_config(path) -> SweepConfig:
     """Read an INI config; an unknown section or key is a ConfigurationError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file {path}: "
                                  f"{str(exc).splitlines()[0]}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8: {exc}") from exc
     if not read:
         raise ConfigurationError(f"cannot read config file {path}")
     if parser.defaults():
@@ -217,17 +209,17 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
     M_hbar, on its own grid at hbar = sqrt(h), for the theorem prediction.
-    The h-independent objects come from sweep_objects, built once for all
-    rows.
+    The model, seal and Agmon phase come from sweep_phase, built once for
+    all rows.
     """
-    s = sweep_objects(cfg)
-    m = s.model
+    phase = sweep_phase(cfg)
+    m = phase.model
     g = cfg.grid_for(h)
     diagnostics = cfg.diagnostics
 
     M = assemble_L(m, g)
     pairs = lowest_eigenpairs(M, 3)
-    M_ow = assemble_onewell(M, "left", s.seal)
+    M_ow = assemble_onewell(M, "left", phase.seal)
     ow_pairs = lowest_eigenpairs(M_ow, 3)
 
     row = {c: math.nan for c in SWEEP_COLUMNS}
@@ -242,14 +234,14 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
         row[f"lambda_ow{n}"] = pair.value
 
     if "wkb" in diagnostics:
-        q = wkb_quasimode(m, g, s.phase)
+        q = wkb_quasimode(m, g, phase)
         row["wkb_lambda"] = q.lambda_wkb
         row["norm_raw"] = q.norm_raw
         row["wkb_residual"] = quasimode_residual(M_ow, q)
         row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
     if "tunneling" in diagnostics:
-        w_h, overlap, gram_gap = interaction_term(M, pairs, ow_pairs[0],
-                                                  s.chi_left)
+        w_h, overlap, gram_gap = interaction_term(
+            M, pairs, ow_pairs[0], overlap_cutoff(phase, phase.seal))
     # L_h, which the one-well operator shares, is freed before gap_Mhbar
     # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
     # peak memory of a row by one N x N matrix
@@ -267,20 +259,12 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
 
     if "localization" in diagnostics:
         xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
-        phi_trunc = s.phase.truncated_evaluator(g.x_nodes)
+        phi_trunc = phase.truncated_evaluator(g.x_nodes)
         for n, pair in enumerate(ow_pairs, start=1):
             row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
             row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
             row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc, 0.2)
     return row
-
-
-def _sweep_row_safe(cfg: SweepConfig, h: float) -> dict:
-    try:
-        return _sweep_row(cfg, h)
-    except Exception as exc:  # crash isolation: flag the row, keep sweeping
-        return {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "h": h,
-                "precision_flag": 1, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def open_output(path: str, mode: str = "w", make_dirs: bool = True):
@@ -330,14 +314,18 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     A row that raises is written as nan with precision_flag = 1, and its
     error text goes to the report's flags; the other rows still run.
     """
-    sweep_objects(cfg)   # validates the model before the output is opened
+    sweep_phase(cfg)   # validates the model before the output is opened
 
     rows = []
     with open_output(os.path.join(cfg.out_dir, "sweep.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
         for h in cfg.h_list:
-            row = _sweep_row_safe(cfg, h)
+            try:
+                row = _sweep_row(cfg, h)
+            except Exception as exc:  # crash isolation: flag the row, keep sweeping
+                row = {**dict.fromkeys(SWEEP_COLUMNS, math.nan), "h": h,
+                       "precision_flag": 1, "error": f"{type(exc).__name__}: {exc}"}
             rows.append(row)
             writer.writerow([format_value(row[c]) for c in SWEEP_COLUMNS])
             fh.flush()

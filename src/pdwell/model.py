@@ -457,21 +457,37 @@ def _parse(expr: str) -> ast.Expression:
         raise ConfigurationError(f"malformed expression {expr!r}: {detail}") from None
 
 
+class _FloatLiterals(ast.NodeTransformer):
+    """Replace each numeric literal by a name bound to it as a float64."""
+
+    def __init__(self):
+        self.values = {}
+
+    def visit_Constant(self, node):
+        name = f"_c{len(self.values)}"
+        self.values[name] = np.float64(node.value)
+        return ast.copy_location(ast.Name(name, ast.Load()), node)
+
+
 def parse_symbol(expr: str, variables=("x", "xi")):
     """Compile a polynomial/rational expression into a vectorized evaluator.
 
     Only +, -, *, /, integer ** and the given variable names are accepted;
     anything else (calls, attributes, subscripts, malformed syntax) raises
-    ConfigurationError.
+    ConfigurationError. Literals evaluate as float64, as x and xi do: 10**400
+    is inf, never a Python big integer, and the caller reports it.
     """
     tree = _parse(expr)
     _check_node(tree, set(variables))
-    code = compile(tree, "<symbol>", "eval")
+    literals = _FloatLiterals()
+    code = compile(literals.visit(tree), "<symbol>", "eval")
+    scope = {"__builtins__": {}, **literals.values}
 
     def evaluator(*args):
         env = {name: np.asarray(arg, dtype=float)
                for name, arg in zip(variables, args)}
-        return eval(code, {"__builtins__": {}}, env)
+        with np.errstate(all="ignore"):
+            return eval(code, scope, env)
 
     evaluator.expression = expr
     return evaluator

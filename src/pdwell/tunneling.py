@@ -1,13 +1,15 @@
 """Tunneling splitting: interaction term, 2x2 reduction, and predictions.
 
 The exponentially small gap lambda_2 - lambda_1 of the double-well operator,
-read from its lowest eigenpairs, is compared against three independent
-routes:
+read from its lowest eigenpairs, is compared against three routes:
 
   * the interaction term w_h = <(L_h - mu) f_l, f_r> built from cut-off
     one-well ground states, predicting a gap of 2|w_h|;
   * the 2x2 Gram reduction of the quadratic form onto the projected
-    states g_* = Pi_h f_*, with the same f_l and f_r;
+    states g_* = Pi_h f_*, with the same f_l and f_r. It is not
+    independent: Pi_h projects onto the two lowest eigenvectors of L_h,
+    so it returns lambda_2 - lambda_1 by construction (to 5.1e-12 on
+    the default rows), and a check of it tests that identity;
   * the asymptotics: the effective operator's gap at hbar = sqrt(h)
     (effective.gap_Mhbar) and the closed-form interaction_asymptotic.
 

@@ -62,6 +62,19 @@ def test_unconverged_quadrature_exits_3(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+def test_oversized_literal_power_exits_3(tmp_path, capsys):
+    # literals evaluate as float64, so 10**400 is inf and the symbol check
+    # names the point, where a Python big integer overflowed the conversion
+    cfg = _write(tmp_path,
+                 "[model]\nname = custom\n"
+                 "a_expr = xi**2/(1+xi**2) + xi*xi*10**400\n"
+                 "b_expr = (x**2-1)**2\nx_well = 1.0\n")
+    assert main(["validate", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite symbol a value at xi=")
+    assert len(err.splitlines()) == 1
+
+
 def test_malformed_expression_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path,
                  "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"
@@ -123,13 +136,16 @@ def test_spectrum_and_wkb_validate_model(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_config_error(tmp_path, capsys):
-    output = f"[output]\ndir = {tmp_path / 'out'}\n"
-    for body, named in (("[sweep]\nh_lsit = 0.09\n", "unknown key 'h_lsit' in [sweep]"),
-                        ("[sweeps]\nh_list = 0.09\n", "unknown section [sweeps]"),
-                        ("[DEFAULT]\nh_list = 0.09\n", "unknown section [DEFAULT]"),
-                        ("h_list = 0.09\n", "File contains no section headers")):
-        cfg = _write(tmp_path, body + output)
-        assert main(["sweep", cfg]) == 2
+    output = f"[output]\ndir = {tmp_path / 'out'}\n".encode()
+    for body, named in ((b"[sweep]\nh_lsit = 0.09\n", "unknown key 'h_lsit' in [sweep]"),
+                        (b"[sweeps]\nh_list = 0.09\n", "unknown section [sweeps]"),
+                        (b"[DEFAULT]\nh_list = 0.09\n", "unknown section [DEFAULT]"),
+                        (b"h_list = 0.09\n", "File contains no section headers"),
+                        (b"\xff\xfe[sweep]\n", "is not UTF-8: 'utf-8' codec can't "
+                                              "decode byte 0xff in position 0")):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(body + output)
+        assert main(["sweep", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert named in err
@@ -163,6 +179,16 @@ def test_effective_table(tmp_path, capsys):
     assert len(rows) == 3
     ratio = float(rows[1][-1])
     assert abs(ratio - 0.6916) < 1e-3
+
+
+def test_effective_flags_a_gap_near_the_residual(tmp_path, capsys):
+    # at hbar = 0.035 the gap, 4.8e-16, is within 100x of the residual
+    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")
+    with pytest.warns(pdwell.PrecisionWarning, match="effective gap"):
+        assert main(["effective", cfg, "--hbar-list", "0.2", "0.035"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-3:] for line in lines[:2]] == [["flag", "=", "0"],
+                                                         ["flag", "=", "1"]]
 
 
 def test_effective_honours_fixed_grid_size(tmp_path, capsys, monkeypatch):
@@ -209,6 +235,23 @@ def test_sweep_check_needs_three_unflagged_rows(tmp_path, capsys):
     assert "fit:" not in captured.out
 
 
+def _formula_rows(monkeypatch, S, flagged=(), overrides=None):
+    """Stub every sweep row with gap12 = h^(5/4) exp(-S / sqrt(h)), which
+    both routes reproduce; overrides maps an h to {column: multiple of gap12}."""
+    import pdwell.harness as harness
+
+    def stub(cfg, h):
+        gap = h**1.25 * np.exp(-S / np.sqrt(h))
+        row = {**{c: 1.0 for c in pdwell.SWEEP_COLUMNS}, "h": h,
+               "precision_flag": int(h in flagged), "gap12": gap,
+               "two_abs_wh": gap, "gram_gap": gap}
+        for column, value in (overrides or {}).get(h, {}).items():
+            row[column] = value * gap
+        return row
+
+    monkeypatch.setattr(harness, "_sweep_row", stub)
+
+
 @pytest.mark.parametrize("column, value", [
     ("two_abs_wh", 1.5), ("gram_gap", 1.1), ("two_abs_wh", np.nan),
 ], ids=["interaction", "gram", "interaction_nan"])
@@ -216,23 +259,35 @@ def test_sweep_check_fails_on_a_row_bound(tmp_path, capsys, monkeypatch, consts_
                                           column, value):
     # the gaps follow the formula with the true action, so only the row's
     # bound can fail the gate
-    import pdwell.harness as harness
-
-    def stub(cfg, h):
-        gap = h**1.25 * np.exp(-consts_a.S / np.sqrt(h))
-        row = {**{c: 1.0 for c in pdwell.SWEEP_COLUMNS}, "h": h, "precision_flag": 0,
-               "gap12": gap, "two_abs_wh": gap, "gram_gap": gap}
-        if h == 0.07:
-            row[column] = value * gap
-        return row
-
-    monkeypatch.setattr(harness, "_sweep_row", stub)
+    _formula_rows(monkeypatch, consts_a.S, overrides={0.07: {column: value}})
     cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.07 0.05\n"
                            f"[output]\ndir = {tmp_path / 'out'}\n")
     assert main(["sweep", cfg, "--check"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("check failed at h = 0.07: interaction deviation ")
     assert main(["sweep", cfg]) == 0
+
+
+def test_sweep_check_skips_flagged_rows(tmp_path, capsys, monkeypatch, consts_a):
+    # the flagged row breaks both bounds; the three others carry the fit
+    _formula_rows(monkeypatch, consts_a.S, flagged=(0.07,),
+                  overrides={0.07: {"two_abs_wh": np.nan, "gram_gap": np.nan}})
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.08 0.07 0.05\n"
+                           f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["sweep", cfg, "--check"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_check_fails_on_the_fitted_action(tmp_path, capsys, monkeypatch,
+                                                consts_a):
+    # every row meets its bounds, but the gaps decay with 1.2 S
+    _formula_rows(monkeypatch, 1.2 * consts_a.S)
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09 0.07 0.05\n"
+                           f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["sweep", cfg, "--check"]) == 4
+    err = capsys.readouterr().err
+    assert err == ("check failed: fitted action 1.544489 deviates 20.0% "
+                   "from S = 1.287074\n")
 
 
 def test_spectrum_and_effective_build_no_phase(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from pdwell import ConfigurationError, harness
 from pdwell.harness import (SWEEP_COLUMNS, SweepConfig, auto_points,
                             build_model, format_value, load_config, run_sweep,
-                            sweep_objects)
+                            sweep_phase)
 
 
 def test_config_rejects_empty_h_list():
@@ -203,7 +203,7 @@ def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch
 def test_one_row_samples_the_agmon_weight_once(monkeypatch):
     # agmon_1..3 share one sampling of the truncated phase on the row's nodes
     cfg = SweepConfig(h_list=(0.09,))
-    phase = sweep_objects(cfg).phase
+    phase = sweep_phase(cfg)
     calls = []
 
     def counted(x, _original=phase.truncated_evaluator):

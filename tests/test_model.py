@@ -163,9 +163,17 @@ def test_modelb_xi_derivative_on_axis(model_b, rng):
 
 def test_parse_symbol_rejects_bad_syntax():
     for expr in ("sin(x)", "x**2.5", "x + y", "__import__('os')",
-                 "x.real", "x[0]", "lambda t: t", "(x**2-1", "x +* 2"):
+                 "x.real", "x[0]", "lambda t: t", "(x**2-1", "x +* 2",
+                 "x % 2", "~x", '"a"'):
         with pytest.raises(ConfigurationError):
             pdwell.parse_symbol(expr)
+
+
+def test_parse_symbol_literals_are_float64():
+    # 10**400 overflows to inf, as numpy's power of a float64 x would, and
+    # is never formed as a Python big integer
+    f = pdwell.parse_symbol("x*10**400")
+    assert f(np.array([1.0, -1.0]), 0.0).tolist() == [np.inf, -np.inf]
 
 
 def test_parse_symbol_matches_closed_form(model_a, rng):

@@ -201,6 +201,13 @@ def test_agmon_delta_at_well(grid05, phi05):
         assert abs(val - 1.0) < 1e-9
 
 
+def test_agmon_zero_vector_has_zero_norm(grid05, phi05):
+    # log|v| is -inf at every node, so no finite contribution is left
+    zero = pdwell.Eigenpair(value=0.0, vector=np.zeros(grid05.n_points, complex),
+                            residual=0.0)
+    assert pdwell.agmon_weighted_norm(zero, grid05, phi05, 0.2) == 0.0
+
+
 def test_agmon_eps_domain(grid05, phi05, onewell05):
     _, pairs = onewell05
     for eps in (0.0, -0.2, 1.5):

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 import pdwell
 from pdwell import ConfigurationError, NumericError
-from pdwell.harness import SweepConfig, sweep_objects
+from pdwell.harness import SweepConfig, sweep_phase
 from pdwell.wkb import CumulativeIntegral, SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
@@ -92,8 +92,8 @@ def test_smoothstep_saturated_ramp_evaluates_no_bump(counted_tables):
 
 
 def _sweep_phase():
-    # the phase sweep_objects builds, past its cache so the build is counted
-    return sweep_objects.__wrapped__(SweepConfig()).phase
+    # the phase sweep_phase builds, past its cache so the build is counted
+    return sweep_phase.__wrapped__(SweepConfig())
 
 
 def test_grid_nodes_are_table_edges(model_a, seal_a, counted_tables):
@@ -136,7 +136,7 @@ def test_sweep_tables_span_the_grid_window(counted_tables):
 def test_sweep_phase_reads_like_the_default_phase(phase_a_left):
     # every table accumulates outward from the well, so the sweep's narrower
     # tables give the default-span values bit for bit at the grid nodes
-    phase = sweep_objects(SweepConfig()).phase
+    phase = sweep_phase(SweepConfig())
     assert (phase.span, phase_a_left.span) == (4.0, 12.0)
     for N in (512, 1024, 2048):
         x = pdwell.make_grid(8.0, N, 0.05).x_nodes
