@@ -1,0 +1,74 @@
+"""scipy's compiled LAPACK and BLAS wrappers, without `import scipy.linalg`.
+
+That import loads numpy.f2py, numpy.testing and numpy.ma through scipy's
+array-API layer (0.28 s, 320 modules). The two f2py extensions are loaded
+from scipy's directory instead, under their own sys.modules names, so a later
+`import scipy.linalg` shares them. Each function passes the arguments of the
+scipy.linalg call its docstring names, so results are the same bytes.
+"""
+
+import importlib.util
+import os
+import sys
+from importlib.machinery import PathFinder
+
+import numpy as np
+from numpy.linalg import LinAlgError
+
+
+def _extension(name: str):
+    if name not in sys.modules:
+        scipy = PathFinder.find_spec("scipy")
+        spec = scipy and PathFinder.find_spec(
+            name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
+        if spec is None:
+            raise ImportError(f"pdwell needs {name}", name=name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+_flapack = _extension("scipy.linalg._flapack")
+_fblas = _extension("scipy.linalg._fblas")
+
+
+def _call(routine, *args, **kwargs):
+    """routine's outputs but its info flag, under scipy's checks: non-finite
+    input (where scipy raised ValueError) and info != 0 raise LinAlgError."""
+    if not all(np.isfinite(a).all() for a in args):
+        raise LinAlgError("array must not contain infs or NaNs")
+    *out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise LinAlgError(f"LAPACK {routine.__name__} failed with info = {info}")
+    return out
+
+
+def _evr(a: np.ndarray, **kwargs):
+    """(w, v, m) of ?syevr / ?heevr on a's lower triangle, scipy's workspace."""
+    cplx = np.iscomplexobj(a)
+    name = "zheevr" if cplx else "dsyevr"
+    sizes = _call(getattr(_flapack, name + "_lwork"), a.shape[0], lower=1)
+    keys = ("lwork", "lrwork", "liwork") if cplx else ("lwork", "liwork")
+    kwargs.update(zip(keys, (int(s.real) for s in sizes)))
+    return _call(getattr(_flapack, name), a, lower=1, **kwargs)[:3]
+
+
+def eigh(a: np.ndarray, k: int, overwrite_a: bool = False):
+    """scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=...)."""
+    w, v, m = _evr(a, compute_v=1, range="I", il=1, iu=k, overwrite_a=overwrite_a)
+    return w[:m], v[:, :m]
+
+
+def eigvalsh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """scipy.linalg.eigvalsh(a), or eigvalsh(a, b) by ?sygvd / ?hegvd."""
+    if b is None:
+        return _evr(a, compute_v=0)[0]
+    name = "zhegvd" if np.iscomplexobj(a) or np.iscomplexobj(b) else "dsygvd"
+    return _call(getattr(_flapack, name), a, b, itype=1, jobz="N", uplo="L")[0]
+
+
+def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x as get_blas_funcs("gemv", (a, x))(1.0, a.T, x, trans=1): a
+    C-ordered a goes in as its Fortran-ordered transpose, uncopied."""
+    cplx = np.iscomplexobj(a) or np.iscomplexobj(x)
+    return (_fblas.zgemv if cplx else _fblas.dgemv)(1.0, a.T, x, trans=1)

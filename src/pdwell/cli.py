@@ -6,8 +6,10 @@ that compares the measured splitting with its predictions. Exit codes:
 0 success, 2 configuration error, 3 numeric failure (in sweep, after the
 last row if a row raised), 4 failed acceptance check (--check only). `main`
 reads the config once and passes it on: cmd_*(args, cfg). `run`, the process
-entry, freezes the ~40,000 objects the numpy and scipy imports leave, so no
-collection walks them again, even at exit; `main` does not.
+entry, freezes the ~22,000 objects the imports leave, so no collection walks
+them again, even at exit, and prints each warning (a PrecisionWarning, say)
+as one stderr line, without the source line warnings adds; `main` does
+neither.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import gc
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -200,6 +203,8 @@ def main(argv=None) -> int:
 
 def run() -> None:
     gc.freeze()
+    warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                     file=sys.stderr)
     sys.exit(main())
 
 

@@ -23,11 +23,11 @@ U: x -> -x; the result records it (reflection_symmetric) and
 spectra.lowest_eigenpairs then solves its two parity sectors separately.
 
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
-Products of a dense matrix with a vector go through scipy's BLAS
-(OperatorMatrix.apply), the library that also runs the eigensolves; circulant
-products use numpy's FFT and N x N norms an einsum (frobenius_norm), neither
-of which calls BLAS. numpy's pool then stays idle instead of spinning its
-workers against scipy's.
+Products of a dense matrix with a vector call scipy's compiled gemv
+(OperatorMatrix.apply, through _lapack, without importing scipy.linalg), the
+library that also runs the eigensolves; circulant products use numpy's FFT
+and N x N norms an einsum (frobenius_norm), neither of which calls BLAS.
+numpy's pool then stays idle instead of spinning its workers against scipy's.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import get_blas_funcs
 
+from ._lapack import gemv
 from .errors import ConfigurationError
 from .model import Model, SymbolA, _finite
 
@@ -162,7 +162,7 @@ class OperatorMatrix:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """M @ v: by FFT of the off-diagonal column plus diagonal * v, or by
-        scipy's gemv on entries.T, Fortran-contiguous, with trans=1."""
+        scipy's compiled gemv on entries.T, Fortran-contiguous, trans=1."""
         if self.entries is None:
             off = self.column.copy()
             off[0] = 0.0
@@ -171,8 +171,7 @@ class OperatorMatrix:
             else:
                 out = np.fft.irfft(np.fft.rfft(off) * np.fft.rfft(v), self.N)
             return out + self.diagonal * v
-        gemv = get_blas_funcs("gemv", (self.entries, v))
-        out = gemv(1.0, self.entries.T, v, trans=1)
+        out = gemv(self.entries, v)
         return out if self.diagonal is None else out + self.diagonal * v
 
 

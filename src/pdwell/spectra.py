@@ -19,8 +19,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
+from ._lapack import eigh
 from .errors import ConfigurationError, NumericError, PrecisionWarning
 from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
 
@@ -75,7 +75,7 @@ def _parity_sectors(M: OperatorMatrix, k: int):
             block *= d
             block *= d[:, None]
         n = min(k, block.shape[0])
-        v, y = eigh(block.T, subset_by_index=(0, n - 1), overwrite_a=True)
+        v, y = eigh(block.T, n, overwrite_a=True)
         del block
         lifted = np.zeros((N, n), dtype=y.dtype)
         if parity > 0:
@@ -97,8 +97,8 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     returned vector is exactly even or odd and, by Eigenpair's tie-break,
     positive at its lowest-index peak. Every vector must meet the residual
     contract against the full matrix; a wrong reflection flag therefore
-    raises NumericError instead of returning a wrong spectrum. So does a
-    LAPACK failure inside the solver.
+    raises NumericError instead of returning a wrong spectrum. So do a nan
+    residual, a non-finite entry and a LAPACK failure inside the solver.
     """
     N = M.N
     if not 1 <= k <= N:
@@ -112,7 +112,7 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
             # overwrites; for a circulant it is the only N x N array
             A = M.dense(order="F")
             scale = frobenius_norm(A)
-            vals, vecs = eigh(A, subset_by_index=(0, k - 1), overwrite_a=True)
+            vals, vecs = eigh(A, k, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed on N = {N}, k = {k}: {exc}") from exc
     dx = M.grid.dx
@@ -120,7 +120,8 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     for i in range(k):
         col = vecs[:, i]
         resid = float(np.linalg.norm(M.apply(col) - vals[i] * col))
-        if resid > RESIDUAL_RTOL * max(scale, 1e-300):
+        # written as not (resid <= bound), so a nan residual fails the contract
+        if not (resid <= RESIDUAL_RTOL * max(scale, 1e-300)):
             raise NumericError(
                 f"eigensolver residual {resid:.3e} exceeds "
                 f"{RESIDUAL_RTOL:.0e} * ||M||_F = {RESIDUAL_RTOL*scale:.3e}")

@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
+from ._lapack import eigvalsh
 from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices

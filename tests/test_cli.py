@@ -3,8 +3,10 @@
 import ast
 import csv
 import gc
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -189,6 +191,20 @@ def test_effective_flags_a_gap_near_the_residual(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[-3:] for line in lines[:2]] == [["flag", "=", "0"],
                                                          ["flag", "=", "1"]]
+
+
+def test_entry_prints_each_precision_warning_on_one_line(tmp_path):
+    # warnings' default format added a second line, `  warnings.warn(`
+    cfg = _write(tmp_path, f"[output]\ndir = {tmp_path / 'out'}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pdwell.cli", "effective", cfg,
+         "--hbar-list", "0.2", "0.04", "0.035"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0
+    assert [line.split()[-1] for line in done.stdout.splitlines()[:3]] == ["0", "1", "1"]
+    lines = done.stderr.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("warning: effective gap ") for line in lines)
 
 
 def test_effective_honours_fixed_grid_size(tmp_path, capsys, monkeypatch):

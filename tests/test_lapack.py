@@ -1,0 +1,130 @@
+"""The LAPACK/BLAS binding returns scipy.linalg's bytes and shares its modules.
+
+scipy.linalg stays the oracle: every binding call must equal, byte for byte,
+the scipy.linalg call it stands in for. Derandomized: every run draws the
+same matrices.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import LinAlgError
+from scipy.linalg.blas import get_blas_funcs
+
+from pdwell import _lapack
+
+SRC = pathlib.Path(_lapack.__file__).resolve().parent.parent
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40)
+
+
+def _same(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _hermitian(rng, n, cplx):
+    A = rng.standard_normal((n, n))
+    if cplx:
+        A = A + 1j * rng.standard_normal((n, n))
+    return A + A.conj().T
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n))
+    cplx = draw(st.booleans())
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k, cplx
+
+
+@PROPERTY
+@given(problems())
+def test_eigh_subset_matches_scipy(problem):
+    rng, n, k, cplx = problem
+    A = _hermitian(rng, n, cplx)
+    for got, ref in zip(_lapack.eigh(A, k),
+                        scipy.linalg.eigh(A, subset_by_index=(0, k - 1))):
+        _same(got, ref)
+    # overwrite_a on a Fortran-ordered copy: same pairs, same scribbled input
+    mine, theirs = np.asfortranarray(A), np.asfortranarray(A)
+    for got, ref in zip(_lapack.eigh(mine, k, overwrite_a=True),
+                        scipy.linalg.eigh(theirs, subset_by_index=(0, k - 1),
+                                          overwrite_a=True)):
+        _same(got, ref)
+    _same(mine, theirs)
+
+
+@PROPERTY
+@given(problems(), st.booleans())
+def test_eigvalsh_matches_scipy(problem, b_cplx):
+    rng, n, _, cplx = problem
+    A = _hermitian(rng, n, cplx)
+    B = _hermitian(rng, n, b_cplx) + 4.0 * n * np.eye(n)   # positive definite
+    _same(_lapack.eigvalsh(A), scipy.linalg.eigvalsh(A))
+    _same(_lapack.eigvalsh(A, B), scipy.linalg.eigvalsh(A, B))
+
+
+@PROPERTY
+@given(problems(), st.booleans())
+def test_gemv_matches_scipy(problem, v_cplx):
+    rng, n, _, cplx = problem
+    A = _hermitian(rng, n, cplx) + rng.standard_normal((n, n))
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if v_cplx else 0.0)
+    ref = get_blas_funcs("gemv", (A, v))(1.0, A.T, v, trans=1)
+    _same(_lapack.gemv(A, v), ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_linalg_error(bad):
+    A = np.eye(3)
+    A[2, 1] = bad
+    with pytest.raises(LinAlgError, match="infs or NaNs"):
+        _lapack.eigh(A, 1)
+    with pytest.raises(LinAlgError, match="infs or NaNs"):
+        _lapack.eigvalsh(A)
+    with pytest.raises(LinAlgError, match="infs or NaNs"):
+        _lapack.eigvalsh(np.eye(3), A)
+
+
+def test_failed_factorization_is_linalg_error():
+    # B is not positive definite: ?sygvd reports info > n
+    with pytest.raises(LinAlgError, match="info = "):
+        _lapack.eigvalsh(np.eye(2), -np.eye(2))
+
+
+SHARED = ("assert sys.modules['scipy.linalg._flapack'] is b._flapack; "
+          "assert s.lapack.dsyevr is b._flapack.dsyevr; "
+          "assert s.blas.dgemv is b._fblas.dgemv; "
+          "import numpy as np; "
+          "assert list(s.eigh(np.diag([2.0, 1.0]), eigvals_only=True)) == [1.0, 2.0]")
+
+
+@pytest.mark.parametrize("order", [
+    "import pdwell._lapack as b; import scipy.linalg as s",
+    "import scipy.linalg as s; import pdwell._lapack as b",
+], ids=["pdwell_first", "scipy_first"])
+def test_one_extension_module_in_either_import_order(order):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", f"import sys; {order}; {SHARED}"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_missing_extension_is_import_error(tmp_path):
+    # a scipy without the compiled wrappers, first on the path
+    (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    env = {**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{SRC}"}
+    done = subprocess.run([sys.executable, "-c", "import pdwell"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "ImportError: pdwell needs scipy.linalg._flapack" in done.stderr

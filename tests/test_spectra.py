@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import pdwell
-from pdwell import ConfigurationError, NumericError, PrecisionWarning
+from pdwell import ConfigurationError, NumericError, PrecisionWarning, spectra
 from pdwell.quantize import OperatorMatrix
 from pdwell.spectra import _logsumexp
 
@@ -120,6 +120,33 @@ def test_wrong_reflection_flag_fails_residual_contract(model_a, seal_a):
     assert M.entries is None and not M.reflection_symmetric
     with pytest.raises(NumericError):
         pdwell.lowest_eigenpairs(dataclasses.replace(M, reflection_symmetric=True), 2)
+
+
+@pytest.mark.parametrize("name", ["ModelB", "ModelA"],
+                         ids=["dense", "parity_sectors"])
+def test_nan_eigenvector_fails_residual_contract(monkeypatch, name):
+    # a nan residual fails `resid > bound` too, so the pair came back
+    # with residual = nan and only a RuntimeWarning
+    solve = spectra.eigh
+
+    def nan_column(a, k, overwrite_a=False):
+        w, v = solve(a, k, overwrite_a=overwrite_a)
+        v[:, 0] = np.nan
+        return w, v
+
+    monkeypatch.setattr(spectra, "eigh", nan_column)
+    M = pdwell.assemble_L(pdwell.builtin_model(name),
+                          pdwell.make_grid(8.0, 256, 0.05))
+    assert M.reflection_symmetric == (name == "ModelA")
+    with pytest.raises(NumericError, match="residual nan"):
+        pdwell.lowest_eigenpairs(M, 2)
+
+
+def test_non_finite_matrix_is_numeric_error(g64):
+    A = np.eye(64)
+    A[3, 2] = np.nan
+    with pytest.raises(NumericError, match="infs or NaNs"):
+        pdwell.lowest_eigenpairs(_wrap(A, g64), 1)
 
 
 def test_parity_trivial_vectors(g64):
