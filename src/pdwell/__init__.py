@@ -10,10 +10,9 @@ from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
 from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
                     action_integral, builtin_model, custom_model,
                     derived_constants, parse_symbol, validate_model)
-from .quantize import (Grid, OperatorMatrix, apply_fourier_multiplier,
-                       assemble_L, auto_points, dump_matrix,
-                       fourier_multiplier_matrix, frobenius_norm, load_matrix,
-                       make_grid, reverse_indices, weyl_matrix)
+from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,
+                       dump_matrix, fourier_multiplier_matrix, frobenius_norm,
+                       load_matrix, make_grid, reverse_indices, weyl_matrix)
 from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
                       spatial_tail)

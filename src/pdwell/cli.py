@@ -60,8 +60,7 @@ def cmd_spectrum(args, cfg) -> int:
             if args.dump_matrix else None)
     with dump or contextlib.nullcontext():
         M = assemble_L(m, g)
-        print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}  "
-              f"defect = {M.hermiticity_defect:.3e}")
+        print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}")
         M_ow = assemble_onewell(M, "left", seal)
         for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
             for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):

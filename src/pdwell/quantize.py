@@ -7,17 +7,20 @@ A symbol p(x, xi) becomes the dense matrix
 with eta_m = 2 pi h m / L for m = -N/2 .. N/2 - 1. Along an anti-diagonal
 j + k = c the midpoint is constant, so each anti-diagonal is one length-N
 inverse DFT of p(midpoint, .), done a small block at a time into the one
-N x N result; the full matrix costs O(N^2 log N). The eta-lattice is
-asymmetric (m = -N/2 present, +N/2 absent), which leaves a roundoff-sized
-Hermiticity defect; we record the defect and symmetrize in place, tile by tile.
+N x N result; the full matrix costs O(N^2 log N). Entries (j, c - j) and
+(c - j, j) read W_c[n] and W_c[-n] of one such DFT, and for a real symbol
+W_c[-n] = conj W_c[n] up to FFT roundoff. One rule makes every result
+exactly Hermitian: _symmetrize averages each inverse-DFT row with its
+reflected conjugate, (W[n] + conj W[-n]) * 0.5, before the scatter, which is
+0.5 (M + M^H) entry for entry with no pass over the N x N matrix.
 
 A multiplier a(xi) plus a diagonal h V(x) is held as the first column of its
 circulant and its main diagonal, O(N) numbers from which every product,
 norm, parity block and dense copy is made. A multiplier even on the lattice
 gives a real column (the inverse DFT of a real even sequence is real);
-symbols coupling x and xi stay complex Hermitian N x N matrices. The
-Hermitian part of a circulant is the circulant of the symmetrized column
-0.5 (col + conj(col[rev])), an O(N) symmetrization. When that column is real
+symbols coupling x and xi stay complex Hermitian N x N matrices. A
+circulant's column goes through the same _symmetrize, an O(N) average that
+gives the Hermitian part of the circulant. When that column is real
 and V is even bit for bit, the operator commutes exactly with the reflection
 U: x -> -x; the result records it (reflection_symmetric) and
 spectra.lowest_eigenpairs then solves its two parity sectors separately.
@@ -32,7 +35,6 @@ numpy's pool then stays idle instead of spinning its workers against scipy's.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 from dataclasses import dataclass, field
@@ -42,19 +44,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import gemv
 from .errors import ConfigurationError
-from .model import Model, SymbolA, _finite
+from .model import Model, _finite
 
 __all__ = [
     "Grid", "OperatorMatrix", "frobenius_norm", "auto_points", "make_grid",
-    "weyl_matrix", "assemble_L", "apply_fourier_multiplier",
-    "fourier_multiplier_matrix", "reverse_indices", "dump_matrix", "load_matrix",
+    "weyl_matrix", "assemble_L", "fourier_multiplier_matrix", "reverse_indices",
+    "dump_matrix", "load_matrix",
 ]
-
-logger = logging.getLogger(__name__)
-
-# pre-symmetrization Hermiticity defect above this (relative to ||M||_F)
-# sets the warning flag on the result
-DEFECT_RTOL = 1e-9
 
 # largest N auto_points tries; no dense matrix of this size fits in memory
 MAX_POINTS = 2**20
@@ -63,9 +59,6 @@ _MAGIC = b"PDOW"
 
 # anti-diagonals per FFT batch during assembly
 _BLOCK = 64
-
-# tile size of the in-place average in _symmetrize
-_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -111,12 +104,10 @@ class OperatorMatrix:
     exactly with the reflection U = reverse_indices, bit for bit; only the
     circulant builder sets it.
     """
-    hermiticity_defect: float
     grid: Grid
     entries: np.ndarray | None = field(default=None)
     column: np.ndarray | None = field(default=None)
     diagonal: np.ndarray | None = field(default=None)
-    defect_warning: bool = field(default=False)
     reflection_symmetric: bool = field(default=False)
 
     @property
@@ -232,37 +223,10 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
     return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
 
 
-def _flag_defect(M: OperatorMatrix, scale: float) -> OperatorMatrix:
-    """Flag M when its Hermiticity defect exceeds DEFECT_RTOL of scale."""
-    M.defect_warning = M.hermiticity_defect > DEFECT_RTOL * max(scale, 1e-300)
-    if M.defect_warning:
-        logger.warning("Hermiticity defect %.3e exceeds %.1e of ||M||_F=%.3e",
-                       M.hermiticity_defect, DEFECT_RTOL, scale)
-    else:
-        logger.debug("Hermiticity defect %.3e (||M||_F=%.3e)", M.hermiticity_defect, scale)
-    return M
-
-
-def _symmetrize(M: np.ndarray, grid: Grid) -> OperatorMatrix:
-    """Replace M in place by 0.5 (M + M^H), recording ||M - M^H||_F.
-
-    M is averaged one pair of tiles (I, J), (J, I) at a time, each entry as
-    (M_ij + conj M_ji) * 0.5, so besides M only a few tiles are live.
-    """
-    scale = frobenius_norm(M)
-    defect_sq = 0.0
-    for i in range(0, M.shape[0], _TILE):
-        for j in range(i, M.shape[0], _TILE):
-            P, Q = M[i:i + _TILE, j:j + _TILE], M[j:j + _TILE, i:i + _TILE]
-            QH = Q.conj().T
-            # the tile pair holds M - M^H twice, a diagonal tile once
-            defect_sq += (1 if i == j else 2) * frobenius_norm(P - QH) ** 2
-            # each side from its own entries: conj of P's average would flip
-            # the sign of its zero imaginary parts
-            avg = (P + QH) * 0.5
-            Q[...] = (Q + P.conj().T) * 0.5
-            P[...] = avg
-    return _flag_defect(OperatorMatrix(math.sqrt(defect_sq), grid, entries=M), scale)
+def _symmetrize(W: np.ndarray) -> None:
+    """Average each row W[..., n] in place with its reflected conjugate."""
+    W += np.conj(W[..., reverse_indices(W.shape[-1])])
+    W *= 0.5
 
 
 def weyl_matrix(p, g: Grid) -> OperatorMatrix:
@@ -283,10 +247,11 @@ def weyl_matrix(p, g: Grid) -> OperatorMatrix:
         P = _finite("symbol", p(mids[cs][:, None], eta[None, :]),
                     x=mids[cs], xi=eta)
         W = np.fft.ifft(P, axis=1)
+        _symmetrize(W)
         # (i, js) for every entry j + k = cs[i] with 0 <= k < N
         i, js = np.nonzero((j <= cs[:, None]) & (j > cs[:, None] - N))
         M[js, cs[i] - js] = W[i, (2*js - cs[i]) % N]
-    return _symmetrize(M, g)
+    return OperatorMatrix(g, entries=M)
 
 
 def _multiplier_column(a, g: Grid) -> np.ndarray:
@@ -294,7 +259,8 @@ def _multiplier_column(a, g: Grid) -> np.ndarray:
     vals = _finite("multiplier", a(g.eta_fft), xi=g.eta_fft)
     col = np.fft.ifft(vals)
     even = np.array_equal(vals, vals[reverse_indices(g.n_points)])
-    return col.real if even else col
+    # a contiguous array, not a strided view into the complex one
+    return col.real.copy() if even else col
 
 
 def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
@@ -303,36 +269,21 @@ def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
 
 
 def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> OperatorMatrix:
-    """Symmetrized circulant of the multiplier a(xi) plus the diagonal coupling V(x).
+    """Hermitian circulant of the multiplier a(xi) plus the diagonal coupling V(x).
 
-    C[j, k] = col[(j - k) mod N], so C^H is the circulant of conj(col[rev]):
-    the symmetrized column gives _symmetrize's 0.5 (M + M^H) bit for bit,
-    and each entry of col - conj(col[rev]) occurs N times in M - M^H (the
-    real diagonal, c_0 + coupling V, cancels). The result commutes exactly
-    with the reflection when the column is real (its symmetrized form is
-    then even) and V[rev] == V.
+    C[j, k] = col[(j - k) mod N], so C^H is the circulant of conj(col[rev]),
+    and the column _symmetrize averages gives 0.5 (C + C^H) bit for bit. The
+    result commutes exactly with the reflection when the column is real (its
+    symmetrized form is then even) and V[rev] == V.
     """
     N = g.n_points
-    rev = reverse_indices(N)
     col = _multiplier_column(a, g)
+    _symmetrize(col)
     V = np.broadcast_to(_finite("potential", potential(g.x_nodes), x=g.x_nodes),
                         (N,))
-    adjoint = np.conj(col[rev])
-    column = 0.5 * (col + adjoint)
-    M = OperatorMatrix(math.sqrt(N) * float(np.linalg.norm(col - adjoint)), g,
-                       column=column, diagonal=column[0].real + coupling * V,
-                       reflection_symmetric=(not np.iscomplexobj(col)
-                                             and np.array_equal(V, V[rev])))
-    return _flag_defect(M, M.frobenius_norm())
-
-
-def apply_fourier_multiplier(a: SymbolA, g: Grid, v: np.ndarray) -> np.ndarray:
-    """Apply a(xi)^w to a vector: DFT, pointwise multiply, inverse DFT."""
-    v = np.asarray(v)
-    if v.shape != (g.n_points,):
-        raise ConfigurationError(
-            f"vector length {v.shape} does not match grid N={g.n_points}")
-    return np.fft.ifft(np.asarray(a(g.eta_fft), dtype=float) * np.fft.fft(v))
+    symmetric = not np.iscomplexobj(col) and np.array_equal(V, V[reverse_indices(N)])
+    return OperatorMatrix(g, column=col, diagonal=col[0].real + coupling * V,
+                          reflection_symmetric=symmetric)
 
 
 def assemble_L(m: Model, g: Grid) -> OperatorMatrix:

@@ -89,11 +89,11 @@ def test_criterion_01_quantization_exactness(model_a, model_b, check):
     dev_four = float(np.max(np.abs(
         four.entries - pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g))))
     M = pdwell.assemble_L(model_b, g)
-    rel_defect = M.hermiticity_defect / np.linalg.norm(M.entries)
-    ok = dev_mult <= 1e-12 and dev_four <= 1e-12 and rel_defect <= 1e-9
+    hermitian = np.array_equal(M.entries, M.entries.conj().T)
+    ok = dev_mult <= 1e-12 and dev_four <= 1e-12 and hermitian
     check(1, ok,
           f"multiplication dev {dev_mult:.2e}, multiplier dev {dev_four:.2e} "
-          f"(both <= 1e-12); hermiticity defect {rel_defect:.2e} rel (<= 1e-9)")
+          f"(both <= 1e-12); ModelB's L_h == L_h^H exactly: {hermitian}")
 
 
 def test_criterion_02_harmonic_oracle(check):

@@ -15,7 +15,7 @@ from scipy.linalg import circulant, eigh
 import pdwell
 from pdwell import ConfigurationError
 from pdwell.model import CumulativeIntegral
-from pdwell.quantize import _circulant_plus_diagonal, _symmetrize
+from pdwell.quantize import _circulant_plus_diagonal
 
 EPS = np.finfo(float).eps
 
@@ -196,16 +196,12 @@ def test_column_symmetrization_matches_full_matrix(ca, cv, g, odd):
     def V(x):
         return _poly(cv, x)
 
-    fast = _circulant_plus_diagonal(a, V, g.h, g)
+    got = _circulant_plus_diagonal(a, V, g.h, g).dense()
     M = pdwell.fourier_multiplier_matrix(a, g)
     M[np.diag_indices_from(M)] += g.h * V(g.x_nodes)
-    adjoint = M.conj().T
-    expected = 0.5 * (M + adjoint)
-    defect = np.linalg.norm(M - adjoint)
-    for got in (fast, _symmetrize(M.copy(), g)):
-        assert got.dense().dtype == expected.dtype
-        assert np.array_equal(got.dense(), expected)
-        assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+    expected = 0.5 * (M + M.conj().T)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def _take_blocks(A):
@@ -267,7 +263,7 @@ def _any_grid(N, h, L=8.0):
 def _weyl_oracle(p, g):
     """The assembly route the lean one replaced: blocks of 512
     anti-diagonals, a loop over anti-diagonals, then 0.5 (M + M^H) with the
-    full adjoint. Returns the entries and ||M - M^H||_F."""
+    full adjoint."""
     N = g.n_points
     eta = g.eta_fft
     mids = -g.length/2.0 + np.arange(2*N - 1) * (g.dx/2.0)
@@ -279,20 +275,17 @@ def _weyl_oracle(p, g):
         for i, c in enumerate(cs):
             js = np.arange(max(0, c - N + 1), min(c, N - 1) + 1)
             M[js, c - js] = W[i, (2*js - c) % N]
-    adjoint = M.conj().T
-    return 0.5 * (M + adjoint), np.linalg.norm(M - adjoint)
+    return 0.5 * (M + M.conj().T)
 
 
 def _assert_matches_oracle(p, g):
     got = pdwell.weyl_matrix(p, g)
-    entries, defect = _weyl_oracle(p, g)
     # bytes, not values, so that the signs of zeros must agree too
-    assert got.entries.tobytes() == entries.tobytes()
-    assert math.isclose(got.hermiticity_defect, defect, rel_tol=1e-12)
+    assert got.entries.tobytes() == _weyl_oracle(p, g).tobytes()
 
 
-# sizes the 64-wide blocks and tiles do not divide (2N - 1 anti-diagonals
-# never; N = 2, 8, 96 not at all), one that they do (512)
+# sizes below and above one 64-wide block; 2N - 1 anti-diagonals always
+# leave the last block part full
 ODD_SIZES = (2, 8, 96, 512)
 
 

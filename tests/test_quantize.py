@@ -6,7 +6,7 @@ from scipy.linalg import circulant, eigh, eigvalsh
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError
-from pdwell.quantize import DEFECT_RTOL
+from pdwell.quantize import _circulant_plus_diagonal, _symmetrize
 
 
 def _dft(N):
@@ -59,7 +59,6 @@ def test_weyl_constant_symbol_is_identity():
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.weyl_matrix(lambda x, xi: np.ones(np.broadcast(x, xi).shape), g)
     assert np.max(np.abs(M.entries - np.eye(128))) < 1e-12
-    assert M.hermiticity_defect < 1e-12
 
 
 def test_weyl_multiplication_operator(model_a):
@@ -79,17 +78,26 @@ def test_weyl_fourier_multiplier_diagonalized(model_a):
     assert np.max(np.abs(M.entries - C)) < 1e-12
 
 
-def test_symmetrized_matrix_exactly_hermitian(model_b, grid05):
-    M = pdwell.weyl_matrix(lambda x, xi: model_b.b(x, xi), grid05)
-    assert np.array_equal(M.entries, M.entries.conj().T)
-    scale = np.linalg.norm(M.entries)
-    assert M.hermiticity_defect <= DEFECT_RTOL * scale
-    assert not M.defect_warning
+def test_symmetrized_matrix_exactly_hermitian(model_a, model_b, grid05):
+    # the anti-diagonal Weyl route (ModelB) and the circulant (ModelA), with
+    # no cleanup pass after assembly
+    for g in (pdwell.make_grid(8.0, 8, 0.05, xi_min=0.0),
+              pdwell.make_grid(8.0, 64, 0.05, xi_min=0.0), grid05,
+              pdwell.make_grid(8.0, 1024, 0.05)):
+        for M in (pdwell.weyl_matrix(lambda x, xi: model_b.b(x, xi), g),
+                  pdwell.assemble_L(model_b, g), pdwell.assemble_L(model_a, g)):
+            A = M.dense()
+            assert np.array_equal(A, A.conj().T)
 
 
-def test_modelb_assembly_defect_small(model_b, grid05):
-    M = pdwell.assemble_L(model_b, grid05)
-    assert M.hermiticity_defect <= 1e-10
+def test_symmetrize_rows_conjugate_even(rng):
+    rev = pdwell.reverse_indices(16)
+    for W in (rng.standard_normal((3, 16)) + 1j*rng.standard_normal((3, 16)),
+              rng.standard_normal(16)):
+        expected = (W + np.conj(W[..., rev])) * 0.5
+        _symmetrize(W)
+        assert W.tobytes() == expected.tobytes()
+        assert np.array_equal(W[..., rev], np.conj(W))
 
 
 def test_assemble_split_vs_weyl(model_a):
@@ -188,28 +196,25 @@ def test_assemble_h_scaling(model_a):
 
 
 def test_apply_fourier_multiplier(model_a, rng):
+    # a(xi)^w applied by the product of a zero-potential circulant
     g = pdwell.make_grid(8.0, 128, 0.07)
-    zero = pdwell.apply_fourier_multiplier(
-        pdwell.SymbolA(lambda xi: 0.0*np.asarray(xi, dtype=float)),
-        g, rng.standard_normal(128))
+
+    def multiplier(a):
+        return _circulant_plus_diagonal(a, lambda x: 0.0 * x, 0.0, g)
+
+    zero = multiplier(lambda xi: 0.0*np.asarray(xi, dtype=float)).apply(
+        rng.standard_normal(128))
     assert np.max(np.abs(zero)) == 0.0
 
+    A = multiplier(model_a.a.evaluator)
     m0 = 17
     mode = np.exp(2j*np.pi*m0*np.arange(128)/128)
-    out = pdwell.apply_fourier_multiplier(model_a.a, g, mode)
     eig = float(model_a.a(np.array(g.eta_fft[m0])))
-    assert np.max(np.abs(out - eig*mode)) < 1e-12
+    assert np.max(np.abs(A.apply(mode) - eig*mode)) < 1e-12
 
     v = rng.standard_normal(128) + 1j*rng.standard_normal(128)
     dense = pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g) @ v
-    fast = pdwell.apply_fourier_multiplier(model_a.a, g, v)
-    assert np.max(np.abs(dense - fast)) < 1e-12
-
-
-def test_apply_fourier_multiplier_shape_error(model_a):
-    g = pdwell.make_grid(8.0, 128, 0.07)
-    with pytest.raises(ConfigurationError):
-        pdwell.apply_fourier_multiplier(model_a.a, g, np.zeros(64))
+    assert np.max(np.abs(dense - A.apply(v))) < 1e-12
 
 
 def test_parity_covariance_modela_exact(model_a):

@@ -13,8 +13,7 @@ from pdwell.spectra import _logsumexp
 
 
 def _wrap(entries, g):
-    return OperatorMatrix(entries=np.asarray(entries, dtype=np.complex128),
-                          hermiticity_defect=0.0, grid=g)
+    return OperatorMatrix(entries=np.asarray(entries, dtype=np.complex128), grid=g)
 
 
 def _pair(vector, g):
@@ -106,7 +105,7 @@ def test_lapack_failure_in_dense_solve_is_numeric_error():
     d[[0, 8]] = np.sqrt(0.5)
     block = (A[:9, :9] + A[:9, rev[:9]]) * d * d[:, None]
     g = dataclasses.replace(pdwell.make_grid(8.0, 16, 1/64, xi_min=0.001), n_points=9)
-    M = OperatorMatrix(entries=block, hermiticity_defect=0.0, grid=g)
+    M = OperatorMatrix(entries=block, grid=g)
     with pytest.raises(NumericError, match=r"N = 9, k = 8"):
         pdwell.lowest_eigenpairs(M, 8)
 
