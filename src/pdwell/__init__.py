@@ -7,20 +7,19 @@ splitting against its effective-operator and closed-form predictions.
 
 from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
                      NumericError, PrecisionWarning)
-from .model import (Model, ModelConstants, SymbolA, SymbolB, ValidationReport,
-                    action_integral, builtin_model, custom_model,
-                    derived_constants, parse_symbol, validate_model)
+from .model import (CumulativeIntegral, Model, ModelConstants, SymbolA,
+                    SymbolB, ValidationReport, action_integral, builtin_model,
+                    custom_model, derived_constants, parse_symbol,
+                    validate_model)
 from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,
-                       dump_matrix, fourier_multiplier_matrix, frobenius_norm,
-                       load_matrix, make_grid, reverse_indices, weyl_matrix)
+                       dump_matrix, frobenius_norm, load_matrix, make_grid,
+                       reverse_indices, weyl_matrix)
 from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
                       spatial_tail)
-from .wkb import (AgmonPhase, CumulativeIntegral, SealingFunction,
-                  WkbQuasimode, agmon_phase, assemble_onewell, bump,
-                  eikonal_residual, quasimode_residual, sealing_function,
-                  smoothstep, transport_residual, wkb_eigenvalue,
-                  wkb_quasimode)
+from .wkb import (AgmonPhase, SealingFunction, WkbQuasimode, agmon_phase,
+                  assemble_onewell, bump, quasimode_residual, sealing_function,
+                  smoothstep, wkb_quasimode)
 from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
 from .tunneling import (gram_reduction, interaction_asymptotic,

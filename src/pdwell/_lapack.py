@@ -2,9 +2,11 @@
 
 That import loads numpy.f2py, numpy.testing and numpy.ma through scipy's
 array-API layer (0.28 s, 320 modules). The two f2py extensions are loaded
-from scipy's directory instead, under their own sys.modules names, so a later
-`import scipy.linalg` shares them. Each function passes the arguments of the
-scipy.linalg call its docstring names, so results are the same bytes.
+from scipy's directory instead and kept here, out of sys.modules, so a later
+`import scipy.linalg` loads them itself and binds them as its attributes;
+both loads share one set of routine objects. Each function passes the
+arguments of the scipy.linalg call its docstring names, so results are the
+same bytes.
 """
 
 import importlib.util
@@ -17,15 +19,19 @@ from numpy.linalg import LinAlgError
 
 
 def _extension(name: str):
-    if name not in sys.modules:
-        scipy = PathFinder.find_spec("scipy")
-        spec = scipy and PathFinder.find_spec(
-            name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
-        if spec is None:
-            raise ImportError(f"pdwell needs {name}", name=name)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = PathFinder.find_spec("scipy")
+    spec = scipy and PathFinder.find_spec(
+        name, [os.path.join(scipy.submodule_search_locations[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"pdwell needs {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension registers itself; left there, scipy.linalg would import
+    # it without setting the package attribute scipy.linalg._flapack
+    sys.modules.pop(name, None)
+    return module
 
 
 _flapack = _extension("scipy.linalg._flapack")

@@ -74,7 +74,7 @@ def cmd_spectrum(args, cfg) -> int:
 def cmd_wkb(args, cfg) -> int:
     phase = sweep_phase(cfg)
     g = cfg.grid_for(args.h)
-    q = wkb_quasimode(phase.model, g, phase)
+    q = wkb_quasimode(g, phase)
     x, u = g.x_nodes, q.amplitude
     path = os.path.join(cfg.out_dir, f"wkb_h{args.h:g}.csv")
     with open_output(path) as fh:

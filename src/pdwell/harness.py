@@ -234,14 +234,14 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
         row[f"lambda_ow{n}"] = pair.value
 
     if "wkb" in diagnostics:
-        q = wkb_quasimode(m, g, phase)
+        q = wkb_quasimode(g, phase)
         row["wkb_lambda"] = q.lambda_wkb
         row["norm_raw"] = q.norm_raw
         row["wkb_residual"] = quasimode_residual(M_ow, q)
         row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
     if "tunneling" in diagnostics:
         w_h, overlap, gram_gap = interaction_term(
-            M, pairs, ow_pairs[0], overlap_cutoff(phase, phase.seal))
+            M, pairs, ow_pairs[0], overlap_cutoff(phase))
     # L_h, which the one-well operator shares, is freed before gap_Mhbar
     # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
     # peak memory of a row by one N x N matrix

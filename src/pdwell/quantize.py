@@ -48,8 +48,7 @@ from .model import Model, _finite
 
 __all__ = [
     "Grid", "OperatorMatrix", "frobenius_norm", "auto_points", "make_grid",
-    "weyl_matrix", "assemble_L", "fourier_multiplier_matrix", "reverse_indices",
-    "dump_matrix", "load_matrix",
+    "weyl_matrix", "assemble_L", "reverse_indices", "dump_matrix", "load_matrix",
 ]
 
 # largest N auto_points tries; no dense matrix of this size fits in memory
@@ -65,8 +64,8 @@ _BLOCK = 64
 class Grid:
     """Periodic spatial grid with the matched discrete momentum lattice.
 
-    x_nodes[j] = -L/2 + j dx and eta_nodes[m'] = 2 pi h m / L for
-    m = -N/2 .. N/2 - 1 (ascending). The pairing satisfies
+    x_nodes[j] = -L/2 + j dx and eta_m = 2 pi h m / L for m = -N/2 .. N/2 - 1
+    (eta_fft, in FFT order). The pairing satisfies
     exp(i (x_j - x_k) eta_m / h) = exp(2 pi i m (j - k)/N) exactly.
     """
     n_points: int
@@ -74,7 +73,6 @@ class Grid:
     h: float
     dx: float
     x_nodes: np.ndarray
-    eta_nodes: np.ndarray
 
     @property
     def cutoff(self) -> float:
@@ -218,9 +216,7 @@ def make_grid(L: float, N: int, h: float, xi_min: float = 3.0) -> Grid:
             f"smallest admissible power of two is N = {n_min}")
     dx = L / N
     x = -L/2.0 + dx * np.arange(N)
-    m = np.arange(-N//2, N//2)
-    eta = 2.0*np.pi*h/L * m
-    return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x, eta_nodes=eta)
+    return Grid(n_points=N, length=L, h=h, dx=dx, x_nodes=x)
 
 
 def _symmetrize(W: np.ndarray) -> None:
@@ -261,11 +257,6 @@ def _multiplier_column(a, g: Grid) -> np.ndarray:
     even = np.array_equal(vals, vals[reverse_indices(g.n_points)])
     # a contiguous array, not a strided view into the complex one
     return col.real.copy() if even else col
-
-
-def fourier_multiplier_matrix(a, g: Grid) -> np.ndarray:
-    """Dense circulant of the multiplier a(eta); real if a is even on the lattice."""
-    return np.array(_circulant_view(_multiplier_column(a, g)))
 
 
 def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> OperatorMatrix:

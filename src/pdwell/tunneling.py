@@ -28,7 +28,7 @@ from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices
 from .spectra import Eigenpair
-from .wkb import AgmonPhase, SealingFunction, smoothstep
+from .wkb import AgmonPhase, smoothstep
 
 __all__ = [
     "overlap_cutoff", "interaction_term", "gram_reduction",
@@ -36,12 +36,13 @@ __all__ = [
 ]
 
 
-def overlap_cutoff(phase: AgmonPhase, seal: SealingFunction) -> Callable:
+def overlap_cutoff(phase: AgmonPhase) -> Callable:
     """Smooth cutoff chi_left = 1 on [-A, x_r - 2 eta], vanishing left of
-    -2A and right of x_r - eta; the right state is the grid reflection of
-    the left one, so no right cutoff is built."""
+    -2A and right of x_r - eta, with eta the width of phase's seal; the
+    right state is the grid reflection of the left one, so no right cutoff
+    is built."""
     A = phase.A_window
-    eta = seal.eta
+    eta = phase.seal.eta
     x_r = phase.model.x_right
 
     def chi_left(x):

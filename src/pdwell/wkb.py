@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,11 +30,9 @@ from .model import CumulativeIntegral, Model, _fd1, _fd2, derived_constants, smo
 from .quantize import Grid, OperatorMatrix
 
 __all__ = [
-    "SealingFunction", "AgmonPhase", "WkbQuasimode",
-    "bump", "smoothstep", "CumulativeIntegral",
-    "sealing_function", "assemble_onewell", "agmon_phase",
-    "wkb_quasimode", "wkb_eigenvalue",
-    "eikonal_residual", "transport_residual", "quasimode_residual",
+    "SealingFunction", "AgmonPhase", "WkbQuasimode", "bump", "smoothstep",
+    "sealing_function", "assemble_onewell", "agmon_phase", "wkb_quasimode",
+    "quasimode_residual",
 ]
 
 # span of the phase table (it holds the 3A support of every cutoff) and
@@ -48,9 +46,6 @@ _SING_RADIUS = 1e-4
 
 # finite-difference steps for derivatives of the phase branch
 _FD_STEP = 1e-3
-
-# weights of the 8th-order centered first difference, offsets -4 .. 4
-_FD8_COEFF = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
 
 
 # --------------------------------------------------------------------------
@@ -67,8 +62,11 @@ def bump(t):
     return out
 
 
-_STEP_CUM: Optional[CumulativeIntegral] = None
-_STEP_MASS: float = 0.0
+@functools.cache
+def _step_table() -> tuple[CumulativeIntegral, float]:
+    """bump's cumulative table on [-1, 1] and its total mass, built on first use."""
+    table = CumulativeIntegral(bump, -1.0, 1.0, 256)
+    return table, float(table.cum[-1])
 
 
 def smoothstep(t):
@@ -78,11 +76,8 @@ def smoothstep(t):
     |t| < 1 off the table's cell edges evaluate bump; the flat parts cost a
     comparison each.
     """
-    global _STEP_CUM, _STEP_MASS
-    if _STEP_CUM is None:
-        _STEP_CUM = CumulativeIntegral(bump, -1.0, 1.0, 256)
-        _STEP_MASS = float(_STEP_CUM.cum[-1])
-    return _STEP_CUM(t) / _STEP_MASS
+    table, mass = _step_table()
+    return table(t) / mass
 
 
 # --------------------------------------------------------------------------
@@ -93,8 +88,6 @@ def smoothstep(t):
 class SealingFunction:
     """Nonnegative bump k closing the right well; k(-x) closes the left one."""
     evaluator: Callable[[np.ndarray], np.ndarray]
-    support: tuple
-    height: float
     eta: float
 
 
@@ -138,7 +131,7 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
         raise ConfigurationError(
             f"sealed landscape has a competing minimum at level {floor:.3e} "
             f"(well level {level:.3e}); increase the seal height above {hgt}")
-    return SealingFunction(evaluator=k, support=(x_r - w, x_r + w), height=hgt, eta=w)
+    return SealingFunction(evaluator=k, eta=w)
 
 
 def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
@@ -163,7 +156,6 @@ def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> Ope
 
 @dataclass
 class AgmonPhase:
-    side: str
     evaluator: Callable          # Phi
     truncated_evaluator: Callable  # Phi~, constant outside [-2A, 2A]
     A_window: float
@@ -253,7 +245,7 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left",
 
     phi_trunc = functools.partial(_read, _table(lambda s: chi0(s) * phi_prime(s), span, x_well))
 
-    return AgmonPhase(side=side, evaluator=phi, truncated_evaluator=phi_trunc,
+    return AgmonPhase(evaluator=phi, truncated_evaluator=phi_trunc,
                       A_window=float(A), derivative=phi_prime,
                       second_derivative=phi_second,
                       second_at_well=float(pref * consts.kappa),
@@ -309,14 +301,14 @@ class WkbQuasimode:
     amplitude: np.ndarray  # u_{1,0} at the grid nodes
 
 
-def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
+def wkb_quasimode(g: Grid, phase: AgmonPhase) -> WkbQuasimode:
     """Grid samples of h^(-1/8) chi(x) u_{1,0}(x) exp(-Phi(x)/sqrt(h)).
 
-    The well is phase's side. chi is 1 on [-2A, 2A] and vanishes outside
-    (-3A, 3A), so the quasimode agrees with the raw Ansatz wherever Phi~
-    still equals Phi.
+    The well and the model are phase's. chi is 1 on [-2A, 2A] and vanishes
+    outside (-3A, 3A), so the quasimode agrees with the raw Ansatz wherever
+    Phi~ still equals Phi.
     """
-    consts = derived_constants(m)
+    consts = derived_constants(phase.model)
     A = phase.A_window
     x = g.x_nodes
     chi = smoothstep(2.0*x/A + 5.0) * smoothstep(5.0 - 2.0*x/A)
@@ -327,58 +319,6 @@ def wkb_quasimode(m: Model, g: Grid, phase: AgmonPhase) -> WkbQuasimode:
     return WkbQuasimode(vector=raw / norm_raw,
                         lambda_wkb=float(consts.c0 * g.h**1.5),
                         norm_raw=norm_raw, phi=phi, amplitude=u)
-
-
-def wkb_eigenvalue(m: Model, h: float, n: int = 1) -> float:
-    """Ladder value (2n-1) c0 h^(3/2) of the leading quantization condition."""
-    if n < 1:
-        raise ConfigurationError(f"level index must be >= 1, got {n}")
-    consts = derived_constants(m)
-    return float((2*n - 1) * consts.c0 * h**1.5)
-
-
-def _fd8(f, xs, d):
-    """8th-order centered first difference of f at xs with step d."""
-    return sum(c * np.asarray(f(xs + off*d))
-               for c, off in zip(_FD8_COEFF, range(-4, 5)) if c != 0.0) / d
-
-
-def eikonal_residual(m: Model, phase: AgmonPhase, sample_xs, d: float = 2e-3) -> float:
-    """Residual of (Phi')^2 = (2/a''(0)) b_sealed(., 0) at the samples.
-
-    Phi' comes from an 8th-order differentiation of the cumulative phase
-    itself, not from the analytic branch, so this genuinely cross-checks
-    the quadrature against the defining identity.
-    """
-    xs = np.asarray(sample_xs, dtype=float)
-    consts = derived_constants(m)
-    dphi = _fd8(phase.evaluator, xs, d)
-    landscape = phase.branch(xs)**2
-    return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * landscape)))
-
-
-def transport_residual(m: Model, phase: AgmonPhase, sample_xs) -> float:
-    """Residual of the first transport equation at the sample points.
-
-    Evaluates | i Phi' d_xi b(x,0) u + (a2/2) Phi'' u + a2 Phi' u' - c0 u |
-    with u the leading amplitude and u' a high-order finite difference of
-    the amplitude callable. Samples must stay 1e-3 away from the well,
-    where Phi' vanishes and the equation degenerates.
-    """
-    xs = np.asarray(sample_xs, dtype=float)
-    if np.any(np.abs(xs - phase.x_well) < 1e-3):
-        raise ConfigurationError(
-            "sample points must exclude the 1e-3 ball around the well")
-    consts = derived_constants(m)
-    a2, c0 = consts.a2, consts.c0
-    u_of = phase.amplitude
-    u = u_of(xs)
-    du = _fd8(u_of, xs, 1e-3)
-    resid = (1j * np.asarray(phase.derivative(xs)) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
-             + 0.5 * a2 * np.asarray(phase.second_derivative(xs)) * u
-             + a2 * np.asarray(phase.derivative(xs)) * du
-             - c0 * u)
-    return float(np.max(np.abs(resid)))
 
 
 def quasimode_residual(M_onewell: OperatorMatrix, q: WkbQuasimode) -> float:

@@ -1,4 +1,8 @@
-"""Shared fixtures. The default sweep is expensive-ish, so it runs once."""
+"""Shared fixtures. The default sweep is expensive-ish, so it runs once.
+
+The eikonal and transport residuals are criterion 9's oracles. No program
+code runs them, so they live here, next to the checks that use them.
+"""
 
 import importlib
 import pathlib
@@ -76,6 +80,67 @@ def perfbench_module():
         finally:
             sys.path.remove(str(PERFBENCH))
     return load
+
+
+# weights of the 8th-order centered first difference, offsets -4 .. 4
+_FD8_COEFF = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
+
+
+def _fd8(f, xs, d):
+    """8th-order centered first difference of f at xs with step d."""
+    return sum(c * np.asarray(f(xs + off*d))
+               for c, off in zip(_FD8_COEFF, range(-4, 5)) if c != 0.0) / d
+
+
+def _eikonal_residual(phase, sample_xs, d=2e-3):
+    """Residual of (Phi')^2 = (2/a''(0)) b_sealed(., 0) at the samples.
+
+    Phi' comes from an 8th-order differentiation of the cumulative phase
+    itself, not from the analytic branch, so this genuinely cross-checks
+    the quadrature against the defining identity.
+    """
+    xs = np.asarray(sample_xs, dtype=float)
+    consts = pdwell.derived_constants(phase.model)
+    dphi = _fd8(phase.evaluator, xs, d)
+    landscape = phase.branch(xs)**2
+    return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * landscape)))
+
+
+def _transport_residual(phase, sample_xs):
+    """Residual of the first transport equation at the sample points.
+
+    Evaluates | i Phi' d_xi b(x,0) u + (a2/2) Phi'' u + a2 Phi' u' - c0 u |
+    with u the leading amplitude and u' a high-order finite difference of
+    the amplitude callable. Samples must stay 1e-3 away from the well,
+    where Phi' vanishes and the equation degenerates.
+    """
+    xs = np.asarray(sample_xs, dtype=float)
+    if np.any(np.abs(xs - phase.x_well) < 1e-3):
+        raise pdwell.ConfigurationError(
+            "sample points must exclude the 1e-3 ball around the well")
+    m = phase.model
+    consts = pdwell.derived_constants(m)
+    a2, c0 = consts.a2, consts.c0
+    u_of = phase.amplitude
+    u = u_of(xs)
+    du = _fd8(u_of, xs, 1e-3)
+    resid = (1j * np.asarray(phase.derivative(xs)) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
+             + 0.5 * a2 * np.asarray(phase.second_derivative(xs)) * u
+             + a2 * np.asarray(phase.derivative(xs)) * du
+             - c0 * u)
+    return float(np.max(np.abs(resid)))
+
+
+@pytest.fixture(scope="session")
+def eikonal_residual():
+    """(phase, sample_xs) -> max eikonal residual over the samples."""
+    return _eikonal_residual
+
+
+@pytest.fixture(scope="session")
+def transport_residual():
+    """(phase, sample_xs) -> max first-transport residual over the samples."""
+    return _transport_residual
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import pytest
 
 import pdwell
 from pdwell.effective import schrodinger_matrix
+from pdwell.quantize import _circulant_plus_diagonal
 from pdwell.tunneling import interaction_asymptotic
 
 
@@ -86,8 +87,8 @@ def test_criterion_01_quantization_exactness(model_a, model_b, check):
     dev_mult = float(np.max(np.abs(
         mult.entries - np.diag(model_a.potential(g.x_nodes)))))
     four = pdwell.weyl_matrix(lambda x, xi: model_a.a(xi) + 0.0*x, g)
-    dev_four = float(np.max(np.abs(
-        four.entries - pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g))))
+    circulant = _circulant_plus_diagonal(model_a.a.evaluator, lambda x: 0.0*x, 0.0, g)
+    dev_four = float(np.max(np.abs(four.entries - circulant.dense())))
     M = pdwell.assemble_L(model_b, g)
     hermitian = np.array_equal(M.entries, M.entries.conj().T)
     ok = dev_mult <= 1e-12 and dev_four <= 1e-12 and hermitian
@@ -176,8 +177,10 @@ def test_criterion_08_wkb_quality(sweep_report, check):
           f"overlap >= 1 - 2 sqrt(h) at every h: {overlap_ok}")
 
 
-def test_criterion_09_transport_eikonal(model_a, model_b, phase_a_left,
-                                        phase_a_right, grid05, check):
+def test_criterion_09_transport_eikonal(model_b, phase_a_left, phase_a_right,
+                                        grid05, check, eikonal_residual,
+                                        transport_residual):
+    """The oracles are the residual fixtures of conftest.py."""
     trans_xs = np.concatenate([np.linspace(-1.8, -1.05, 40),
                                np.linspace(-0.95, -0.2, 40)])
     # both sealed landscapes agree with the bare potential only on
@@ -186,13 +189,13 @@ def test_criterion_09_transport_eikonal(model_a, model_b, phase_a_left,
     details, ok = [], True
     seal_b = pdwell.sealing_function(model_b)
     cases = (
-        (model_a, phase_a_left, phase_a_right, "ModelA"),
-        (model_b, pdwell.agmon_phase(model_b, seal_b, "left"),
+        (phase_a_left, phase_a_right, "ModelA"),
+        (pdwell.agmon_phase(model_b, seal_b, "left"),
          pdwell.agmon_phase(model_b, seal_b, "right"), "ModelB"),
     )
-    for m, phl, phr, tag in cases:
-        eik = pdwell.eikonal_residual(m, phl, grid05.x_nodes)
-        tra = pdwell.transport_residual(m, phl, trans_xs)
+    for phl, phr, tag in cases:
+        eik = eikonal_residual(phl, grid05.x_nodes)
+        tra = transport_residual(phl, trans_xs)
         prod = (np.asarray(phl.derivative(inter))
                 * phl.amplitude(inter)
                 * np.conj(phr.amplitude(inter)))

@@ -449,14 +449,14 @@ def test_dump_into_missing_directory_exits_before_solves(tmp_path, capsys, monke
     assert not dump.parent.exists()
 
 
-def test_wkb_columns_are_the_quasimode_samples(tmp_path, capsys, model_a,
-                                               grid05, phase_a_left):
+def test_wkb_columns_are_the_quasimode_samples(tmp_path, capsys, grid05,
+                                               phase_a_left):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"[output]\ndir = {out_dir}\n")
     assert main(["wkb", cfg, "--h", "0.05"]) == 0
     with open(out_dir / "wkb_h0.05.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+    q = pdwell.wkb_quasimode(grid05, phase_a_left)
     # 17 significant digits round-trip a double exactly; the command's phase
     # has tables on the grid window, the fixture's on [-12, 12]
     assert [float(r["phi_l"]) for r in rows] == q.phi.tolist()

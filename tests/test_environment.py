@@ -53,7 +53,7 @@ def _modules_after(statement):
     return set(out.split())
 
 
-# start-up budget of `import pdwell.cli` in a fresh interpreter: 231 modules
+# start-up budget of `import pdwell.cli` in a fresh interpreter: 229 modules
 # measured (numpy alone loads 209), plus a small margin; a count of modules,
 # not a time, so it cannot flake
 MAX_CLI_MODULES = 250
@@ -61,12 +61,21 @@ MAX_CLI_MODULES = 250
 
 def test_cli_imports_numpy_and_two_scipy_extensions():
     loaded = _modules_after("import pdwell.cli")
-    # the compiled LAPACK and BLAS wrappers only: no scipy package module,
-    # whose array API layer loads numpy.f2py and numpy.testing
+    # no scipy module, whose array API layer loads numpy.f2py and
+    # numpy.testing: _lapack keeps the two compiled wrappers out of sys.modules
     base = _modules_after("import numpy")
-    assert sorted(m for m in loaded - base if m.split(".")[0] in ("numpy", "scipy")) == [
-        "scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert sorted(m for m in loaded - base if m.split(".")[0] in ("numpy", "scipy")) == []
     banned = ("numpy.f2py", "numpy.testing", "numpy.ma", "charset_normalizer")
     assert sorted(m for m in loaded for b in banned
                   if m == b or m.startswith(b + ".")) == []
     assert len(loaded) <= MAX_CLI_MODULES
+    # the wrappers are scipy's own, from its linalg directory
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    dirs = subprocess.run(
+        [sys.executable, "-c", "import os; from importlib.util import find_spec; "
+         "import pdwell.cli; from pdwell import _lapack; print(*(os.path.dirname("
+         "m.__file__) for m in (_lapack._flapack, _lapack._fblas)), "
+         "os.path.join(find_spec('scipy').submodule_search_locations[0], 'linalg'), "
+         "sep='\\n')"],
+        capture_output=True, text=True, check=True, env=env).stdout.splitlines()
+    assert dirs[0] == dirs[1] == dirs[2]

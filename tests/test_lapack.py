@@ -101,7 +101,13 @@ def test_failed_factorization_is_linalg_error():
         _lapack.eigvalsh(np.eye(2), -np.eye(2))
 
 
-SHARED = ("assert sys.modules['scipy.linalg._flapack'] is b._flapack; "
+# in either order scipy.linalg binds its extensions as attributes, and
+# both sides call one set of routine objects
+SHARED = ("assert sys.modules['scipy.linalg._flapack'] is s._flapack; "
+          "assert sys.modules['scipy.linalg._fblas'] is s._fblas; "
+          "assert s._flapack.__file__ == b._flapack.__file__; "
+          "assert s._flapack.dsyevr is b._flapack.dsyevr; "
+          "assert s._fblas.dgemv is b._fblas.dgemv; "
           "assert s.lapack.dsyevr is b._flapack.dsyevr; "
           "assert s.blas.dgemv is b._fblas.dgemv; "
           "import numpy as np; "
@@ -116,6 +122,15 @@ def test_one_extension_module_in_either_import_order(order):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run([sys.executable, "-c", f"import sys; {order}; {SHARED}"],
                           env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_linalg_attributes_after_import_pdwell():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import pdwell; import scipy.linalg; "
+         "scipy.linalg._flapack; scipy.linalg._fblas"],
+        env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 

@@ -15,7 +15,8 @@ from scipy.linalg import circulant, eigh
 import pdwell
 from pdwell import ConfigurationError
 from pdwell.model import CumulativeIntegral
-from pdwell.quantize import _circulant_plus_diagonal
+from pdwell.quantize import (_circulant_plus_diagonal, _circulant_view,
+                             _multiplier_column)
 
 EPS = np.finfo(float).eps
 
@@ -37,7 +38,7 @@ def test_even_multiplier_circulant_is_real(coeffs, g):
     def a(xi):
         return _poly(coeffs, xi*xi) / (1.0 + xi*xi)
 
-    C = pdwell.fourier_multiplier_matrix(a, g)
+    C = np.array(_circulant_view(_multiplier_column(a, g)))
     assert C.dtype == np.float64
     complex_C = circulant(np.fft.ifft(a(g.eta_fft)))
     assert np.linalg.norm(C - complex_C) <= 4 * EPS * np.linalg.norm(complex_C)
@@ -197,7 +198,7 @@ def test_column_symmetrization_matches_full_matrix(ca, cv, g, odd):
         return _poly(cv, x)
 
     got = _circulant_plus_diagonal(a, V, g.h, g).dense()
-    M = pdwell.fourier_multiplier_matrix(a, g)
+    M = np.array(_circulant_view(_multiplier_column(a, g)))
     M[np.diag_indices_from(M)] += g.h * V(g.x_nodes)
     expected = 0.5 * (M + M.conj().T)
     assert got.dtype == expected.dtype
@@ -234,8 +235,7 @@ def test_column_form_matches_circulant_route(ca, cv, ck, g, odd, sealed, seed):
     expected = circulant(M.column)
     expected[np.diag_indices_from(expected)] += g.h * _poly(cv, g.x_nodes)
     if sealed:
-        seal = pdwell.SealingFunction(evaluator=lambda x: _poly(ck, x),
-                                      support=(0.0, 0.0), height=0.0, eta=0.4)
+        seal = pdwell.SealingFunction(evaluator=lambda x: _poly(ck, x), eta=0.4)
         M = pdwell.assemble_onewell(M, "left", seal)
         expected[np.diag_indices_from(expected)] += g.h * _poly(ck, g.x_nodes)
     dense, fortran = M.dense(), M.dense(order="F")
@@ -256,8 +256,7 @@ def _any_grid(N, h, L=8.0):
     """Grid of any even size N; make_grid admits only powers of two."""
     dx = L / N
     return pdwell.Grid(n_points=N, length=L, h=h, dx=dx,
-                       x_nodes=-L/2.0 + dx * np.arange(N),
-                       eta_nodes=2.0*np.pi*h/L * np.arange(-N//2, N//2))
+                       x_nodes=-L/2.0 + dx * np.arange(N))
 
 
 def _weyl_oracle(p, g):

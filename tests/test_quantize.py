@@ -6,7 +6,8 @@ from scipy.linalg import circulant, eigh, eigvalsh
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError
-from pdwell.quantize import _circulant_plus_diagonal, _symmetrize
+from pdwell.quantize import (_circulant_plus_diagonal, _circulant_view,
+                             _multiplier_column, _symmetrize)
 
 
 def _dft(N):
@@ -15,12 +16,18 @@ def _dft(N):
     return np.exp(-2j*np.pi*np.outer(j, j)/N) / np.sqrt(N)
 
 
+def _circulant(a, g):
+    # the dense circulant of the multiplier a(eta), unsymmetrized
+    return np.array(_circulant_view(_multiplier_column(a, g)))
+
+
 def test_make_grid_basic():
     g = pdwell.make_grid(8.0, 512, 0.02)
     assert g.dx == 0.015625
     assert g.x_nodes[0] == -4.0
-    assert len(g.x_nodes) == 512 and len(g.eta_nodes) == 512
-    assert np.all(np.diff(g.eta_nodes) > 0)
+    eta = np.fft.fftshift(g.eta_fft)
+    assert len(g.x_nodes) == 512 and len(eta) == 512
+    assert np.all(np.diff(eta) > 0)
     assert abs(g.cutoff - np.pi*0.02*512/8.0) < 1e-14
 
 
@@ -29,7 +36,8 @@ def test_grid_duality_identity(rng):
     js = rng.integers(0, 256, size=50)
     ks = rng.integers(0, 256, size=50)
     ms = rng.integers(0, 256, size=50)
-    lhs = np.exp(1j*(g.x_nodes[js] - g.x_nodes[ks])*g.eta_nodes[ms]/g.h)
+    eta = np.fft.fftshift(g.eta_fft)
+    lhs = np.exp(1j*(g.x_nodes[js] - g.x_nodes[ks])*eta[ms]/g.h)
     rhs = np.exp(2j*np.pi*(ms - 128)*(js - ks)/256)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -74,7 +82,7 @@ def test_weyl_fourier_multiplier_diagonalized(model_a):
     conj = F @ M.entries @ F.conj().T
     target = np.diag(model_a.a(g.eta_fft))
     assert np.max(np.abs(conj - target)) < 1e-12
-    C = pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g)
+    C = _circulant(model_a.a.evaluator, g)
     assert np.max(np.abs(M.entries - C)) < 1e-12
 
 
@@ -177,7 +185,7 @@ def test_uneven_multiplier_keeps_complex_circulant():
     def a(xi):
         return xi**2/(1 + xi**2) + 0.1*xi
 
-    C = pdwell.fourier_multiplier_matrix(a, g)
+    C = _circulant(a, g)
     assert C.dtype == np.complex128
     assert np.array_equal(C, circulant(np.fft.ifft(a(g.eta_fft))))
 
@@ -188,7 +196,7 @@ def test_assemble_h_scaling(model_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_L(model_a, g).dense()
     M[np.diag_indices_from(M)] -= g.h * model_a.potential(g.x_nodes)
-    C = pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g)
+    C = _circulant(model_a.a.evaluator, g)
     assert np.max(np.abs(M - C)) < 1e-14
     vals = eigvalsh(0.5*(C + C.conj().T))
     assert vals[0] > -1e-12
@@ -213,7 +221,7 @@ def test_apply_fourier_multiplier(model_a, rng):
     assert np.max(np.abs(A.apply(mode) - eig*mode)) < 1e-12
 
     v = rng.standard_normal(128) + 1j*rng.standard_normal(128)
-    dense = pdwell.fourier_multiplier_matrix(model_a.a.evaluator, g) @ v
+    dense = _circulant(model_a.a.evaluator, g) @ v
     assert np.max(np.abs(dense - A.apply(v))) < 1e-12
 
 
@@ -291,7 +299,8 @@ def _holed(x, xi=0.0):
 
 
 @pytest.mark.parametrize("build, named", [
-    (lambda g, m: pdwell.fourier_multiplier_matrix(_pole, g),
+    (lambda g, m: pdwell.assemble_L(pdwell.Model(
+        a=pdwell.SymbolA(_pole), b=m.b, x_left=-1.0, x_right=1.0), g),
      "non-finite multiplier value at xi=0.0"),
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
         a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),

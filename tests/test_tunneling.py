@@ -18,8 +18,8 @@ GAP12_009_FROZEN = 0.0017130268326770726
 
 
 @pytest.fixture(scope="module")
-def chi_a(phase_a_left, seal_a):
-    return overlap_cutoff(phase_a_left, seal_a)
+def chi_a(phase_a_left):
+    return overlap_cutoff(phase_a_left)
 
 
 @pytest.fixture(scope="module")
@@ -233,7 +233,7 @@ def test_asymptotic_model_independent_of_coupling(model_a, model_b):
 def test_modelb_complex_interaction(model_b, grid05):
     seal = pdwell.sealing_function(model_b)
     phase = pdwell.agmon_phase(model_b, seal, "left")
-    chi = overlap_cutoff(phase, seal)
+    chi = overlap_cutoff(phase)
     M = pdwell.assemble_L(model_b, grid05)
     ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
     pairs = pdwell.lowest_eigenpairs(M, 3)

@@ -11,7 +11,8 @@ from scipy.optimize import brentq
 import pdwell
 from pdwell import ConfigurationError, NumericError
 from pdwell.harness import SweepConfig, sweep_phase
-from pdwell.wkb import CumulativeIntegral, SealingFunction
+from pdwell.model import CumulativeIntegral
+from pdwell.wkb import SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
 # height = 2 V(0)); all from deterministic quadrature, stable to roundoff
@@ -77,8 +78,9 @@ def counted_tables(monkeypatch):
             tables.append(self)
 
     monkeypatch.setattr(pdwell.wkb, "CumulativeIntegral", Counted)
-    monkeypatch.setattr(pdwell.wkb, "_STEP_CUM", None)
-    return tables
+    pdwell.wkb._step_table.cache_clear()
+    yield tables
+    pdwell.wkb._step_table.cache_clear()
 
 
 def test_smoothstep_saturated_ramp_evaluates_no_bump(counted_tables):
@@ -110,7 +112,7 @@ def test_grid_nodes_are_table_edges(model_a, seal_a, counted_tables):
             g = pdwell.make_grid(8.0, N, 0.05)
             phase.evaluator(g.x_nodes)
             phase.truncated_evaluator(g.x_nodes)
-            pdwell.wkb_quasimode(model_a, g, phase)
+            pdwell.wkb_quasimode(g, phase)
             assert [t.points for t in counted_tables] == [0] * len(counted_tables)
         # at N = 4096 every other node lies inside a cell
         phase.evaluator(pdwell.make_grid(8.0, 4096, 0.05).x_nodes)
@@ -151,7 +153,7 @@ def test_narrow_tables_refuse_queries_past_their_span(model_a, seal_a, phase_a_l
     phase = pdwell.agmon_phase(model_a, seal_a, "left", span=2.0)
     g = pdwell.make_grid(8.0, 512, 0.05)
     for read in (phase.truncated_evaluator, phase.amplitude,
-                 lambda x: pdwell.wkb_quasimode(model_a, g, phase)):
+                 lambda x: pdwell.wkb_quasimode(g, phase)):
         with pytest.raises(ConfigurationError,
                            match=r"^query outside the table span 2$"):
             read(g.x_nodes)
@@ -180,14 +182,15 @@ def test_phase_and_amplitude_build_memory(seal_a):
 
 
 def test_seal_pointwise(seal_a, model_a):
+    # default height 2 V(0), support [x_r - eta, x_r + eta] = [0.6, 1.4]
     k = seal_a.evaluator
-    assert seal_a.height == 2.0 * float(model_a.potential(np.array(0.0)))
-    assert abs(float(k(np.array(1.0))) - seal_a.height*np.exp(-1.0)) < 1e-15
+    height = 2.0 * float(model_a.potential(np.array(0.0)))
+    assert abs(float(k(np.array(1.0))) - height*np.exp(-1.0)) < 1e-15
     assert float(k(np.array(1.4))) == 0.0
     assert float(k(np.array(0.6))) == 0.0
     assert np.all(k(np.array([-3.0, 0.0, 2.5])) == 0.0)
-    assert np.all(k(np.linspace(0.6, 1.4, 101)) >= 0.0)
-    assert seal_a.support == (1.0 - 0.4, 1.0 + 0.4)
+    assert np.all(k(np.linspace(0.6, 1.4, 101)[1:-1]) > 0.0)
+    assert seal_a.eta == 0.4
 
 
 def test_seal_parameter_errors(model_a):
@@ -219,8 +222,7 @@ def test_sealed_landscape_unique_minimum(model_a, seal_a):
 
 
 def test_onewell_zero_seal_equals_double_well(model_a, grid05):
-    zero = SealingFunction(evaluator=lambda x: np.zeros(np.shape(x)),
-                           support=(1.0, 1.0), height=0.0, eta=0.4)
+    zero = SealingFunction(evaluator=lambda x: np.zeros(np.shape(x)), eta=0.4)
     M = pdwell.assemble_L(model_a, grid05)
     M_ow = pdwell.assemble_onewell(M, "left", zero)
     assert np.array_equal(M_ow.dense(), M.dense())
@@ -288,8 +290,8 @@ def test_phase_unsealed_interval_matches_action(model_a, seal_a, phase_a_left, c
     assert float(phase_a_left.evaluator(np.array(1.0))) > consts_a.S
 
 
-def test_eikonal_residual_small(model_a, phase_a_left, grid05):
-    resid = pdwell.eikonal_residual(model_a, phase_a_left, grid05.x_nodes)
+def test_eikonal_residual_small(phase_a_left, grid05, eikonal_residual):
+    resid = eikonal_residual(phase_a_left, grid05.x_nodes)
     assert resid <= 1e-8
 
 
@@ -369,17 +371,18 @@ def test_amplitude_modelb_modulus_matches(model_a, model_b, phase_a_left):
     assert np.max(np.abs(np.imag(u_b))) > 1e-3  # genuinely complex
 
 
-def test_quasimode_norm_raw(model_a, grid05, phase_a_left):
-    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+def test_quasimode_norm_raw(grid05, phase_a_left, consts_a):
+    q = pdwell.wkb_quasimode(grid05, phase_a_left)
     assert abs(q.norm_raw - NORM_RAW_FROZEN) < 1e-9
     assert abs(q.norm_raw - 1.0) <= 0.6 * np.sqrt(grid05.h)
     norm = np.sqrt(grid05.dx * np.sum(np.abs(q.vector)**2))
     assert abs(norm - 1.0) < 1e-12
-    assert q.lambda_wkb == pdwell.wkb_eigenvalue(model_a, grid05.h, 1)
+    assert q.lambda_wkb == consts_a.c0 * grid05.h**1.5
+    assert abs(q.lambda_wkb - np.sqrt(2.0)*grid05.h**1.5) < 1e-12
 
 
-def test_quasimode_mass_bound(model_a, grid05, phase_a_left):
-    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+def test_quasimode_mass_bound(grid05, phase_a_left):
+    q = pdwell.wkb_quasimode(grid05, phase_a_left)
     mass = np.abs(q.vector)**2
     outside = np.abs(grid05.x_nodes + 1.0) > 0.5
     frac = float(np.sum(mass[outside]) / np.sum(mass))
@@ -388,20 +391,12 @@ def test_quasimode_mass_bound(model_a, grid05, phase_a_left):
     assert frac <= bound
 
 
-def test_quasimode_overlap(model_a, grid05, phase_a_left, onewell05):
+def test_quasimode_overlap(grid05, phase_a_left, onewell05):
     _, ow = onewell05
-    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+    q = pdwell.wkb_quasimode(grid05, phase_a_left)
     overlap = abs(grid05.dx * np.sum(q.vector * np.conj(ow[0].vector)))
     assert overlap >= 1.0 - 2.0*np.sqrt(grid05.h)
     assert overlap > 0.999
-
-
-def test_wkb_eigenvalue_ladder(model_a):
-    v1 = pdwell.wkb_eigenvalue(model_a, 0.04, 1)
-    assert abs(v1 - np.sqrt(2.0)*0.04**1.5) < 1e-12
-    assert abs(pdwell.wkb_eigenvalue(model_a, 0.04, 2) - 3.0*v1) < 1e-15
-    with pytest.raises(ConfigurationError):
-        pdwell.wkb_eigenvalue(model_a, 0.04, 0)
 
 
 def test_quantization_condition_consistency(model_a, phase_a_left, consts_a):
@@ -416,17 +411,17 @@ def _transport_samples():
                            np.linspace(-0.95, -0.2, 40)])
 
 
-def test_transport_residual_small(model_a, model_b, phase_a_left):
+def test_transport_residual_small(model_b, phase_a_left, transport_residual):
     xs = _transport_samples()
-    assert pdwell.transport_residual(model_a, phase_a_left, xs) <= 1e-6
+    assert transport_residual(phase_a_left, xs) <= 1e-6
     seal_b = pdwell.sealing_function(model_b)
     phase_b = pdwell.agmon_phase(model_b, seal_b, "left")
-    assert pdwell.transport_residual(model_b, phase_b, xs) <= 1e-6
+    assert transport_residual(phase_b, xs) <= 1e-6
 
 
-def test_transport_well_ball_excluded(model_a, phase_a_left):
+def test_transport_well_ball_excluded(phase_a_left, transport_residual):
     with pytest.raises(ConfigurationError):
-        pdwell.transport_residual(model_a, phase_a_left, np.array([-1.0005]))
+        transport_residual(phase_a_left, np.array([-1.0005]))
 
 
 def test_transport_rejects_non_solution(model_a, phase_a_left, consts_a):
@@ -449,9 +444,9 @@ def test_transport_operator_linearity(model_a, phase_a_left, consts_a):
     assert np.allclose(op(2.0*u), 2.0*op(u), rtol=0, atol=1e-15)
 
 
-def test_quasimode_residual_scale(model_a, grid05, phase_a_left, onewell05):
+def test_quasimode_residual_scale(grid05, phase_a_left, onewell05):
     M_ow, ow = onewell05
-    q = pdwell.wkb_quasimode(model_a, grid05, phase_a_left)
+    q = pdwell.wkb_quasimode(grid05, phase_a_left)
     resid = pdwell.quasimode_residual(M_ow, q)
     assert resid <= 2.0 * grid05.h**2
 
