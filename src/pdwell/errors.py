@@ -1,5 +1,10 @@
 """Exception types and warning categories shared across the package."""
 
+__all__ = [
+    "ConfigurationError", "EvaluationError", "NumericError", "DegeneracyError",
+    "PrecisionWarning",
+]
+
 
 class ConfigurationError(Exception):
     """Invalid grid or run configuration (bad N, cutoff violation, malformed file)."""

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, EvaluationError, NumericError
 __all__ = [
     "SymbolA", "SymbolB", "Model", "ModelConstants", "ValidationReport",
     "builtin_model", "validate_model", "derived_constants",
-    "parse_symbol", "custom_model", "CumulativeIntegral",
+    "parse_symbol", "custom_model", "CumulativeIntegral", "action_integral",
 ]
 
 

@@ -2,12 +2,31 @@
 
 Eigenvectors are normalized against the dx-weighted inner product
 <u, v> = dx * sum u conj(v) and carry a fixed phase (largest-modulus entry
-real positive, the lowest index among equal moduli). A matrix that commutes
-exactly with the reflection U: x -> -x (OperatorMatrix.reflection_symmetric)
-is block diagonal in the even and odd vectors, so its eigenpairs are those
-of two half-size blocks, solved separately and merged by value; each vector
-then satisfies Uv = +-v exactly. Every other matrix is solved whole.
-Diagnostics quantify where an eigenvector lives: momentum
+real positive, the lowest index among equal moduli). An operator takes one
+of three routes, chosen from the operator itself:
+
+* A matrix that commutes exactly with the reflection U: x -> -x
+  (OperatorMatrix.reflection_symmetric) is block diagonal in the even and
+  odd vectors, so its eigenpairs are those of two half-size blocks, solved
+  separately by ?syevr and merged by value; each vector then satisfies
+  Uv = +-v exactly.
+* Any other real matrix is solved whole by dsyevr.
+* Any other complex matrix is solved whole by shift-invert block Lanczos on
+  a Cholesky factor. The shift sigma, a Gershgorin lower bound, is proven
+  below the spectrum when M - sigma I factors. Each new Krylov block is
+  orthogonalized against the whole basis in two rounds, each followed by a
+  Cholesky QR, and the k + 1 leading Ritz vectors get a final Rayleigh-Ritz
+  step with M. A certificate then proves that no eigenvalue below the k
+  returned ones was missed: with tau between the Ritz values theta_k and
+  theta_k+1 and V the k Ritz vectors, a Cholesky factor of
+  M - tau I + 2 (tau - sigma) V V^H exists only if lambda_k+1(M) > tau,
+  since a rank-k positive term raises at most k eigenvalues. Ties, an
+  iteration that does not converge, a Ritz residual above the contract and
+  a failed factorization send the matrix to zheevr, so no unproven
+  spectrum returns.
+
+Every route's vectors must meet the residual contract against the full
+matrix. Diagnostics quantify where an eigenvector lives: momentum
 tail beyond a cutoff, spatial mass away from the wells, parity under
 x -> -x, and the exponentially weighted norm that measures Agmon decay.
 """
@@ -19,10 +38,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from ._lapack import eigh
+from ._lapack import cho_factor, cho_solve, eigh, gemm, herk, trsm
 from .errors import ConfigurationError, NumericError, PrecisionWarning
-from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
+from .quantize import (Grid, OperatorMatrix, _circulant_view, frobenius_norm,
+                       reverse_indices)
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -37,6 +58,18 @@ GAP_RESIDUAL_FACTOR = 100.0
 
 # single-node weighted contribution beyond exp(700) trips the overflow flag
 LOG_GUARD = 700.0
+
+# shift-invert Lanczos stops when the residual of each of its k + 1 leading
+# Ritz pairs of the inverse is below this, relative to the pair's Ritz value
+KRYLOV_RTOL = 1e-12
+
+# Krylov blocks before shift-invert Lanczos gives the matrix to zheevr;
+# ModelB's rows take 12-13 blocks of k + 2 = 5 vectors at h = 0.09-0.05,
+# N = 512, and 20 at h = 0.008, N = 1024
+KRYLOV_MAX_BLOCKS = 40
+
+# fractional part of the golden ratio, the chirp rate of the start block
+_GOLDEN = 0.6180339887498949
 
 
 @dataclass
@@ -90,15 +123,181 @@ def _parity_sectors(M: OperatorMatrix, k: int):
     return vals[order], np.concatenate(vecs, axis=1)[:, order]
 
 
+def _factor_in_place(A: np.ndarray) -> bool:
+    """Overwrite A's lower triangle with its Cholesky factor; False when A
+    is not positive definite. A's entries must be finite: ?potrf is not
+    given a scan for them."""
+    try:
+        cho_factor(A)
+    except LinAlgError:
+        return False
+    return True
+
+
+def _gershgorin_floor(A: np.ndarray) -> float:
+    """min_j (A_jj - sum_{i != j} |A_ij|), a lower bound on the spectrum of
+    a Hermitian A, read a block of columns at a time."""
+    floor = math.inf
+    for lo in range(0, A.shape[0], 64):
+        cols = A[:, lo:lo + 64]
+        d = np.diagonal(cols, offset=-lo)
+        radius = np.sum(np.abs(cols), axis=0) - np.abs(d)
+        floor = min(floor, float(np.min(d.real - radius)))
+    return floor
+
+
+def _start_block(N: int, b: int) -> np.ndarray:
+    """Fixed N x b start block of unit-modulus chirp entries, with no
+    parity under x -> -x."""
+    n = np.arange(N * b, dtype=float).reshape((N, b), order="F")
+    return np.exp(2j * np.pi * ((_GOLDEN * n * n) % 1.0))
+
+
+def _project_out(Q: np.ndarray, W: np.ndarray):
+    """(Qn, C, R) with W = Q C + Qn R, Qn's columns orthonormal and
+    orthogonal to Q's, R upper triangular; None when W has numerically
+    dependent columns outside span(Q).
+
+    Two rounds of block Gram-Schmidt against Q, each followed by a Cholesky
+    QR: the second round removes what the first left along Q, including
+    what its QR amplified, and makes Qn orthonormal to roundoff.
+    """
+    C = 0.0
+    R = np.eye(W.shape[1], dtype=W.dtype)
+    for _ in range(2):
+        H = gemm(1.0, Q, W, trans_a=2)
+        W = gemm(-1.0, Q, H, beta=1.0, c=W, overwrite_c=1)
+        G = herk(1.0, W, trans=2, lower=1)
+        if not _factor_in_place(G):
+            return None
+        W = trsm(1.0, G, W, side=1, lower=1, trans_a=2, overwrite_b=1)
+        C = C + gemm(1.0, H, R)
+        R = gemm(1.0, np.tril(G), R, trans_a=2)
+    return W, C, R
+
+
+def _krylov(F: np.ndarray, k: int):
+    """Approximations to the eigenvectors of the k + 1 largest eigenvalues
+    of (L L^H)^{-1}, L the lower Cholesky factor in F, as an N x (k + 1)
+    orthonormal block; None when block Lanczos does not converge.
+
+    Blocks of b = k + 2 vectors. Each new block is orthogonalized against
+    the whole basis (_project_out); its coefficients on the current block
+    are the diagonal blocks of the block tridiagonal T, and its triangular
+    factor the subdiagonal ones. T is kept negated, so its lowest
+    eigenpairs are the largest Ritz pairs, and grows with the basis.
+    """
+    N = F.shape[0]
+    b = min(k + 2, N)
+    cap = min(N, b * KRYLOV_MAX_BLOCKS)
+    Q = np.empty((N, cap), dtype=F.dtype, order="F")
+    block = _project_out(Q[:, :0], _start_block(N, b))
+    if block is None:
+        return None
+    Q[:, :b], _, R = block
+    T = np.zeros((0, 0), dtype=F.dtype)
+    for lo in range(0, cap - b + 1, b):
+        hi = lo + b
+        grown = np.zeros((hi, hi), dtype=F.dtype, order="F")
+        grown[:lo, :lo] = T
+        if lo:
+            grown[lo:hi, lo - b:lo] = -R
+        T = grown
+        block = _project_out(Q[:, :hi], cho_solve(F, Q[:, lo:hi]))
+        if block is None:
+            return None
+        Qn, C, R = block
+        T[lo:hi, lo:hi] = -C[lo:hi]
+        theta, S = eigh(T, k + 1)
+        # Ritz vector Q S[:, i] has residual Qn R S[lo:hi, i]
+        RS = gemm(1.0, R, S[lo:hi])
+        beta = np.sqrt(np.sum(RS.real**2 + RS.imag**2, axis=0))
+        if np.all(beta <= KRYLOV_RTOL * -theta):
+            return gemm(1.0, Q[:, :hi], S)
+        if hi + b > cap:
+            return None
+        Q[:, hi:hi + b] = Qn
+    return None
+
+
+def _rayleigh_ritz(M: OperatorMatrix, Y: np.ndarray):
+    """Ritz values, ascending, Ritz vectors and their residual norms
+    ||M x - w x|| for M on the orthonormal columns of Y."""
+    MY = np.column_stack([M.apply(y) for y in Y.T])
+    w, Z = eigh(gemm(1.0, Y, MY, trans_a=2), Y.shape[1])
+    X = gemm(1.0, Y, Z)
+    R = gemm(1.0, MY, Z) - X * w
+    return w, X, np.sqrt(np.sum(R.real**2 + R.imag**2, axis=0))
+
+
+def _write_dense(A: np.ndarray, M: OperatorMatrix) -> None:
+    """Overwrite A with the entries of M.dense(), in A's own memory."""
+    if M.entries is None:
+        A[...] = _circulant_view(M.column)
+        A[np.diag_indices_from(A)] = M.diagonal
+    else:
+        A[...] = M.entries
+        if M.diagonal is not None:
+            A[np.diag_indices_from(A)] += M.diagonal
+
+
+def _certified(A: np.ndarray, M: OperatorMatrix, V: np.ndarray, tau: float,
+               sigma: float) -> bool:
+    """True when D = M - tau I + 2 (tau - sigma) V V^H, written into A, has a
+    Cholesky factor.
+
+    A rank-k positive term raises at most k eigenvalues, so the (k + 1)-th
+    eigenvalue of M - tau I is at least the lowest of D: a factor proves
+    lambda_k+1(M) > tau. The weight lifts M's eigenvalues on the span of V,
+    all above sigma, to at least tau - sigma > 0.
+    """
+    _write_dense(A, M)
+    A[np.diag_indices_from(A)] -= tau
+    herk(2.0 * (tau - sigma), V, beta=1.0, c=A, lower=1, overwrite_c=1)
+    return _factor_in_place(A)
+
+
+def _whole_matrix(M: OperatorMatrix, k: int):
+    """(values, vectors, ||M||_F) of the k smallest eigenpairs of M, solved
+    whole: certified shift-invert Lanczos for a complex M, else ?syevr (and
+    zheevr where the Lanczos route gives up).
+
+    One N x N array serves every stage: the shifted matrix and its factor,
+    the certificate's matrix, and zheevr's copy when the certificate fails.
+    """
+    A = M.dense(order="F")
+    scale = frobenius_norm(A)
+    # a finite norm is the one scan for non-finite entries; zheevr reports them
+    if np.iscomplexobj(A) and k < M.N and math.isfinite(scale):
+        sigma = _gershgorin_floor(A)
+        A[np.diag_indices_from(A)] -= sigma
+        # a factor proves sigma below the spectrum
+        Y = _krylov(A, k) if _factor_in_place(A) else None
+        if Y is not None:
+            w, X, resid = _rayleigh_ritz(M, Y)
+            tau = 0.5 * (w[k - 1] + w[k])
+            # a shift close to lambda_1 limits the accuracy of the solves;
+            # such a result leaves the contract to zheevr instead of failing it
+            if (w[k - 1] < tau < w[k]
+                    and np.all(resid[:k] <= RESIDUAL_RTOL * scale)
+                    and _certified(A, M, X[:, :k], tau, sigma)):
+                return w[:k], X[:, :k], scale
+        _write_dense(A, M)
+    vals, vecs = eigh(A, k, overwrite_a=True)
+    return vals, vecs, scale
+
+
 def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     """The k smallest eigenpairs, ascending, with the phase convention applied.
 
     A reflection-symmetric M is solved in its parity sectors, so each
     returned vector is exactly even or odd and, by Eigenpair's tie-break,
-    positive at its lowest-index peak. Every vector must meet the residual
-    contract against the full matrix; a wrong reflection flag therefore
-    raises NumericError instead of returning a wrong spectrum. So do a nan
-    residual, a non-finite entry and a LAPACK failure inside the solver.
+    positive at its lowest-index peak. Any other M is solved whole (see the
+    module docstring for the three routes). Every vector must meet the
+    residual contract against the full matrix; a wrong reflection flag
+    therefore raises NumericError instead of returning a wrong spectrum. So
+    do a nan residual, a non-finite entry and a LAPACK failure inside the
+    solver.
     """
     N = M.N
     if not 1 <= k <= N:
@@ -108,12 +307,8 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
             scale = M.frobenius_norm()
             vals, vecs = _parity_sectors(M, k)
         else:
-            # a full solve gets its own Fortran-ordered copy, which LAPACK
-            # overwrites; for a circulant it is the only N x N array
-            A = M.dense(order="F")
-            scale = frobenius_norm(A)
-            vals, vecs = eigh(A, k, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
+            vals, vecs, scale = _whole_matrix(M, k)
+    except LinAlgError as exc:
         raise NumericError(f"eigensolver failed on N = {N}, k = {k}: {exc}") from exc
     dx = M.grid.dx
     out = []

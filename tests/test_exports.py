@@ -25,15 +25,28 @@ def test_module_all_resolves(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_package_reexports_resolve():
+def _reexports():
+    """(module, name) of every relative import in pdwell/__init__.py."""
     tree = ast.parse((SRC / "__init__.py").read_text())
-    reexports = [(node.module, alias.name) for node in tree.body
-                 if isinstance(node, ast.ImportFrom) and node.level == 1
-                 for alias in node.names]
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_package_reexports_resolve():
+    reexports = _reexports()
     assert len(reexports) > 50
     for module, name in reexports:
         source = importlib.import_module(f"pdwell.{module}")
         assert getattr(pdwell, name) is getattr(source, name), (module, name)
+
+
+def test_package_reexports_are_listed_in_their_modules_all():
+    # a name the package re-exports is public, so its own module lists it
+    unlisted = [(module, name) for module, name in _reexports()
+                if name not in getattr(importlib.import_module(f"pdwell.{module}"),
+                                       "__all__", ())]
+    assert unlisted == []
 
 
 # public names no program code reads, each with the reason it stays

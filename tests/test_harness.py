@@ -177,6 +177,17 @@ def test_single_h_no_fits_and_deterministic_csv(model_a, tmp_path):
     assert header == ",".join(SWEEP_COLUMNS)
 
 
+def test_modelb_row_csv_is_deterministic(tmp_path):
+    # ModelB's two complex operators go through shift-invert Lanczos, whose
+    # start block is fixed: two sweeps of one row write the same bytes
+    csvs = []
+    for name in ("one", "two"):
+        run_sweep(SweepConfig(model_name="ModelB", h_list=(0.09,),
+                              out_dir=str(tmp_path / name)))
+        csvs.append((tmp_path / name / "sweep.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_one_row_solves_three_operators_once(sweep_report, tmp_path, monkeypatch):
     # mu and lambda_ow1 both come from the one sealed solve
     for row in sweep_report.rows:

@@ -83,6 +83,69 @@ def test_gemv_matches_scipy(problem, v_cplx):
     _same(_lapack.gemv(A, v), ref)
 
 
+def _positive_definite(rng, n, cplx):
+    Z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+    return Z @ Z.conj().T + n * np.eye(n)
+
+
+@PROPERTY
+@given(problems(), st.booleans())
+def test_cho_factor_and_cho_solve_match_scipy(problem, b_cplx):
+    rng, n, k, cplx = problem
+    A = _positive_definite(rng, n, cplx)
+    # a C-ordered matrix is copied, a Fortran-ordered one factored in place
+    c = _lapack.cho_factor(A)
+    _same(c, scipy.linalg.cho_factor(A, lower=True, overwrite_a=True,
+                                     check_finite=False)[0])
+    mine, theirs = np.asfortranarray(A), np.asfortranarray(A)
+    assert _lapack.cho_factor(mine) is mine
+    scipy.linalg.cho_factor(theirs, lower=True, overwrite_a=True, check_finite=False)
+    _same(mine, theirs)
+    b = rng.standard_normal((n, k)) + (1j * rng.standard_normal((n, k)) if b_cplx else 0.0)
+    b = np.asfortranarray(b)
+    held = b.copy(order="F")
+    _same(_lapack.cho_solve(mine, b),
+          scipy.linalg.cho_solve((mine, True), b, check_finite=False))
+    _same(b, held)
+
+
+@PROPERTY
+@given(problems(), st.booleans(), st.sampled_from([0, 1, 2]))
+def test_level3_blas_match_scipy(problem, b_cplx, trans):
+    rng, n, k, cplx = problem
+    A = _hermitian(rng, n, cplx) + rng.standard_normal((n, n))
+    B = rng.standard_normal((n, k)) + (1j * rng.standard_normal((n, k)) if b_cplx else 0.0)
+    gemm = get_blas_funcs("gemm", (A, B))
+    _same(_lapack.gemm(0.5, A, B, trans_a=trans), gemm(0.5, A, B, trans_a=trans))
+    C = np.asfortranarray(rng.standard_normal((n, k)) + (1j if cplx or b_cplx else 0.0))
+    mine, theirs = C.copy(order="F"), C.copy(order="F")
+    _lapack.gemm(-1.0, A, B, beta=1.0, c=mine, overwrite_c=1)
+    gemm(-1.0, A, B, beta=1.0, c=theirs, overwrite_c=1)
+    _same(mine, theirs)
+    # herk stands for syrk on real input; trans = 2 takes B^H B
+    herk = get_blas_funcs("herk" if np.iscomplexobj(B) else "syrk", (B,))
+    t = 2 if trans else 0
+    _same(_lapack.herk(2.0, B, trans=t, lower=1), herk(2.0, B, trans=t, lower=1))
+    L = np.tril(A) + 4.0 * n * np.eye(n)
+    trsm = get_blas_funcs("trsm", (L, B))
+    Bf = np.asfortranarray(B)
+    _same(_lapack.trsm(1.0, L, Bf, lower=1, trans_a=trans),
+          trsm(1.0, L, Bf, lower=1, trans_a=trans))
+    Bt = np.asfortranarray(B.T)
+    _same(_lapack.trsm(1.0, L, Bt, side=1, lower=1, trans_a=trans),
+          trsm(1.0, L, Bt, side=1, lower=1, trans_a=trans))
+
+
+def test_cholesky_bindings_do_not_scan_for_non_finite_input():
+    # the factor is scanned once, as the operator, not at every solve:
+    # potrs reads only the lower triangle, so a nan above it is never used
+    c = _lapack.cho_factor(np.diag([4.0, 9.0]))
+    c[0, 1] = np.nan
+    b = np.ones((2, 1))
+    _same(_lapack.cho_solve(c, b),
+          scipy.linalg.cho_solve((c, True), b, check_finite=False))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_input_is_linalg_error(bad):
     A = np.eye(3)
@@ -99,6 +162,12 @@ def test_failed_factorization_is_linalg_error():
     # B is not positive definite: ?sygvd reports info > n
     with pytest.raises(LinAlgError, match="info = "):
         _lapack.eigvalsh(np.eye(2), -np.eye(2))
+    # ?potrf stops at the first non-positive pivot, as scipy's cho_factor does
+    for a in (np.diag([1.0, 0.0, 1.0]), np.diag([1.0, 1.0, -1.0]).astype(complex)):
+        with pytest.raises(LinAlgError, match="info = "):
+            _lapack.cho_factor(a)
+        with pytest.raises(LinAlgError):
+            scipy.linalg.cho_factor(a, lower=True)
 
 
 # in either order scipy.linalg binds its extensions as attributes, and

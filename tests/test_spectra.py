@@ -4,12 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import pdwell
 from pdwell import ConfigurationError, NumericError, PrecisionWarning, spectra
-from pdwell.quantize import OperatorMatrix
+from pdwell.quantize import OperatorMatrix, _circulant_view
 from pdwell.spectra import _logsumexp
+
+EPS = np.finfo(float).eps
 
 
 def _wrap(entries, g):
@@ -325,3 +330,211 @@ def test_onewell_shares_L_and_applies_as_dense(model_a, model_b, seal_a):
             for v in (v_real, v_complex):
                 bound = 64 * eps * np.linalg.norm(dense) * np.linalg.norm(v)
                 assert np.linalg.norm(ow.apply(v) - dense @ v) <= bound
+
+
+# --------------------------------------------------------------------------
+# certified shift-invert Lanczos (complex operators solved whole)
+# --------------------------------------------------------------------------
+
+def _coupled_entries(rng, N):
+    """A complex Hermitian circulant + diagonal + Hankel o Toeplitz matrix,
+    shaped like ModelB's L_h: a bounded multiplier with an odd part, a
+    double well, and a coupling f((x_j + x_k)/2) t[j - k] with t the
+    circulant column of an odd symbol."""
+    h = rng.uniform(0.02, 0.2)
+    x = -4.0 + 8.0 / N * np.arange(N)
+    eta = 2 * np.pi * h / 8.0 * np.fft.fftfreq(N, 1.0 / N)
+    a = (rng.uniform(0.5, 2.0) * eta**2 + rng.uniform(-0.3, 0.3) * eta) / (1 + eta**2)
+    V = (x**2 - rng.uniform(0.6, 1.4)**2)**2 / (1 + x**4)
+    mid = 0.5 * (x[:, None] + x[None, :])
+    t = np.fft.ifft(1j * rng.uniform(-1, 1) * eta / (1 + eta**2))
+    A = (np.array(_circulant_view(np.fft.ifft(a))) + h * np.diag(V)
+         + h * rng.uniform(0, 0.5) * (mid / (1 + mid**2)) * np.array(_circulant_view(t)))
+    return 0.5 * (A + A.conj().T)
+
+
+@st.composite
+def coupled_problems(draw):
+    """(entries, k, kind): kind "doublet" moves lambda_k+1 to lambda_k + 1e-9
+    by a rank-1 update, "tie" doubles every level exactly (A + A)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.sampled_from([32, 64, 128, 256]))
+    k = draw(st.sampled_from([1, 3, 4]))
+    kind = draw(st.sampled_from(["generic", "doublet", "tie"]))
+    if kind == "tie":
+        A = np.kron(np.eye(2), _coupled_entries(rng, N // 2))
+    else:
+        A = _coupled_entries(rng, N)
+    if kind == "doublet":
+        lam, Q = np.linalg.eigh(A)
+        q = Q[:, k]
+        A = A + (lam[k - 1] + 1e-9 - lam[k]) * np.outer(q, q.conj())
+        A = 0.5 * (A + A.conj().T)
+    return A, k, kind
+
+
+def _count_whole_zheevr(mp, N):
+    """Count spectra.eigh calls on an N x N matrix, the zheevr route."""
+    calls = []
+    solve = spectra.eigh
+
+    def counted(a, k, overwrite_a=False):
+        calls.extend([a.shape] if a.shape[0] == N else [])
+        return solve(a, k, overwrite_a=overwrite_a)
+
+    mp.setattr(spectra, "eigh", counted)
+    return calls
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(coupled_problems())
+def test_shift_invert_matches_dense_eigh(problem):
+    A, k, kind = problem
+    N = A.shape[0]
+    g = pdwell.make_grid(8.0, N, 0.5)
+    with pytest.MonkeyPatch.context() as mp:
+        zheevr = _count_whole_zheevr(mp, N)
+        pairs = pdwell.lowest_eigenpairs(_wrap(A, g), k)
+    # at N >= 128 the Krylov space converges inside its cap, and only a tie
+    # between lambda_k and lambda_k+1 leaves the certificate without a gap
+    if N >= 128 and kind != "tie":
+        assert zheevr == []
+    ref, Q = scipy.linalg.eigh(A)
+    norm = np.linalg.norm(A, 2)
+    got = np.array([p.value for p in pairs])
+    assert np.max(np.abs(got - ref[:k])) <= 32 * EPS * norm
+    # each vector lies in the eigenspace of its level's cluster up to the
+    # Davis-Kahan angle: residual over the distance to the rest of the spectrum
+    for p in pairs:
+        v = p.vector * np.sqrt(g.dx)
+        cluster = np.abs(ref - p.value) <= 1e-6 * norm
+        gap = np.min(np.abs(ref[~cluster] - p.value))
+        Qc = Q[:, cluster]
+        assert np.linalg.norm(v - Qc @ (Qc.conj().T @ v)) <= (
+            p.residual + 32 * EPS * norm) / gap
+
+
+@pytest.fixture(scope="module")
+def modelb_operators(model_b):
+    g = pdwell.make_grid(8.0, 256, 0.05)
+    L = pdwell.assemble_L(model_b, g)
+    return L, pdwell.assemble_onewell(L, "left", pdwell.sealing_function(model_b))
+
+
+def test_modelb_operators_are_certified(monkeypatch, modelb_operators):
+    # both complex operators of a ModelB row are answered by the certified
+    # route: no N x N zheevr call, and the dense solve's eigenvalues
+    for M in modelb_operators:
+        zheevr = _count_whole_zheevr(monkeypatch, M.N)
+        pairs = pdwell.lowest_eigenpairs(M, 3)
+        assert zheevr == []
+        ref = scipy.linalg.eigvalsh(M.dense(), subset_by_index=(0, 2))
+        got = np.array([p.value for p in pairs])
+        assert np.max(np.abs(got - ref)) <= 32 * EPS * np.linalg.norm(M.dense(), 2)
+
+
+def test_certificate_rejects_a_block_that_skips_the_ground_pair(modelb_operators):
+    L = modelb_operators[0]
+    A = L.dense(order="F")
+    sigma = spectra._gershgorin_floor(A)
+    lam, Q = scipy.linalg.eigh(L.dense(), subset_by_index=(0, 4))
+    k = 3
+    # the true lowest block, tau between lambda_3 and lambda_4: proven
+    assert spectra._certified(A, L, Q[:, :k], 0.5 * (lam[2] + lam[3]), sigma)
+    # lambda_2..lambda_4 with tau between lambda_4 and lambda_5: the ground
+    # pair is below tau and not lifted, so no factor exists
+    assert not spectra._certified(A, L, Q[:, 1:k + 1], 0.5 * (lam[3] + lam[4]), sigma)
+
+
+def _same_pairs(got, ref):
+    assert [p.value for p in got] == [p.value for p in ref]
+    assert all(p.vector.tobytes() == q.vector.tobytes() for p, q in zip(got, ref))
+
+
+@pytest.mark.parametrize("failure", ["certificate", "ritz_residual"])
+def test_forced_certificate_failure_returns_zheevr_bytes(monkeypatch, modelb_operators,
+                                                         failure):
+    L = modelb_operators[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_krylov", lambda F, k: None)
+        zheevr = pdwell.lowest_eigenpairs(L, 3)
+    # the zheevr route is today's whole solve: same values as eigh of a copy
+    ref_vals, _ = spectra.eigh(L.dense(order="F"), 3, overwrite_a=True)
+    assert [p.value for p in zheevr] == list(ref_vals)
+    if failure == "certificate":
+        monkeypatch.setattr(spectra, "_certified", lambda *args: False)
+    else:
+        # Ritz pairs that miss the residual contract are not certified
+        rayleigh_ritz = spectra._rayleigh_ritz
+
+        def inaccurate(M, Y):
+            w, X, resid = rayleigh_ritz(M, Y)
+            return w, X, resid + 1e-9 * M.frobenius_norm()
+
+        monkeypatch.setattr(spectra, "_rayleigh_ritz", inaccurate)
+    _same_pairs(pdwell.lowest_eigenpairs(L, 3), zheevr)
+
+
+def test_krylov_space_without_the_ground_state_goes_to_zheevr(monkeypatch):
+    # the ground state e_40 (value 0.5) is decoupled from the other 127
+    # coordinates, whose block diag(1..127) + 0.02 u u^H lies above 1 but
+    # has Gershgorin rows below 0.5. A start block with a zero row 40 never
+    # reaches e_40: Lanczos converges to the block's levels, and only the
+    # certificate stands between that and a returned spectrum
+    N, ground = 128, 40
+    rest = np.delete(np.arange(N), ground)
+    u = np.exp(1j * np.arange(N - 1.0))
+    A = np.zeros((N, N), dtype=complex)
+    A[np.ix_(rest, rest)] = np.diag(np.arange(1.0, N)) + 0.02 * np.outer(u, u.conj())
+    A[ground, ground] = 0.5
+    M = _wrap(A, pdwell.make_grid(8.0, N, 0.5))
+    assert spectra._gershgorin_floor(M.dense(order="F")) < 0.5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_krylov", lambda F, k: None)
+        zheevr = pdwell.lowest_eigenpairs(M, 3)
+    assert zheevr[0].value == pytest.approx(0.5, abs=32 * EPS * N)
+    start = spectra._start_block
+
+    def blind(N, b):
+        block = start(N, b)
+        block[ground] = 0.0
+        return block
+
+    monkeypatch.setattr(spectra, "_start_block", blind)
+    krylov = spectra._krylov
+    seen = []
+    monkeypatch.setattr(spectra, "_krylov",
+                        lambda F, k: seen.append(krylov(F, k)) or seen[-1])
+    _same_pairs(pdwell.lowest_eigenpairs(M, 3), zheevr)
+    # Lanczos did converge, to a block orthogonal to the ground state
+    assert seen[0] is not None and np.max(np.abs(seen[0][ground])) == 0.0
+
+
+def test_shift_just_below_the_ground_level_stays_certified(monkeypatch):
+    # a ground row coupled by 1e-9 per entry puts the Gershgorin shift 1.3e-7
+    # below lambda_1, so the first residual block's Cholesky QR has condition
+    # ~5e6 and amplifies what one round of Gram-Schmidt leaves along the
+    # basis; the second round keeps the basis orthonormal and the certified
+    # route accurate
+    N = 128
+    A = np.diag(1.0 + 0.05 * np.arange(N)).astype(complex)
+    A[7] += 1e-9 * np.exp(1j * np.arange(N))
+    A[:, 7] = A[7].conj()
+    A[7, 7] = 0.5
+    M = _wrap(A, pdwell.make_grid(8.0, N, 0.5))
+    ref = scipy.linalg.eigvalsh(A)
+    assert ref[0] - spectra._gershgorin_floor(M.dense(order="F")) < 2e-7
+    zheevr = _count_whole_zheevr(monkeypatch, N)
+    got = np.array([p.value for p in pdwell.lowest_eigenpairs(M, 3)])
+    assert zheevr == []
+    assert np.max(np.abs(got - ref[:3])) <= 32 * EPS * np.linalg.norm(A, 2)
+
+
+def test_write_dense_matches_dense(model_a, model_b, seal_a):
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    for model in (model_a, model_b):
+        L = pdwell.assemble_L(model, g)
+        for M in (L, pdwell.assemble_onewell(L, "left", seal_a)):
+            A = np.full((128, 128), np.nan, dtype=M.dense().dtype, order="F")
+            spectra._write_dense(A, M)
+            assert A.tobytes(order="C") == M.dense().tobytes()
