@@ -67,7 +67,6 @@ class Model:
     b: SymbolB
     x_left: float
     x_right: float
-    name: str = "custom"
     _constants: Optional["ModelConstants"] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
                 np.asarray(x, dtype=float), np.asarray(xi, dtype=float)).shape),
             xi_independent=True)
         return Model(a=SymbolA(_a_reference), b=b,
-                     x_left=-1.0, x_right=1.0, name="ModelA")
+                     x_left=-1.0, x_right=1.0)
     if name == "ModelB":
         if not 0.0 <= eps <= 1.0:
             raise ConfigurationError(f"ModelB coupling eps must be in [0, 1], got {eps}")
@@ -201,7 +200,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
 
         return Model(a=SymbolA(_a_reference),
                      b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)),
-                     x_left=-1.0, x_right=1.0, name="ModelB")
+                     x_left=-1.0, x_right=1.0)
     raise ConfigurationError(f"unknown model name {name!r}; expected ModelA or ModelB")
 
 
@@ -497,7 +496,7 @@ def _free_names(expr: str):
     return {n.id for n in ast.walk(_parse(expr)) if isinstance(n, ast.Name)}
 
 
-def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") -> Model:
+def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
     """Build a Model from expression strings; derivatives fall back to stencils."""
     if not x_well > 0:
         raise ConfigurationError("x_well must be positive")
@@ -519,4 +518,4 @@ def custom_model(a_expr: str, b_expr: str, x_well: float, name: str = "custom") 
 
     return Model(a=SymbolA(a_eval),
                  b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
-                 x_left=-x_well, x_right=x_well, name=name)
+                 x_left=-x_well, x_right=x_well)

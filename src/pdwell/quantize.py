@@ -20,10 +20,10 @@ norm, parity block and dense copy is made. A multiplier even on the lattice
 gives a real column (the inverse DFT of a real even sequence is real);
 symbols coupling x and xi stay complex Hermitian N x N matrices. A
 circulant's column goes through the same _symmetrize, an O(N) average that
-gives the Hermitian part of the circulant. When that column is real
-and V is even bit for bit, the operator commutes exactly with the reflection
-U: x -> -x; the result records it (reflection_symmetric) and
-spectra.lowest_eigenpairs then solves its two parity sectors separately.
+gives the Hermitian part of the circulant. Only this module reads the
+stored form; the rest of the package calls OperatorMatrix's methods, among
+them reflection_symmetric, read off the operator's own numbers, on which
+spectra.lowest_eigenpairs solves two parity sectors separately.
 
 The numpy and scipy wheels each bundle an OpenBLAS with its own thread pool.
 Products of a dense matrix with a vector call scipy's compiled gemv
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,34 +94,50 @@ class OperatorMatrix:
     """Hermitian operator on the grid, real symmetric when its symbol is even in xi.
 
     A dense operator is entries + diag(diagonal); the optional real diagonal
-    lets it share another's entries (assemble_onewell). A circulant plus a
+    lets it share another's entries (plus_diagonal). A circulant plus a
     diagonal holds no N x N array: entries is None, column is the first
     column of the circulant that gives its off-diagonal entries, and
     diagonal is its whole real main diagonal. dense() materializes either
-    form. reflection_symmetric is True only when the operator commutes
-    exactly with the reflection U = reverse_indices, bit for bit; only the
-    circulant builder sets it.
+    form. These fields are read in this module only.
     """
     grid: Grid
     entries: np.ndarray | None = field(default=None)
     column: np.ndarray | None = field(default=None)
     diagonal: np.ndarray | None = field(default=None)
-    reflection_symmetric: bool = field(default=False)
 
     @property
     def N(self) -> int:
         return len(self.column if self.entries is None else self.entries)
 
-    def dense(self, order: str = "C") -> np.ndarray:
-        """A new N x N array holding the operator, in the given order."""
+    @property
+    def reflection_symmetric(self) -> bool:
+        """True when U M U == M bit for bit (U = reverse_indices): a real
+        circulant column and a diagonal that reversal leaves unchanged. A
+        dense operator reads False."""
+        if self.entries is not None:
+            return False
+        rev = reverse_indices(self.N)
+        return (not np.iscomplexobj(self.column)
+                and np.array_equal(self.column[rev], self.column)
+                and np.array_equal(self.diagonal[rev], self.diagonal))
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The operator in out, overwritten, or in a new Fortran-ordered array."""
+        if out is None:
+            held = self.column if self.entries is None else self.entries
+            out = np.empty((self.N, self.N), dtype=held.dtype, order="F")
         if self.entries is None:
-            A = np.array(_circulant_view(self.column), order=order)
-            A[np.diag_indices_from(A)] = self.diagonal
-            return A
-        A = np.array(self.entries, order=order)
-        if self.diagonal is not None:
-            A[np.diag_indices_from(A)] += self.diagonal
-        return A
+            out[...] = _circulant_view(self.column)
+            out[np.diag_indices_from(out)] = self.diagonal
+        else:
+            out[...] = self.entries
+            if self.diagonal is not None:
+                out[np.diag_indices_from(out)] += self.diagonal
+        return out
+
+    def plus_diagonal(self, d: np.ndarray) -> "OperatorMatrix":
+        """M + diag(d), sharing M's entries or circulant column; M is unchanged."""
+        return replace(self, diagonal=d if self.diagonal is None else d + self.diagonal)
 
     def frobenius_norm(self) -> float:
         """||M||_F, in O(N) from the column and diagonal of a circulant."""
@@ -263,18 +279,15 @@ def _circulant_plus_diagonal(a, potential, coupling: float, g: Grid) -> Operator
     """Hermitian circulant of the multiplier a(xi) plus the diagonal coupling V(x).
 
     C[j, k] = col[(j - k) mod N], so C^H is the circulant of conj(col[rev]),
-    and the column _symmetrize averages gives 0.5 (C + C^H) bit for bit. The
-    result commutes exactly with the reflection when the column is real (its
-    symmetrized form is then even) and V[rev] == V.
+    and the column _symmetrize averages gives 0.5 (C + C^H) bit for bit. A
+    real column is then even, so the result is reflection symmetric when
+    its diagonal is.
     """
-    N = g.n_points
     col = _multiplier_column(a, g)
     _symmetrize(col)
     V = np.broadcast_to(_finite("potential", potential(g.x_nodes), x=g.x_nodes),
-                        (N,))
-    symmetric = not np.iscomplexobj(col) and np.array_equal(V, V[reverse_indices(N)])
-    return OperatorMatrix(g, column=col, diagonal=col[0].real + coupling * V,
-                          reflection_symmetric=symmetric)
+                        (g.n_points,))
+    return OperatorMatrix(g, column=col, diagonal=col[0].real + coupling * V)
 
 
 def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
@@ -300,7 +313,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
 def dump_matrix(M: OperatorMatrix, f) -> None:
     """Write M to f, a binary file open for writing."""
     f.write(_MAGIC + struct.pack("<Id", M.N, M.grid.h))
-    f.write(np.ascontiguousarray(M.dense(), dtype="<c16").tobytes())
+    f.write(M.dense().astype("<c16", copy=False).tobytes(order="C"))
 
 
 def load_matrix(path):

@@ -5,11 +5,11 @@ Eigenvectors are normalized against the dx-weighted inner product
 real positive, the lowest index among equal moduli). An operator takes one
 of three routes, chosen from the operator itself:
 
-* A matrix that commutes exactly with the reflection U: x -> -x
-  (OperatorMatrix.reflection_symmetric) is block diagonal in the even and
-  odd vectors, so its eigenpairs are those of two half-size blocks, solved
-  separately by ?syevr and merged by value; each vector then satisfies
-  Uv = +-v exactly.
+* A matrix that commutes exactly with the reflection U: x -> -x, as
+  OperatorMatrix.reflection_symmetric reads off its own numbers, is block
+  diagonal in the even and odd vectors, so its eigenpairs are those of two
+  half-size blocks, solved separately by ?syevr and merged by value; each
+  vector then satisfies Uv = +-v exactly.
 * Any other real matrix is solved whole by dsyevr.
 * Any other complex matrix is solved whole by shift-invert block Lanczos on
   a Cholesky factor. The shift sigma, a Gershgorin lower bound, is proven
@@ -42,8 +42,7 @@ from numpy.linalg import LinAlgError
 
 from ._lapack import cho_factor, cho_solve, eigh, gemm, herk, trsm
 from .errors import ConfigurationError, NumericError, PrecisionWarning
-from .quantize import (Grid, OperatorMatrix, _circulant_view, frobenius_norm,
-                       reverse_indices)
+from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
@@ -125,13 +124,14 @@ def _parity_sectors(M: OperatorMatrix, k: int):
 
 def _factor_in_place(A: np.ndarray) -> bool:
     """Overwrite A's lower triangle with its Cholesky factor; False when A
-    is not positive definite. A's entries must be finite: ?potrf is not
-    given a scan for them."""
+    is not positive definite. ?potrf is given no scan for non-finite
+    entries and factors them with info = 0; every one reaches the factor's
+    diagonal, so a non-finite diagonal is no factor either."""
     try:
-        cho_factor(A)
+        F = cho_factor(A)
     except LinAlgError:
         return False
-    return True
+    return bool(np.isfinite(np.diagonal(F)).all())
 
 
 def _gershgorin_floor(A: np.ndarray) -> float:
@@ -185,7 +185,8 @@ def _krylov(F: np.ndarray, k: int):
     the whole basis (_project_out); its coefficients on the current block
     are the diagonal blocks of the block tridiagonal T, and its triangular
     factor the subdiagonal ones. T is kept negated, so its lowest
-    eigenpairs are the largest Ritz pairs, and grows with the basis.
+    eigenpairs are the largest Ritz pairs; it fills the leading block of one
+    cap x cap array as the basis grows.
     """
     N = F.shape[0]
     b = min(k + 2, N)
@@ -195,20 +196,17 @@ def _krylov(F: np.ndarray, k: int):
     if block is None:
         return None
     Q[:, :b], _, R = block
-    T = np.zeros((0, 0), dtype=F.dtype)
+    T = np.zeros((cap, cap), dtype=F.dtype, order="F")
     for lo in range(0, cap - b + 1, b):
         hi = lo + b
-        grown = np.zeros((hi, hi), dtype=F.dtype, order="F")
-        grown[:lo, :lo] = T
         if lo:
-            grown[lo:hi, lo - b:lo] = -R
-        T = grown
+            T[lo:hi, lo - b:lo] = -R
         block = _project_out(Q[:, :hi], cho_solve(F, Q[:, lo:hi]))
         if block is None:
             return None
         Qn, C, R = block
         T[lo:hi, lo:hi] = -C[lo:hi]
-        theta, S = eigh(T, k + 1)
+        theta, S = eigh(T[:hi, :hi], k + 1)
         # Ritz vector Q S[:, i] has residual Qn R S[lo:hi, i]
         RS = gemm(1.0, R, S[lo:hi])
         beta = np.sqrt(np.sum(RS.real**2 + RS.imag**2, axis=0))
@@ -230,17 +228,6 @@ def _rayleigh_ritz(M: OperatorMatrix, Y: np.ndarray):
     return w, X, np.sqrt(np.sum(R.real**2 + R.imag**2, axis=0))
 
 
-def _write_dense(A: np.ndarray, M: OperatorMatrix) -> None:
-    """Overwrite A with the entries of M.dense(), in A's own memory."""
-    if M.entries is None:
-        A[...] = _circulant_view(M.column)
-        A[np.diag_indices_from(A)] = M.diagonal
-    else:
-        A[...] = M.entries
-        if M.diagonal is not None:
-            A[np.diag_indices_from(A)] += M.diagonal
-
-
 def _certified(A: np.ndarray, M: OperatorMatrix, V: np.ndarray, tau: float,
                sigma: float) -> bool:
     """True when D = M - tau I + 2 (tau - sigma) V V^H, written into A, has a
@@ -251,7 +238,7 @@ def _certified(A: np.ndarray, M: OperatorMatrix, V: np.ndarray, tau: float,
     lambda_k+1(M) > tau. The weight lifts M's eigenvalues on the span of V,
     all above sigma, to at least tau - sigma > 0.
     """
-    _write_dense(A, M)
+    M.dense(out=A)
     A[np.diag_indices_from(A)] -= tau
     herk(2.0 * (tau - sigma), V, beta=1.0, c=A, lower=1, overwrite_c=1)
     return _factor_in_place(A)
@@ -262,10 +249,11 @@ def _whole_matrix(M: OperatorMatrix, k: int):
     whole: certified shift-invert Lanczos for a complex M, else ?syevr (and
     zheevr where the Lanczos route gives up).
 
-    One N x N array serves every stage: the shifted matrix and its factor,
-    the certificate's matrix, and zheevr's copy when the certificate fails.
+    One N x N array serves every stage, rewritten by M.dense(out=A): the
+    shifted matrix and its factor, the certificate's matrix, and zheevr's
+    copy when the certificate fails.
     """
-    A = M.dense(order="F")
+    A = M.dense()
     scale = frobenius_norm(A)
     # a finite norm is the one scan for non-finite entries; zheevr reports them
     if np.iscomplexobj(A) and k < M.N and math.isfinite(scale):
@@ -282,7 +270,7 @@ def _whole_matrix(M: OperatorMatrix, k: int):
                     and np.all(resid[:k] <= RESIDUAL_RTOL * scale)
                     and _certified(A, M, X[:, :k], tau, sigma)):
                 return w[:k], X[:, :k], scale
-        _write_dense(A, M)
+        M.dense(out=A)
     vals, vecs = eigh(A, k, overwrite_a=True)
     return vals, vecs, scale
 
@@ -294,7 +282,7 @@ def lowest_eigenpairs(M: OperatorMatrix, k: int) -> list[Eigenpair]:
     returned vector is exactly even or odd and, by Eigenpair's tie-break,
     positive at its lowest-index peak. Any other M is solved whole (see the
     module docstring for the three routes). Every vector must meet the
-    residual contract against the full matrix; a wrong reflection flag
+    residual contract against the full matrix; a wrong reflection_symmetric
     therefore raises NumericError instead of returning a wrong spectrum. So
     do a nan residual, a non-finite entry and a LAPACK failure inside the
     solver.

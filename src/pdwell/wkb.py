@@ -20,7 +20,7 @@ by integration and rescaling.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -137,17 +137,16 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
 def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
     """The sealed operator: the assembled L_h plus h * diag(k), at O(N) cost.
 
-    The result shares M's entries or circulant column, copying no N x N
-    array, and adds h k(x_j) to its diagonal; M is left unchanged. The seal
-    enters at order h because it perturbs the subprincipal symbol.
-    side = "right" reflects the bump, sealing the left well instead.
+    M.plus_diagonal(h k(x_j)) shares M's entries or circulant column,
+    copying no N x N array; M is left unchanged. The seal enters at order h
+    because it perturbs the subprincipal symbol. side = "right" reflects
+    the bump, sealing the left well instead.
     """
     if side not in ("left", "right"):
         raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     g = M.grid
     x = g.x_nodes if side == "left" else -g.x_nodes
-    diagonal = g.h * seal.evaluator(x) + (0.0 if M.diagonal is None else M.diagonal)
-    return replace(M, diagonal=diagonal, reflection_symmetric=False)
+    return M.plus_diagonal(g.h * seal.evaluator(x))
 
 
 # --------------------------------------------------------------------------

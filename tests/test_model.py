@@ -61,7 +61,7 @@ def test_validate_cosine_fails_unique_minimum(model_a):
     # 1 - cos(xi) vanishes again at 2 pi k; expression grammar has no cos,
     # so the symbol is built directly
     m = Model(a=SymbolA(lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float))),
-              b=model_a.b, x_left=-1.0, x_right=1.0, name="cosine")
+              b=model_a.b, x_left=-1.0, x_right=1.0)
     report = pdwell.validate_model(m)
     assert not report.checks["a_min_unique"]
     assert not report.passed
@@ -82,7 +82,7 @@ def test_validate_nonfinite_raises(model_a):
 
     m = Model(a=model_a.a,
               b=SymbolB(singular, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_left=-1.0, x_right=1.0, name="singular")
+              x_left=-1.0, x_right=1.0)
     with pytest.raises(EvaluationError):
         pdwell.validate_model(m)
 
@@ -126,7 +126,7 @@ def test_unconverged_action_raises(model_a):
         return (x*x - 1.0)**2 * (1.0 + np.abs(x - 0.3)) + 0.0*np.asarray(xi, dtype=float)
 
     m = Model(a=model_a.a, b=SymbolB(kinked, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_left=-1.0, x_right=1.0, name="kinked")
+              x_left=-1.0, x_right=1.0)
     with pytest.raises(NumericError, match="action quadrature did not converge"):
         pdwell.derived_constants(m)
 

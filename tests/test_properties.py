@@ -238,9 +238,10 @@ def test_column_form_matches_circulant_route(ca, cv, ck, g, odd, sealed, seed):
         seal = pdwell.SealingFunction(evaluator=lambda x: _poly(ck, x), eta=0.4)
         M = pdwell.assemble_onewell(M, "left", seal)
         expected[np.diag_indices_from(expected)] += g.h * _poly(ck, g.x_nodes)
-    dense, fortran = M.dense(), M.dense(order="F")
-    assert fortran.flags.f_contiguous
-    assert dense.tobytes() == fortran.tobytes() == expected.tobytes()
+    dense = M.dense()
+    buffer = np.full(dense.shape, np.nan, dtype=dense.dtype)
+    assert dense.flags.f_contiguous and M.dense(out=buffer) is buffer
+    assert dense.tobytes() == buffer.tobytes() == expected.tobytes()
 
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(g.n_points)

@@ -1,13 +1,15 @@
 """Grid construction and Weyl-quantization exactness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import circulant, eigh, eigvalsh
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError
-from pdwell.quantize import (_circulant_plus_diagonal, _circulant_view,
-                             _multiplier_column, _symmetrize)
+from pdwell.quantize import (OperatorMatrix, _circulant_plus_diagonal,
+                             _circulant_view, _multiplier_column, _symmetrize)
 
 
 def _dft(N):
@@ -177,6 +179,26 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
     for M in unflagged:
         assert not M.reflection_symmetric
     assert unflagged[2].dense().dtype == np.complex128
+
+
+def test_reflection_symmetry_is_read_off_the_numbers(model_a):
+    """reflection_symmetric holds for a real column and a diagonal that
+    reversal leaves unchanged bit for bit: one ulp off either, a complex
+    copy of the column, or the same numbers held dense read False. It is
+    no constructor argument and cannot be set."""
+    g = pdwell.make_grid(8.0, 128, 0.07)
+    L = pdwell.assemble_L(model_a, g)
+    assert L.reflection_symmetric
+    for field in ("column", "diagonal"):
+        off = getattr(L, field).copy()
+        off[3] = np.nextafter(off[3], np.inf)
+        assert not dataclasses.replace(L, **{field: off}).reflection_symmetric
+    assert not dataclasses.replace(L, column=L.column.astype(complex)).reflection_symmetric
+    assert not OperatorMatrix(g, entries=L.dense()).reflection_symmetric
+    with pytest.raises(TypeError):
+        OperatorMatrix(g, column=L.column, diagonal=L.diagonal, reflection_symmetric=True)
+    with pytest.raises(AttributeError):
+        L.reflection_symmetric = False
 
 
 def test_uneven_multiplier_keeps_complex_circulant():

@@ -122,28 +122,41 @@ def test_wrong_reflection_flag_fails_residual_contract(model_a, seal_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, g), "left", seal_a)
     assert M.entries is None and not M.reflection_symmetric
-    with pytest.raises(NumericError):
-        pdwell.lowest_eigenpairs(dataclasses.replace(M, reflection_symmetric=True), 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OperatorMatrix, "reflection_symmetric", property(lambda self: True))
+        with pytest.raises(NumericError):
+            pdwell.lowest_eigenpairs(M, 2)
 
 
-@pytest.mark.parametrize("name", ["ModelB", "ModelA"],
-                         ids=["dense", "parity_sectors"])
-def test_nan_eigenvector_fails_residual_contract(monkeypatch, name):
+@pytest.mark.parametrize("sealed", [True, False], ids=["dense", "parity_sectors"])
+def test_nan_eigenvector_fails_residual_contract(monkeypatch, model_a, seal_a, sealed):
     # a nan residual fails `resid > bound` too, so the pair came back
-    # with residual = nan and only a RuntimeWarning
+    # with residual = nan and only a RuntimeWarning. ModelA's sealed
+    # one-well operator is real and not reflection symmetric: its one solve
+    # is dsyevr on the whole N x N matrix, and only that call is patched;
+    # L_h is solved in its two smaller parity blocks, both patched
+    g = pdwell.make_grid(8.0, 256, 0.05)
+    M = pdwell.assemble_L(model_a, g)
+    if sealed:
+        M = pdwell.assemble_onewell(M, "left", seal_a)
+    assert M.reflection_symmetric is not sealed
     solve = spectra.eigh
+    calls = []
 
     def nan_column(a, k, overwrite_a=False):
+        calls.append((a.shape, a.dtype))
         w, v = solve(a, k, overwrite_a=overwrite_a)
-        v[:, 0] = np.nan
+        if not sealed or a.shape == (g.n_points, g.n_points):
+            v[:, 0] = np.nan
         return w, v
 
     monkeypatch.setattr(spectra, "eigh", nan_column)
-    M = pdwell.assemble_L(pdwell.builtin_model(name),
-                          pdwell.make_grid(8.0, 256, 0.05))
-    assert M.reflection_symmetric == (name == "ModelA")
     with pytest.raises(NumericError, match="residual nan"):
         pdwell.lowest_eigenpairs(M, 2)
+    if sealed:
+        assert calls == [((256, 256), np.float64)]
+    else:
+        assert calls == [((129, 129), np.float64), ((127, 127), np.float64)]
 
 
 def test_non_finite_matrix_is_numeric_error(g64):
@@ -435,7 +448,7 @@ def test_modelb_operators_are_certified(monkeypatch, modelb_operators):
 
 def test_certificate_rejects_a_block_that_skips_the_ground_pair(modelb_operators):
     L = modelb_operators[0]
-    A = L.dense(order="F")
+    A = L.dense()
     sigma = spectra._gershgorin_floor(A)
     lam, Q = scipy.linalg.eigh(L.dense(), subset_by_index=(0, 4))
     k = 3
@@ -451,7 +464,7 @@ def _same_pairs(got, ref):
     assert all(p.vector.tobytes() == q.vector.tobytes() for p, q in zip(got, ref))
 
 
-@pytest.mark.parametrize("failure", ["certificate", "ritz_residual"])
+@pytest.mark.parametrize("failure", ["certificate", "ritz_residual", "nan_ritz_vector"])
 def test_forced_certificate_failure_returns_zheevr_bytes(monkeypatch, modelb_operators,
                                                          failure):
     L = modelb_operators[0]
@@ -459,16 +472,20 @@ def test_forced_certificate_failure_returns_zheevr_bytes(monkeypatch, modelb_ope
         mp.setattr(spectra, "_krylov", lambda F, k: None)
         zheevr = pdwell.lowest_eigenpairs(L, 3)
     # the zheevr route is today's whole solve: same values as eigh of a copy
-    ref_vals, _ = spectra.eigh(L.dense(order="F"), 3, overwrite_a=True)
+    ref_vals, _ = spectra.eigh(L.dense(), 3, overwrite_a=True)
     assert [p.value for p in zheevr] == list(ref_vals)
     if failure == "certificate":
         monkeypatch.setattr(spectra, "_certified", lambda *args: False)
     else:
-        # Ritz pairs that miss the residual contract are not certified
+        # Ritz pairs that miss the residual contract are not certified, and
+        # a nan Ritz vector leaves the certificate's factor non-finite
         rayleigh_ritz = spectra._rayleigh_ritz
 
         def inaccurate(M, Y):
             w, X, resid = rayleigh_ritz(M, Y)
+            if failure == "nan_ritz_vector":
+                X[:, 0] = np.nan
+                return w, X, resid
             return w, X, resid + 1e-9 * M.frobenius_norm()
 
         monkeypatch.setattr(spectra, "_rayleigh_ritz", inaccurate)
@@ -488,7 +505,7 @@ def test_krylov_space_without_the_ground_state_goes_to_zheevr(monkeypatch):
     A[np.ix_(rest, rest)] = np.diag(np.arange(1.0, N)) + 0.02 * np.outer(u, u.conj())
     A[ground, ground] = 0.5
     M = _wrap(A, pdwell.make_grid(8.0, N, 0.5))
-    assert spectra._gershgorin_floor(M.dense(order="F")) < 0.5
+    assert spectra._gershgorin_floor(M.dense()) < 0.5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectra, "_krylov", lambda F, k: None)
         zheevr = pdwell.lowest_eigenpairs(M, 3)
@@ -523,18 +540,19 @@ def test_shift_just_below_the_ground_level_stays_certified(monkeypatch):
     A[7, 7] = 0.5
     M = _wrap(A, pdwell.make_grid(8.0, N, 0.5))
     ref = scipy.linalg.eigvalsh(A)
-    assert ref[0] - spectra._gershgorin_floor(M.dense(order="F")) < 2e-7
+    assert ref[0] - spectra._gershgorin_floor(M.dense()) < 2e-7
     zheevr = _count_whole_zheevr(monkeypatch, N)
     got = np.array([p.value for p in pdwell.lowest_eigenpairs(M, 3)])
     assert zheevr == []
     assert np.max(np.abs(got - ref[:3])) <= 32 * EPS * np.linalg.norm(A, 2)
 
 
-def test_write_dense_matches_dense(model_a, model_b, seal_a):
+def test_dense_out_matches_dense(model_a, model_b, seal_a):
+    # _whole_matrix rewrites its one Fortran-ordered buffer by dense(out=)
     g = pdwell.make_grid(8.0, 128, 0.07)
     for model in (model_a, model_b):
         L = pdwell.assemble_L(model, g)
         for M in (L, pdwell.assemble_onewell(L, "left", seal_a)):
             A = np.full((128, 128), np.nan, dtype=M.dense().dtype, order="F")
-            spectra._write_dense(A, M)
-            assert A.tobytes(order="C") == M.dense().tobytes()
+            assert M.dense(out=A) is A
+            assert A.tobytes() == M.dense().tobytes()
