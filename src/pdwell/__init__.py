@@ -7,8 +7,8 @@ splitting against its effective-operator and closed-form predictions.
 
 from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
                      NumericError, PrecisionWarning)
-from .model import (CumulativeIntegral, Model, ModelConstants, SymbolA,
-                    SymbolB, ValidationReport, action_integral, builtin_model,
+from .model import (CumulativeIntegral, Model, ModelConstants, SymbolB,
+                    ValidationReport, action_integral, builtin_model,
                     custom_model, derived_constants, parse_symbol,
                     validate_model)
 from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,

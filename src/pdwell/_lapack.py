@@ -50,28 +50,17 @@ def _call(routine, *args, check_finite=True, **kwargs):
     return out
 
 
-def _evr(a: np.ndarray, **kwargs):
-    """(w, v, m) of ?syevr / ?heevr on a's lower triangle, scipy's workspace."""
+def eigh(a: np.ndarray, k: int, overwrite_a: bool = False):
+    """scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=...):
+    ?syevr / ?heevr on a's lower triangle, with scipy's workspace."""
     cplx = np.iscomplexobj(a)
     name = "zheevr" if cplx else "dsyevr"
     sizes = _call(getattr(_flapack, name + "_lwork"), a.shape[0], lower=1)
     keys = ("lwork", "lrwork", "liwork") if cplx else ("lwork", "liwork")
-    kwargs.update(zip(keys, (int(s.real) for s in sizes)))
-    return _call(getattr(_flapack, name), a, lower=1, **kwargs)[:3]
-
-
-def eigh(a: np.ndarray, k: int, overwrite_a: bool = False):
-    """scipy.linalg.eigh(a, subset_by_index=(0, k - 1), overwrite_a=...)."""
-    w, v, m = _evr(a, compute_v=1, range="I", il=1, iu=k, overwrite_a=overwrite_a)
+    work = dict(zip(keys, (int(s.real) for s in sizes)))
+    w, v, m = _call(getattr(_flapack, name), a, lower=1, compute_v=1, range="I",
+                    il=1, iu=k, overwrite_a=overwrite_a, **work)[:3]
     return w[:m], v[:, :m]
-
-
-def eigvalsh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """scipy.linalg.eigvalsh(a), or eigvalsh(a, b) by ?sygvd / ?hegvd."""
-    if b is None:
-        return _evr(a, compute_v=0)[0]
-    name = "zhegvd" if np.iscomplexobj(a) or np.iscomplexobj(b) else "dsygvd"
-    return _call(getattr(_flapack, name), a, b, itype=1, jobz="N", uplo="L")[0]
 
 
 def gemv(a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,13 +3,13 @@
 Subcommands mirror the pipeline stages: validate a model, print spectra at
 one h, dump WKB profiles, tabulate the effective operator, and run the sweep
 that compares the measured splitting with its predictions. Exit codes:
-0 success, 2 configuration error, 3 numeric failure (in sweep, after the
-last row if a row raised), 4 failed acceptance check (--check only). `main`
-reads the config once and passes it on: cmd_*(args, cfg). `run`, the process
-entry, freezes the ~22,000 objects the imports leave, so no collection walks
-them again, even at exit, and prints each warning (a PrecisionWarning, say)
-as one stderr line, without the source line warnings adds; `main` does
-neither.
+0 success, 2 configuration error, 3 numeric failure (an array too large to
+allocate included; in sweep, after the last row if a row raised), 4 failed
+acceptance check (--check only). `main` reads the config once and passes it
+on: cmd_*(args, cfg). `run`, the process entry, freezes the ~22,000 objects
+the imports leave, so no collection walks them again, even at exit, and
+prints each warning (a PrecisionWarning, say) as one stderr line, without
+the source line warnings adds; `main` does neither.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, EvaluationError) as exc:
+    except (NumericError, EvaluationError, MemoryError) as exc:
+        # numpy's MemoryError names the size and shape it could not allocate
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, NumericError
 
 __all__ = [
-    "SymbolA", "SymbolB", "Model", "ModelConstants", "ValidationReport",
+    "SymbolB", "Model", "ModelConstants", "ValidationReport",
     "builtin_model", "validate_model", "derived_constants",
     "parse_symbol", "custom_model", "CumulativeIntegral", "action_integral",
 ]
@@ -38,15 +38,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # domain types
 # --------------------------------------------------------------------------
-
-@dataclass
-class SymbolA:
-    """Principal symbol a(xi), even, vanishing to second order at 0."""
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, xi):
-        return self.evaluator(xi)
-
 
 @dataclass
 class SymbolB:
@@ -63,7 +54,8 @@ class SymbolB:
 
 @dataclass
 class Model:
-    a: SymbolA
+    # principal symbol a(xi), even, vanishing to second order at 0
+    a: Callable[[np.ndarray], np.ndarray]
     b: SymbolB
     x_left: float
     x_right: float
@@ -182,8 +174,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             xi_derivative=lambda x, xi: np.zeros(np.broadcast(
                 np.asarray(x, dtype=float), np.asarray(xi, dtype=float)).shape),
             xi_independent=True)
-        return Model(a=SymbolA(_a_reference), b=b,
-                     x_left=-1.0, x_right=1.0)
+        return Model(a=_a_reference, b=b, x_left=-1.0, x_right=1.0)
     if name == "ModelB":
         if not 0.0 <= eps <= 1.0:
             raise ConfigurationError(f"ModelB coupling eps must be in [0, 1], got {eps}")
@@ -198,7 +189,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             xi = np.asarray(xi, dtype=float)
             return eps*x/(1.0 + x*x) * (1.0 - xi*xi)/(1.0 + xi*xi)**2
 
-        return Model(a=SymbolA(_a_reference),
+        return Model(a=_a_reference,
                      b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)),
                      x_left=-1.0, x_right=1.0)
     raise ConfigurationError(f"unknown model name {name!r}; expected ModelA or ModelB")
@@ -516,6 +507,6 @@ def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
     def b_dxi(x, xi, _d=1e-4):
         return _fd1(lambda t: b_eval(x, t), np.asarray(xi, dtype=float), _d)
 
-    return Model(a=SymbolA(a_eval),
+    return Model(a=a_eval,
                  b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
                  x_left=-x_well, x_right=x_well)

@@ -298,7 +298,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
     symbol goes through the anti-diagonal assembly.
     """
     if m.b.xi_independent:
-        return _circulant_plus_diagonal(m.a.evaluator, m.potential, g.h, g)
+        return _circulant_plus_diagonal(m.a, m.potential, g.h, g)
 
     def combined(x, xi):
         return m.a(xi) + g.h * m.b(x, xi)

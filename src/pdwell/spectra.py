@@ -186,7 +186,7 @@ def _krylov(F: np.ndarray, k: int):
     are the diagonal blocks of the block tridiagonal T, and its triangular
     factor the subdiagonal ones. T is kept negated, so its lowest
     eigenpairs are the largest Ritz pairs; it fills the leading block of one
-    cap x cap array as the basis grows.
+    uninitialized cap x cap array as the basis grows.
     """
     N = F.shape[0]
     b = min(k + 2, N)
@@ -196,9 +196,14 @@ def _krylov(F: np.ndarray, k: int):
     if block is None:
         return None
     Q[:, :b], _, R = block
-    T = np.zeros((cap, cap), dtype=F.dtype, order="F")
+    # only T[:hi, :hi] is read, and eigh scans all of it for non-finite
+    # entries: each block zeroes its new row and column strips, so only
+    # the pages of T's first hi columns are ever touched
+    T = np.empty((cap, cap), dtype=F.dtype, order="F")
     for lo in range(0, cap - b + 1, b):
         hi = lo + b
+        T[lo:hi, :hi] = 0.0
+        T[:lo, lo:hi] = 0.0
         if lo:
             T[lo:hi, lo - b:lo] = -R
         block = _project_out(Q[:, :hi], cho_solve(F, Q[:, lo:hi]))
@@ -212,10 +217,10 @@ def _krylov(F: np.ndarray, k: int):
         beta = np.sqrt(np.sum(RS.real**2 + RS.imag**2, axis=0))
         if np.all(beta <= KRYLOV_RTOL * -theta):
             return gemm(1.0, Q[:, :hi], S)
+        # cap >= b, so the last block always returns here
         if hi + b > cap:
             return None
         Q[:, hi:hi + b] = Qn
-    return None
 
 
 def _rayleigh_ritz(M: OperatorMatrix, Y: np.ndarray):

@@ -5,11 +5,13 @@ read from its lowest eigenpairs, is compared against three routes:
 
   * the interaction term w_h = <(L_h - mu) f_l, f_r> built from cut-off
     one-well ground states, predicting a gap of 2|w_h|;
-  * the 2x2 Gram reduction of the quadratic form onto the projected
-    states g_* = Pi_h f_*, with the same f_l and f_r. It is not
-    independent: Pi_h projects onto the two lowest eigenvectors of L_h,
-    so it returns lambda_2 - lambda_1 by construction (to 5.1e-12 on
-    the default rows), and a check of it tests that identity;
+  * the 2x2 Gram reduction of L_h onto the projected states
+    g_* = Pi_h f_*, with the same f_l and f_r. It is not independent:
+    Pi_h projects onto the two lowest eigenvectors e_1, e_2 of L_h, and
+    whenever the coefficients C[a, j] = <f_a, e_j> have det C != 0 the
+    reduced pencil has the eigenvalues of E[j, k] = <L_h e_j, e_k>, which
+    are lambda_1 and lambda_2 up to roundoff. So the route returns E's gap
+    in closed form, and a check of it tests that identity;
   * the asymptotics: the effective operator's gap at hbar = sqrt(h)
     (effective.gap_Mhbar) and the closed-form interaction_asymptotic.
 
@@ -19,11 +21,11 @@ normalization.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from ._lapack import eigvalsh
 from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices
@@ -54,34 +56,30 @@ def overlap_cutoff(phase: AgmonPhase) -> Callable:
 
 
 def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
-                   mu: float, basis: list[Eigenpair]):
-    """2x2 reduction onto the projected cut-off states.
+                   basis: list[Eigenpair]) -> float:
+    """Eigenvalue gap of M reduced onto the projected cut-off states.
 
-    Projects the states f_l and f_r onto the span of basis (the two lowest
-    eigenpairs of M), and returns (G, L, gap) where G is the Gram matrix,
-    L the quadratic-form matrix of M - mu, and gap the eigenvalue
-    difference of the generalized problem L c = lambda G c (that of
-    G^(-1/2) L G^(-1/2)). The mu-shift leaves gap unchanged.
+    With e_1, e_2 the vectors of basis (the two lowest eigenpairs of M), the
+    projections of f_l and f_r are sum_j C[a, j] e_j, C[a, j] = <f_a, e_j>.
+    Their Gram matrix is G = C C^H and their form matrix C E C^H, with
+    E[j, k] = <M e_j, e_k>; when det C != 0 the pencil has E's eigenvalues,
+    whatever f_l and f_r are, so the gap is E's: hypot(E22 - E11, 2 |E12|).
+    DegeneracyError is raised only when the computed det C is exactly 0 or
+    nan; nearly collinear projected states pass, and the gap, which does not
+    depend on C, is as accurate for them as for any others.
     """
     g = M.grid
-
-    def project(v):
-        return sum(e.vector * g.inner(v, e.vector) for e in basis)
-
-    pair = (project(f_l), project(f_r))
-    G = np.array([[g.inner(a, b) for b in pair] for a in pair])
-    G = 0.5 * (G + G.conj().T)
-    if float(np.min(eigvalsh(G))) <= 0.0:
+    e = [p.vector for p in basis]
+    (c11, c12), (c21, c22) = [[g.inner(f, ej) for ej in e] for f in (f_l, f_r)]
+    det = c11 * c22 - c12 * c21
+    # written as not (|det| > 0), so a nan coefficient raises too
+    if not abs(det) > 0.0:
         raise DegeneracyError(
-            f"Gram matrix lost positive definiteness (eigenvalues {eigvalsh(G)}); "
+            f"Gram matrix is singular (det C = {det:.3e}); "
             "well localization broke down")
-
-    shifted = [M.apply(v) - mu * v for v in pair]
-    L = np.array([[g.inner(sv, b) for b in pair] for sv in shifted])
-    L = 0.5 * (L + L.conj().T)
-
-    evals = eigvalsh(L, G)
-    return G, L, float(evals[1] - evals[0])
+    Me = [M.apply(ej) for ej in e]
+    E11, E22, E12 = g.inner(Me[0], e[0]), g.inner(Me[1], e[1]), g.inner(Me[0], e[1])
+    return math.hypot(E22.real - E11.real, 2.0 * abs(E12))
 
 
 def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
@@ -101,7 +99,7 @@ def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
     w_h = g.inner(M.apply(f_l) - mu * f_l, f_r)
     overlap = g.inner(f_l, f_r)
 
-    _, _, gram_gap = gram_reduction(f_l, f_r, M, mu, pairs[:2])
+    gram_gap = gram_reduction(f_l, f_r, M, pairs[:2])
     return w_h, overlap, gram_gap
 
 

@@ -87,7 +87,7 @@ def test_criterion_01_quantization_exactness(model_a, model_b, check):
     dev_mult = float(np.max(np.abs(
         mult.entries - np.diag(model_a.potential(g.x_nodes)))))
     four = pdwell.weyl_matrix(lambda x, xi: model_a.a(xi) + 0.0*x, g)
-    circulant = _circulant_plus_diagonal(model_a.a.evaluator, lambda x: 0.0*x, 0.0, g)
+    circulant = _circulant_plus_diagonal(model_a.a, lambda x: 0.0*x, 0.0, g)
     dev_four = float(np.max(np.abs(four.entries - circulant.dense())))
     M = pdwell.assemble_L(model_b, g)
     hermitian = np.array_equal(M.entries, M.entries.conj().T)

@@ -77,6 +77,21 @@ def test_oversized_literal_power_exits_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_unallocatable_array_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    # a power-of-two N below MAX_POINTS passes the grid rule, and its N x N
+    # block then fails to allocate; the raise is stubbed, nothing large is made
+    text = ("Unable to allocate 32.0 GiB for an array with shape "
+            "(65537, 65537) and data type float64")
+
+    def refuse(M, k):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, "lowest_eigenpairs", refuse)
+    cfg = _write(tmp_path, "[model]\nname = ModelA\n")
+    assert main(["spectrum", cfg, "--h", "0.05", "--k", "1"]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {text}\n"
+
+
 def test_malformed_expression_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path,
                  "[model]\nname = custom\na_expr = xi**2/(1+xi**2)\n"

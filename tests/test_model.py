@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError, NumericError
-from pdwell.model import CumulativeIntegral, SymbolA, SymbolB, Model
+from pdwell.model import CumulativeIntegral, SymbolB, Model
 
 # quadrature/stencil truths for the reference double well, frozen from the
 # closed forms (a2, V2, kappa analytically; S to 30 digits, the prefactor by
@@ -60,7 +60,7 @@ def test_validate_builtin_models_pass(model_a, model_b):
 def test_validate_cosine_fails_unique_minimum(model_a):
     # 1 - cos(xi) vanishes again at 2 pi k; expression grammar has no cos,
     # so the symbol is built directly
-    m = Model(a=SymbolA(lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float))),
+    m = Model(a=lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float)),
               b=model_a.b, x_left=-1.0, x_right=1.0)
     report = pdwell.validate_model(m)
     assert not report.checks["a_min_unique"]

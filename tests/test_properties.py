@@ -129,7 +129,7 @@ def _even_model(ca, cv):
     def b(x, xi):
         return _poly(cv, x*x) + 0.0*xi
 
-    return pdwell.Model(a=pdwell.SymbolA(a),
+    return pdwell.Model(a=a,
                         b=pdwell.SymbolB(b, lambda x, xi: 0.0*x, xi_independent=True),
                         x_left=-1.0, x_right=1.0)
 

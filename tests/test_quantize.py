@@ -84,7 +84,7 @@ def test_weyl_fourier_multiplier_diagonalized(model_a):
     conj = F @ M.entries @ F.conj().T
     target = np.diag(model_a.a(g.eta_fft))
     assert np.max(np.abs(conj - target)) < 1e-12
-    C = _circulant(model_a.a.evaluator, g)
+    C = _circulant(model_a.a, g)
     assert np.max(np.abs(M.entries - C)) < 1e-12
 
 
@@ -142,7 +142,7 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
 
 
 def _split_model(a, V):
-    return pdwell.Model(a=pdwell.SymbolA(a),
+    return pdwell.Model(a=a,
                         b=pdwell.SymbolB(lambda x, xi: V(x) + 0.0*xi,
                                          lambda x, xi: 0.0*x, xi_independent=True),
                         x_left=-1.0, x_right=1.0)
@@ -172,7 +172,7 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
         return model_a.a(xi) + 0.1*xi
 
     unflagged = [L_b,
-                 pdwell.assemble_L(_split_model(model_a.a.evaluator, one_node), g),
+                 pdwell.assemble_L(_split_model(model_a.a, one_node), g),
                  pdwell.assemble_L(_split_model(xi_odd, model_a.potential), g)]
     unflagged += [pdwell.assemble_onewell(L, side, seal_a)
                   for L in (L_a, L_b) for side in ("left", "right")]
@@ -218,7 +218,7 @@ def test_assemble_h_scaling(model_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     M = pdwell.assemble_L(model_a, g).dense()
     M[np.diag_indices_from(M)] -= g.h * model_a.potential(g.x_nodes)
-    C = _circulant(model_a.a.evaluator, g)
+    C = _circulant(model_a.a, g)
     assert np.max(np.abs(M - C)) < 1e-14
     vals = eigvalsh(0.5*(C + C.conj().T))
     assert vals[0] > -1e-12
@@ -236,14 +236,14 @@ def test_apply_fourier_multiplier(model_a, rng):
         rng.standard_normal(128))
     assert np.max(np.abs(zero)) == 0.0
 
-    A = multiplier(model_a.a.evaluator)
+    A = multiplier(model_a.a)
     m0 = 17
     mode = np.exp(2j*np.pi*m0*np.arange(128)/128)
     eig = float(model_a.a(np.array(g.eta_fft[m0])))
     assert np.max(np.abs(A.apply(mode) - eig*mode)) < 1e-12
 
     v = rng.standard_normal(128) + 1j*rng.standard_normal(128)
-    dense = _circulant(model_a.a.evaluator, g) @ v
+    dense = _circulant(model_a.a, g) @ v
     assert np.max(np.abs(dense - A.apply(v))) < 1e-12
 
 
@@ -322,7 +322,7 @@ def _holed(x, xi=0.0):
 
 @pytest.mark.parametrize("build, named", [
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
-        a=pdwell.SymbolA(_pole), b=m.b, x_left=-1.0, x_right=1.0), g),
+        a=_pole, b=m.b, x_left=-1.0, x_right=1.0), g),
      "non-finite multiplier value at xi=0.0"),
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
         a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),

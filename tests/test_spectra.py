@@ -88,7 +88,7 @@ def _scalar_even_operator():
     # a(xi) = 4.8e-173/(1+xi^2) and V = 1.4375 on N = 16, h = 1/64: the
     # operator is numerically scalar and its off-diagonal entries square to
     # underflow, where LAPACK's index-range solver stops with an internal error
-    m = pdwell.Model(a=pdwell.SymbolA(lambda xi: 4.8e-173 / (1.0 + xi*xi)),
+    m = pdwell.Model(a=lambda xi: 4.8e-173 / (1.0 + xi*xi),
                      b=pdwell.SymbolB(lambda x, xi: 1.4375 + 0.0*x + 0.0*xi,
                                       lambda x, xi: 0.0*x, xi_independent=True),
                      x_left=-1.0, x_right=1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pdwell
 from pdwell import DegeneracyError
@@ -125,33 +126,84 @@ def test_interaction_term_runs_no_eigensolve(pairs05, chi_a, onewell05,
     assert gram_gap > 0 and abs(overlap) > 0 and abs(w_h) > 0
 
 
+def _pencil_gap(f_l, f_r, M, mu, basis):
+    """The reduction as a 2x2 pencil: project f_l and f_r on span(basis),
+    form the Gram matrix G and the form matrix L of M - mu on the projected
+    pair, and solve L c = lambda G c (gram_reduction's former route)."""
+    g = M.grid
+
+    def project(v):
+        return sum(e.vector * g.inner(v, e.vector) for e in basis)
+
+    pair = (project(f_l), project(f_r))
+    G = np.array([[g.inner(a, b) for b in pair] for a in pair])
+    G = 0.5 * (G + G.conj().T)
+    assert float(np.min(scipy.linalg.eigvalsh(G))) > 0.0
+    shifted = [M.apply(v) - mu * v for v in pair]
+    L = np.array([[g.inner(sv, b) for b in pair] for sv in shifted])
+    L = 0.5 * (L + L.conj().T)
+    evals = scipy.linalg.eigvalsh(L, G)
+    return float(evals[1] - evals[0])
+
+
+@pytest.fixture(scope="module", params=["ModelA", "ModelB"])
+def gram_inputs(request, grid05):
+    """(f_l, f_r, L_h, mu, two lowest pairs) of each model at h = 0.05."""
+    m = pdwell.builtin_model(request.param)
+    seal = pdwell.sealing_function(m)
+    chi = overlap_cutoff(pdwell.agmon_phase(m, seal, "left"))
+    M = pdwell.assemble_L(m, grid05)
+    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
+    f_l, f_r = _states(chi, ow, grid05)
+    return f_l, f_r, M, ow.value, pdwell.lowest_eigenpairs(M, 2)
+
+
 def test_gram_matrix_properties(onewell05, model_a, grid05, chi_a):
     M = pdwell.assemble_L(model_a, grid05)
     _, ow = onewell05
     f_l, f_r = _states(chi_a, ow[0], grid05)
-    mu = ow[0].value
     basis = pdwell.lowest_eigenpairs(M, 2)
-    G, L, gap = gram_reduction(f_l, f_r, M, mu, basis)
-
-    assert G.shape == (2, 2) and L.shape == (2, 2)
-    assert G[0, 1] == np.conj(G[1, 0])
-    assert L[0, 1] == np.conj(L[1, 0])
-    assert abs(G[0, 0] - 1.0) <= 0.01
-    assert abs(G[1, 1] - 1.0) <= 0.01
+    gap = gram_reduction(f_l, f_r, M, basis)
     assert gap > 0
+    # the cut-off states lie almost wholly in span{e_1, e_2}: the squared
+    # norms of their projections, sum_j |<f_a, e_j>|^2, are near 1
+    for f in (f_l, f_r):
+        C = [grid05.inner(f, p.vector) for p in basis]
+        assert abs(sum(abs(c)**2 for c in C) - 1.0) <= 0.01
 
-    # shifting mu moves L by -delta G but leaves the reduced gap alone
-    _, _, gap_shift = gram_reduction(f_l, f_r, M, mu + 0.37, basis)
-    assert abs(gap - gap_shift) < 1e-12
+
+def test_gram_gap_matches_the_pencil(gram_inputs):
+    # when det C != 0 the pencil's eigenvalues are those of E, whatever
+    # f_l, f_r and mu are; the closed form must give the pencil's gap
+    f_l, f_r, M, mu, basis = gram_inputs
+    pencil = _pencil_gap(f_l, f_r, M, mu, basis)
+    assert abs(gram_reduction(f_l, f_r, M, basis) / pencil - 1.0) <= 1e-10
+    # the shift mu leaves the pencil's gap alone
+    assert abs(_pencil_gap(f_l, f_r, M, mu + 0.37, basis) / pencil - 1.0) <= 1e-10
 
 
-def test_gram_degenerate_inputs(onewell05, model_a, grid05):
+def test_gram_gap_is_a_property_of_the_span(gram_inputs):
+    # a unitary change of basis inside span{e_1, e_2} gives E a large
+    # off-diagonal entry; the gap, 2 |E12| included, must not move
+    f_l, f_r, M, mu, basis = gram_inputs
+    t, p = 0.6, 0.3
+    e1, e2 = basis[0].vector, basis[1].vector
+    rotated = [pdwell.Eigenpair(0.0, np.cos(t) * e1 + np.sin(t) * np.exp(1j * p) * e2, 0.0),
+               pdwell.Eigenpair(0.0, -np.sin(t) * np.exp(-1j * p) * e1 + np.cos(t) * e2, 0.0)]
+    gap = gram_reduction(f_l, f_r, M, basis)
+    assert abs(gram_reduction(f_l, f_r, M, rotated) / gap - 1.0) <= 1e-10
+    assert abs(_pencil_gap(f_l, f_r, M, mu, rotated) / gap - 1.0) <= 1e-10
+
+
+def test_gram_degenerate_inputs(onewell05, model_a, grid05, chi_a):
     M = pdwell.assemble_L(model_a, grid05)
-    _, ow = onewell05
+    basis = pdwell.lowest_eigenpairs(M, 2)
+    f_l, _ = _states(chi_a, onewell05[1][0], grid05)
     dead = np.zeros(grid05.n_points)
-    with pytest.raises(DegeneracyError):
-        gram_reduction(dead, dead, M, ow[0].value,
-                       pdwell.lowest_eigenpairs(M, 2))
+    # equal rows of C make det C exactly 0
+    for pair in ((dead, dead), (f_l, f_l)):
+        with pytest.raises(DegeneracyError, match="singular"):
+            gram_reduction(*pair, M, basis)
 
 
 def test_gram_route_gets_the_interaction_states(pairs05, chi_a, onewell05,

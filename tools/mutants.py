@@ -1,0 +1,185 @@
+"""Mutation run for pdwell's checks: each listed fault must turn its tests red.
+
+Each entry of MUTANTS names a file under src/pdwell, one exact source line
+(compared without its indentation), the line that replaces it (the
+indentation is kept) and the pytest node ids that must fail once it does.
+For each entry the tool copies src/ to a temporary directory, applies the
+replacement there and runs only those tests against the copy; src/ itself is
+never written. First it runs every listed test on an unmutated copy, so a
+test that fails anyway cannot pass for a catch.
+
+    python3 tools/mutants.py
+
+It exits 1 when a mutant survives (one of its tests still passes), when a
+mutant's line is not found exactly once in its file (the list has gone
+stale), or when a listed test fails on the unmutated copy. It needs only the
+test dependencies and takes a few seconds per mutant. Run it on every change
+that adds, moves or loosens a check or a gate, and before deleting code that
+an entry covers. A change that adds a check adds its mutants here; a change
+that deletes a mutant's line deletes its entry.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str           # path under src/pdwell
+    line: str           # the source line, without its indentation
+    replacement: str    # what replaces it, at the same indentation
+    tests: tuple        # pytest node ids that must all fail
+
+
+QUANTIZE_TESTS = "tests/test_quantize.py::"
+PROPERTY_TESTS = "tests/test_properties.py::"
+SPECTRA_TESTS = "tests/test_spectra.py::"
+TUNNELING_TESTS = "tests/test_tunneling.py::"
+
+MUTANTS = (
+    # the Hermitian average of each inverse-DFT row (quantize._symmetrize)
+    Mutant("symmetrize-no-conj", "quantize.py",
+           "W += np.conj(W[..., reverse_indices(W.shape[-1])])",
+           "W += W[..., reverse_indices(W.shape[-1])]",
+           (QUANTIZE_TESTS + "test_symmetrized_matrix_exactly_hermitian",
+            QUANTIZE_TESTS + "test_symmetrize_rows_conjugate_even")),
+    Mutant("symmetrize-no-half", "quantize.py", "W *= 0.5", "pass",
+           (QUANTIZE_TESTS + "test_symmetrize_rows_conjugate_even",
+            QUANTIZE_TESTS + "test_weyl_constant_symbol_is_identity")),
+    Mutant("symmetrize-plain-reversal", "quantize.py",
+           "W += np.conj(W[..., reverse_indices(W.shape[-1])])",
+           "W += np.conj(W[..., ::-1])",
+           (QUANTIZE_TESTS + "test_symmetrize_rows_conjugate_even",
+            QUANTIZE_TESTS + "test_symmetrized_matrix_exactly_hermitian")),
+    Mutant("weyl-matrix-unsymmetrized", "quantize.py", "_symmetrize(W)", "pass",
+           (QUANTIZE_TESTS + "test_symmetrized_matrix_exactly_hermitian",
+            PROPERTY_TESTS + "test_symmetrized_matrices_exactly_hermitian")),
+    Mutant("circulant-unsymmetrized", "quantize.py", "_symmetrize(col)", "pass",
+           (QUANTIZE_TESTS + "test_symmetrized_matrix_exactly_hermitian",
+            PROPERTY_TESTS + "test_column_symmetrization_matches_full_matrix")),
+    # reflection symmetry read off the operator's numbers
+    Mutant("reflection-complex-column", "quantize.py",
+           "return (not np.iscomplexobj(self.column)", "return (True",
+           (QUANTIZE_TESTS + "test_reflection_symmetry_is_read_off_the_numbers",)),
+    Mutant("reflection-diagonal-only", "quantize.py",
+           "and np.array_equal(self.column[rev], self.column)", "and True",
+           (QUANTIZE_TESTS + "test_reflection_symmetry_is_read_off_the_numbers",)),
+    Mutant("reflection-dense-true", "quantize.py", "return False", "return True",
+           (QUANTIZE_TESTS + "test_reflection_symmetry_is_read_off_the_numbers",
+            SPECTRA_TESTS + "test_solves_leave_their_operators_unchanged",
+            SPECTRA_TESTS + "test_modelb_operators_are_certified")),
+    Mutant("reflection-diagonal-allclose", "quantize.py",
+           "and np.array_equal(self.diagonal[rev], self.diagonal))",
+           "and np.allclose(self.diagonal[rev], self.diagonal))",
+           (QUANTIZE_TESTS + "test_reflection_symmetry_is_read_off_the_numbers",)),
+    # the certified shift-invert route of complex whole solves
+    Mutant("certificate-no-rank-k-term", "spectra.py",
+           "herk(2.0 * (tau - sigma), V, beta=1.0, c=A, lower=1, overwrite_c=1)",
+           "pass",
+           (SPECTRA_TESTS + "test_modelb_operators_are_certified",
+            SPECTRA_TESTS + "test_certificate_rejects_a_block_that_skips_the_ground_pair")),
+    Mutant("certificate-skipped", "spectra.py",
+           "and _certified(A, M, X[:, :k], tau, sigma)):", "):",
+           (SPECTRA_TESTS + "test_forced_certificate_failure_returns_zheevr_bytes[certificate]",
+            SPECTRA_TESTS + "test_krylov_space_without_the_ground_state_goes_to_zheevr")),
+    # the closed-form Gram gap
+    Mutant("gram-gap-no-two", "tunneling.py",
+           "return math.hypot(E22.real - E11.real, 2.0 * abs(E12))",
+           "return math.hypot(E22.real - E11.real, abs(E12))",
+           (TUNNELING_TESTS + "test_gram_gap_is_a_property_of_the_span[ModelA]",
+            TUNNELING_TESTS + "test_gram_gap_is_a_property_of_the_span[ModelB]")),
+    Mutant("gram-det-guard-non-strict", "tunneling.py",
+           "if not abs(det) > 0.0:", "if not abs(det) >= 0.0:",
+           (TUNNELING_TESTS + "test_gram_degenerate_inputs",)),
+    Mutant("gram-e11-from-e2", "tunneling.py",
+           "E11, E22, E12 = g.inner(Me[0], e[0]), g.inner(Me[1], e[1]), g.inner(Me[0], e[1])",
+           "E11, E22, E12 = g.inner(Me[1], e[1]), g.inner(Me[1], e[1]), g.inner(Me[0], e[1])",
+           (TUNNELING_TESTS + "test_gram_gap_matches_the_pencil[ModelA]",
+            TUNNELING_TESTS + "test_gram_gap_matches_the_pencil[ModelB]",
+            TUNNELING_TESTS + "test_interaction_report_frozen")),
+)
+
+
+def _matches(m: Mutant, src: pathlib.Path) -> list[int]:
+    """Indices of the lines of m's file, under src, that equal m.line."""
+    lines = (src / "pdwell" / m.file).read_text().splitlines()
+    return [i for i, text in enumerate(lines) if text.strip() == m.line]
+
+
+def stale() -> list[str]:
+    """Names of the mutants whose line is not found exactly once in src/."""
+    return [m.name for m in MUTANTS if len(_matches(m, ROOT / "src")) != 1]
+
+
+def _apply(m: Mutant, src: pathlib.Path) -> None:
+    path = src / "pdwell" / m.file
+    lines = path.read_text().splitlines(keepends=True)
+    (i,) = _matches(m, src)
+    indent = lines[i][:len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = indent + m.replacement + "\n"
+    path.write_text("".join(lines))
+
+
+def _copy_src(dest: pathlib.Path) -> pathlib.Path:
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def _failed(src: pathlib.Path, tests) -> tuple[int, set]:
+    """pytest's exit code and the node ids that failed or errored, with the
+    package imported from src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "-o", f"pythonpath={src}", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = set()
+    for line in done.stdout.splitlines():
+        kind, _, rest = line.partition(" ")
+        if kind not in ("FAILED", "ERROR"):
+            continue
+        node = rest.split(" - ")[0]
+        # an error in collection names the file; every test in it failed
+        failed |= {t for t in tests if t == node or t.startswith(node + "::")}
+    return done.returncode, failed
+
+
+def main() -> int:
+    bad = set(stale())
+    problems = [f"stale: {name}'s line is not found exactly once" for name in sorted(bad)]
+    with tempfile.TemporaryDirectory(prefix="pdwell-mutants-") as tmp:
+        tmp = pathlib.Path(tmp)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        code, failed = _failed(_copy_src(tmp / "clean"), tests)
+        if code != 0:
+            # a test that fails anyway would count as a catch
+            problems.append(f"unmutated copy: pytest exit {code}, "
+                            f"failing {sorted(failed) or 'at collection'}")
+            bad = {m.name for m in MUTANTS}
+        for m in MUTANTS:
+            if m.name in bad:
+                continue
+            src = _copy_src(tmp / m.name)
+            _apply(m, src)
+            _, failed = _failed(src, m.tests)
+            survived = [t for t in m.tests if t not in failed]
+            print(f"{'MISSED' if survived else 'caught'}  {m.name}")
+            if survived:
+                problems.append(f"survivor: {m.name} passes {', '.join(survived)}")
+    for p in problems:
+        print(p, file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
