@@ -181,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hbar-list", type=float, nargs="+")
     p.set_defaults(func=cmd_effective)
 
-    p = sub.add_parser("sweep", help="full per-h pipeline with diagnostics")
+    p = sub.add_parser("sweep", help="full per-h pipeline, one CSV row per h")
     p.add_argument("config")
     p.add_argument("--check", action="store_true")
     p.set_defaults(func=cmd_sweep)

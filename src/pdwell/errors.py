@@ -19,7 +19,8 @@ class NumericError(Exception):
 
 
 class DegeneracyError(NumericError):
-    """A Gram matrix lost positive definiteness; well localization broke down."""
+    """The cut-off states' coefficients on L_h's two lowest eigenvectors have
+    a determinant of exactly 0 or nan; well localization broke down."""
 
 
 class PrecisionWarning(UserWarning):

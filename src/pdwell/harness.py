@@ -1,13 +1,14 @@
 """Sweep orchestration: configuration, per-h pipeline, analytics, CSV.
 
 A sweep validates the model and builds the left Agmon phase once
-(sweep_phase), then runs the full pipeline (grid, operators, spectra, WKB
-diagnostics, tunneling comparison) at each h in a strictly decreasing list;
-`pdwell sweep` runs it. Rows run one after another in run_sweep, the only
-loop over h, and are written to CSV in h order, every float printed with 17
-significant digits so two runs of one config are bit-identical. A failure at
-one h flags that row and the sweep continues. The action S is fitted once,
-from the finished rows.
+(sweep_phase), then runs one pipeline at each h in a strictly decreasing
+list: grid, operators, spectra, the WKB quasimode, the tunneling comparison
+and the localization columns. Every row computes every column of
+SWEEP_COLUMNS; `pdwell sweep` runs it. Rows run one after another in
+run_sweep, the only loop over h, and are written to CSV in h order, every
+float printed with 17 significant digits so two runs of one config are
+bit-identical. A failure at one h flags that row and the sweep continues.
+The action S is fitted once, from the finished rows.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ __all__ = [
     "open_output", "SWEEP_COLUMNS", "format_value", "fit_action",
 ]
 
-ALL_DIAGNOSTICS = ("localization", "wkb", "tunneling")
-
 SWEEP_COLUMNS = [
     "h", "lambda1", "lambda2", "lambda3", "gap12", "gap23", "mu",
     "re_wh", "im_wh", "two_abs_wh", "overlap_abs", "gram_gap",
@@ -66,7 +65,6 @@ class SweepConfig:
     seal_height: Optional[float] = None   # None: 2 V(0)
     eps: float = 0.2                 # ModelB coupling
     out_dir: str = "out"
-    diagnostics: tuple = ALL_DIAGNOSTICS
     # custom-model expressions; used when model_name == "custom"
     a_expr: Optional[str] = None
     b_expr: Optional[str] = None
@@ -81,10 +79,6 @@ class SweepConfig:
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ConfigurationError(f"h_list must be strictly decreasing, got {hs}")
         object.__setattr__(self, "h_list", hs)
-        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
-        unknown = set(self.diagnostics) - set(ALL_DIAGNOSTICS)
-        if unknown:
-            raise ConfigurationError(f"unknown diagnostics {sorted(unknown)}")
         self.grid_for(min(hs))
 
     def points_for(self, h: float) -> int:
@@ -150,8 +144,17 @@ def _h_list(text):
     return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-# (section, key) -> (SweepConfig field, value parser); configparser stores
-# keys in lower case
+def _all_diagnostics(text):
+    """Older configs' [checks] diagnostics line, stored in no field: every
+    sweep computes all three, so the line must name each of them once."""
+    if sorted(text.split()) != ["localization", "tunneling", "wkb"]:
+        raise ConfigurationError(
+            f"[checks] diagnostics = {text.strip()}: every sweep computes "
+            "localization, wkb and tunneling, so the line names each once")
+
+
+# (section, key) -> (SweepConfig field or None, value parser); configparser
+# stores keys in lower case
 _CONFIG_KEYS = {
     ("model", "name"): ("model_name", str),
     ("model", "eps"): ("eps", float),
@@ -165,7 +168,7 @@ _CONFIG_KEYS = {
     ("seal", "height"): ("seal_height", _auto(float)),
     ("sweep", "h_list"): ("h_list", _h_list),
     ("output", "dir"): ("out_dir", str),
-    ("checks", "diagnostics"): ("diagnostics", str.split),
+    ("checks", "diagnostics"): (None, _all_diagnostics),
 }
 
 
@@ -194,9 +197,11 @@ def load_config(path) -> SweepConfig:
                 raise ConfigurationError(f"unknown key {key!r} in [{section}] of {path}")
             name, parse = _CONFIG_KEYS[section, key]
             try:
-                kw[name] = parse(text)
+                value = parse(text)
             except ValueError as exc:
                 raise ConfigurationError(f"malformed value in {path}: {exc}") from exc
+            if name is not None:
+                kw[name] = value
     return SweepConfig(**kw)
 
 
@@ -205,7 +210,7 @@ def load_config(path) -> SweepConfig:
 # --------------------------------------------------------------------------
 
 def _sweep_row(cfg: SweepConfig, h: float) -> dict:
-    """Full pipeline at one h.
+    """Full pipeline at one h; the row holds every column of SWEEP_COLUMNS.
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
     M_hbar, on its own grid at hbar = sqrt(h), for the theorem prediction.
@@ -215,55 +220,43 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     phase = sweep_phase(cfg)
     m = phase.model
     g = cfg.grid_for(h)
-    diagnostics = cfg.diagnostics
 
     M = assemble_L(m, g)
     pairs = lowest_eigenpairs(M, 3)
+    flag = int(gap_near_residual(pairs, "splitting"))
     M_ow = assemble_onewell(M, "left", phase.seal)
     ow_pairs = lowest_eigenpairs(M_ow, 3)
-
-    row = {c: math.nan for c in SWEEP_COLUMNS}
-    row["h"] = h
-    lam = [p.value for p in pairs]
-    row.update({"lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2],
-                "gap12": lam[1] - lam[0], "gap23": lam[2] - lam[1],
-                "precision_flag": int(gap_near_residual(pairs, "splitting"))})
-    row["parity1"] = parity_of(pairs[0], g)
-    row["parity2"] = parity_of(pairs[1], g)
-    for n, pair in enumerate(ow_pairs, start=1):
-        row[f"lambda_ow{n}"] = pair.value
-
-    if "wkb" in diagnostics:
-        q = wkb_quasimode(g, phase)
-        row["wkb_lambda"] = q.lambda_wkb
-        row["norm_raw"] = q.norm_raw
-        row["wkb_residual"] = quasimode_residual(M_ow, q)
-        row["wkb_overlap"] = abs(g.inner(q.vector, ow_pairs[0].vector))
-    if "tunneling" in diagnostics:
-        w_h, overlap, gram_gap = interaction_term(
-            M, pairs, ow_pairs[0], overlap_cutoff(phase))
+    q = wkb_quasimode(g, phase)
+    wkb_residual = quasimode_residual(M_ow, q)
+    w_h, overlap, gram_gap = interaction_term(
+        M, pairs, ow_pairs[0], overlap_cutoff(phase))
     # L_h, which the one-well operator shares, is freed before gap_Mhbar
     # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
     # peak memory of a row by one N x N matrix
     del M, M_ow
+    thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h)))
+    formula = 2.0 * interaction_asymptotic(m, h)
 
-    if "tunneling" in diagnostics:
-        thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h)))
-        formula = 2.0 * interaction_asymptotic(m, h)
-        row.update({"mu": ow_pairs[0].value, "re_wh": w_h.real,
-                    "im_wh": w_h.imag, "two_abs_wh": 2.0 * abs(w_h),
-                    "overlap_abs": abs(overlap), "gram_gap": gram_gap,
-                    "thm_pred": thm, "formula_pred": formula,
-                    "ratio_thm": row["gap12"] / thm,
-                    "ratio_formula": row["gap12"] / formula})
-
-    if "localization" in diagnostics:
-        xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
-        phi_trunc = phase.truncated_evaluator(g.x_nodes)
-        for n, pair in enumerate(ow_pairs, start=1):
-            row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
-            row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
-            row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc, 0.2)
+    lam = [p.value for p in pairs]
+    gap12 = lam[1] - lam[0]
+    row = {"h": h, "lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2],
+           "gap12": gap12, "gap23": lam[2] - lam[1], "mu": ow_pairs[0].value,
+           "re_wh": w_h.real, "im_wh": w_h.imag, "two_abs_wh": 2.0 * abs(w_h),
+           "overlap_abs": abs(overlap), "gram_gap": gram_gap,
+           "thm_pred": thm, "formula_pred": formula,
+           "ratio_thm": gap12 / thm, "ratio_formula": gap12 / formula,
+           "precision_flag": flag, "wkb_lambda": q.lambda_wkb,
+           "wkb_residual": wkb_residual,
+           "wkb_overlap": abs(g.inner(q.vector, ow_pairs[0].vector)),
+           "norm_raw": q.norm_raw,
+           "parity1": parity_of(pairs[0], g), "parity2": parity_of(pairs[1], g)}
+    xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
+    phi_trunc = phase.truncated_evaluator(g.x_nodes)
+    for n, pair in enumerate(ow_pairs, start=1):
+        row[f"lambda_ow{n}"] = pair.value
+        row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
+        row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
+        row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc, 0.2)
     return row
 
 

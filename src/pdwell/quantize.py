@@ -202,9 +202,9 @@ def reverse_indices(N: int) -> np.ndarray:
 def auto_points(L: float, h: float, xi_min: float, floor: int = 512) -> int:
     """Smallest power of two N >= floor with pi h N / L >= xi_min.
 
-    L outside (0, inf), h outside (0, 1], a non-finite xi_min (nan meets
-    the cutoff vacuously) and a cutoff no N <= MAX_POINTS meets are
-    configuration errors.
+    L outside (0, inf), h outside (0, 1], a non-finite or negative xi_min
+    (nan and any negative value meet the cutoff vacuously) and a cutoff no
+    N <= MAX_POINTS meets are configuration errors.
     """
     if not 0.0 < L < math.inf:
         raise ConfigurationError(f"domain length must be positive, got {L}")
@@ -212,6 +212,8 @@ def auto_points(L: float, h: float, xi_min: float, floor: int = 512) -> int:
         raise ConfigurationError(f"semiclassical parameter must be in (0, 1], got {h}")
     if not math.isfinite(xi_min):
         raise ConfigurationError(f"xi_min must be finite, got {xi_min}")
+    if xi_min < 0.0:
+        raise ConfigurationError(f"xi_min must be >= 0, got {xi_min}")
     N = floor
     while math.pi * h * N / L < xi_min:
         N *= 2

@@ -1,4 +1,4 @@
-"""Low-lying eigenpairs and localization diagnostics.
+"""Low-lying eigenpairs, parities and localization measures.
 
 Eigenvectors are normalized against the dx-weighted inner product
 <u, v> = dx * sum u conj(v) and carry a fixed phase (largest-modulus entry

@@ -242,7 +242,6 @@ def test_sweep_check_passes(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path,
                  f"[sweep]\nh_list = 0.09 0.07 0.05\n"
-                 f"[checks]\ndiagnostics = tunneling\n"
                  f"[output]\ndir = {out_dir}\n")
     assert main(["sweep", cfg, "--check"]) == 0
     out = capsys.readouterr().out
@@ -258,12 +257,28 @@ def test_sweep_check_needs_three_unflagged_rows(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path,
                  f"[sweep]\nh_list = 0.09 0.08\n"
-                 f"[checks]\ndiagnostics = tunneling\n"
                  f"[output]\ndir = {out_dir}\n")
     assert main(["sweep", cfg, "--check"]) == 4
     captured = capsys.readouterr()
     assert captured.err == "check failed: too few unflagged rows for the action fit\n"
     assert "fit:" not in captured.out
+
+
+@pytest.mark.parametrize("names", [
+    "tunneling", "wkb tunneling", "localization wkb tunneling plots",
+    "localization wkb wkb tunneling", "",
+], ids=["narrowed", "narrowed_two", "unknown", "repeat", "empty"])
+def test_diagnostics_other_than_all_three_exits_2(tmp_path, capsys, names):
+    # every sweep computes every column; the [checks] line older configs
+    # carry loads only when it names all three diagnostics once each
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n"
+                           f"[checks]\ndiagnostics = {names}\n")
+    assert main(["sweep", cfg]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: [checks] diagnostics = {names}: every sweep "
+        "computes localization, wkb and tunneling, so the line names each once\n")
+    assert not out_dir.exists()
 
 
 def _formula_rows(monkeypatch, S, flagged=(), overrides=None):
@@ -285,7 +300,8 @@ def _formula_rows(monkeypatch, S, flagged=(), overrides=None):
 
 @pytest.mark.parametrize("column, value", [
     ("two_abs_wh", 1.5), ("gram_gap", 1.1), ("two_abs_wh", np.nan),
-], ids=["interaction", "gram", "interaction_nan"])
+    ("gram_gap", np.nan),
+], ids=["interaction", "gram", "interaction_nan", "gram_nan"])
 def test_sweep_check_fails_on_a_row_bound(tmp_path, capsys, monkeypatch, consts_a,
                                           column, value):
     # the gaps follow the formula with the true action, so only the row's
@@ -385,15 +401,18 @@ H_RANGE = "semiclassical parameter must be in (0, 1], got "
      "no N <= 1048576 meets pi*h*N/L >= 3.0 at h = 1e-300, L = 8.0"),
     (["sweep"], "[grid]\nxi_min = inf", "xi_min must be finite, got inf"),
     (["sweep"], "[grid]\nxi_min = nan\nn = 512", "xi_min must be finite, got nan"),
+    (["sweep"], "[grid]\nxi_min = -5\nn = 4", "xi_min must be >= 0, got -5.0"),
     (["sweep"], "[seal]\nheight = nan", "seal height must lie in (0, inf), got nan"),
     (["sweep"], "[seal]\nheight = inf", "seal height must lie in (0, inf), got inf"),
 ], ids=["spectrum_h_zero", "spectrum_h_negative", "wkb_h_zero",
         "effective_hbar_zero", "effective_hbar_negative", "spectrum_h_tiny",
-        "xi_min_inf", "xi_min_nan", "seal_height_nan", "seal_height_inf"])
+        "xi_min_inf", "xi_min_nan", "xi_min_negative", "seal_height_nan",
+        "seal_height_inf"])
 def test_bad_scale_exits_2(tmp_path, capsys, argv, section, named):
     # without the range checks the automatic grid rule doubled N until the
     # int overflowed a float, xi_min = nan switched the cutoff off, and a
-    # non-finite seal height reached the phase root finder: tracebacks
+    # non-finite seal height reached the phase root finder: tracebacks. A
+    # negative xi_min switched the cutoff off too and ran an aliased N = 4 row
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"{section}\n[sweep]\nh_list = 0.09\n"
                            f"[output]\ndir = {out_dir}\n")

@@ -1,5 +1,6 @@
 """Sweep configuration, orchestration, analytics, and CSV persistence."""
 
+import dataclasses
 import math
 import pathlib
 import re
@@ -32,9 +33,15 @@ def test_config_rejects_h_out_of_range():
         SweepConfig(h_list=(0.05, 0.0))
 
 
-def test_config_rejects_unknown_diagnostics():
-    with pytest.raises(ConfigurationError):
-        SweepConfig(diagnostics=("wkb", "plots"))
+def test_config_rejects_unknown_diagnostics(tmp_path):
+    # every sweep computes every column: no field selects diagnostics, and
+    # the [checks] line of older configs must name all three, nothing else
+    assert "diagnostics" not in {f.name for f in dataclasses.fields(SweepConfig)}
+    path = tmp_path / "plots.ini"
+    path.write_text("[checks]\ndiagnostics = localization wkb tunneling plots\n")
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(path)
+    assert "every sweep computes localization, wkb and tunneling" in str(exc.value)
 
 
 def test_config_rejects_underresolved_fixed_n():
@@ -74,7 +81,7 @@ def test_load_config_roundtrip(tmp_path):
         "[seal]\neta = 0.35\nheight = 1.7\n"
         "[sweep]\nh_list = 0.09, 0.07, 0.05\n"
         "[output]\ndir = myout\n"
-        "[checks]\ndiagnostics = wkb tunneling\n")
+        "[checks]\ndiagnostics = tunneling localization wkb\n")
     cfg = load_config(path)
     assert cfg.model_name == "ModelB"
     assert cfg.eps == 0.15
@@ -85,7 +92,9 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.seal_height == 1.7
     assert cfg.h_list == (0.09, 0.07, 0.05)
     assert cfg.out_dir == "myout"
-    assert cfg.diagnostics == ("wkb", "tunneling")
+    # the [checks] line, in any order, is accepted and stored nowhere
+    path.write_text(path.read_text().split("[checks]")[0])
+    assert load_config(path) == cfg
 
 
 def test_load_config_accepts_documented_keys(tmp_path, perfbench_module):
@@ -94,13 +103,19 @@ def test_load_config_accepts_documented_keys(tmp_path, perfbench_module):
                       re.DOTALL).group(1)
     # the README block shows the custom-model keys commented out
     readme = re.sub(r"^; (\w+ = )", r"\1", block, flags=re.MULTILINE)
-    texts = [p.read_text() for p in sorted(root.glob("configs/*.ini"))] + [readme]
-    for w in perfbench_module("workloads").WORKLOADS.values():
-        texts.append(w.config_text(0, str(tmp_path / "out")))
     path = tmp_path / "doc.ini"
-    for text in texts:
+    for text in [p.read_text() for p in sorted(root.glob("configs/*.ini"))] + [readme]:
+        assert "[checks]" not in text
         path.write_text(text)
-        assert load_config(path).diagnostics == ("localization", "wkb", "tunneling")
+        load_config(path)
+    # the benchmark's configs keep the full [checks] line, which changes nothing
+    for w in perfbench_module("workloads").WORKLOADS.values():
+        text = w.config_text(0, str(tmp_path / "out"))
+        assert "[checks]\ndiagnostics = localization wkb tunneling\n" in text
+        path.write_text(text)
+        cfg = load_config(path)
+        path.write_text(text.split("[checks]")[0])
+        assert load_config(path) == cfg
     path.write_text(readme)
     cfg = load_config(path)
     assert (cfg.eps, cfg.x_well) == (0.2, 1.0)
@@ -142,8 +157,7 @@ def test_sweep_report_shape(sweep_report):
     hs = [r["h"] for r in sweep_report.rows]
     assert hs == sorted(hs, reverse=True)
     for row in sweep_report.rows:
-        for col in SWEEP_COLUMNS:
-            assert col in row
+        assert sorted(row) == sorted(SWEEP_COLUMNS)
         assert math.isfinite(row["gap12"])
         assert row["gap12"] == row["lambda2"] - row["lambda1"]
         assert row["gap23"] == row["lambda3"] - row["lambda2"]
@@ -227,23 +241,43 @@ def test_one_row_samples_the_agmon_weight_once(monkeypatch):
     assert all(math.isfinite(row[f"agmon_{n}"]) for n in (1, 2, 3))
 
 
+def _benchmark_row_problems(check, workload, cfg, csv_path):
+    """(h, failed, problems) of every row check.check_sweep reports wrong,
+    against the workload's frozen reference rows; cfg runs its seed-0 sweep."""
+    assert cfg.h_list == workload.h_list(0)
+    assert {cfg.points_for(h) for h in cfg.h_list} == {workload.N}
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reference = check.parse_sweep(
+        (root / "perfbench" / "reference" / f"{workload.name}.csv").read_text())
+    rows = check.parse_sweep(csv_path.read_text())
+    results = check.check_sweep(rows, cfg.h_list, workload.N, reference)
+    assert [h for h, _, _ in results] == list(cfg.h_list)
+    return [(h, failed, problems) for h, failed, problems in results
+            if failed or problems]
+
+
 def test_default_sweep_passes_benchmark_row_check(sweep_report, sweep_dir,
                                                   perfbench_module):
     # the row check of the modela-desk benchmark workload at seed 0, which
-    # runs this sweep: same h list, same N, frozen reference rows
-    check = perfbench_module("check")
+    # runs this sweep: same h list, same N = 512, frozen reference rows
     desk = perfbench_module("workloads").WORKLOADS["modela-desk"]
-    cfg = SweepConfig()
-    assert cfg.h_list == desk.h_list(0)
-    assert {cfg.points_for(h) for h in cfg.h_list} == {desk.N} == {512}
-    root = pathlib.Path(__file__).resolve().parent.parent
-    reference = check.parse_sweep(
-        (root / "perfbench" / "reference" / "modela-desk.csv").read_text())
-    rows = check.parse_sweep((sweep_dir / "sweep.csv").read_text())
-    results = check.check_sweep(rows, cfg.h_list, desk.N, reference)
-    assert [h for h, _, _ in results] == list(cfg.h_list)
-    assert [(h, problems) for h, failed, problems in results
-            if failed or problems] == []
+    assert desk.N == 512
+    assert _benchmark_row_problems(perfbench_module("check"), desk, SweepConfig(),
+                                   sweep_dir / "sweep.csv") == []
+
+
+@pytest.mark.parametrize("name", ["modelb-coupled", "modela-deep"])
+def test_workload_sweep_passes_benchmark_row_check(tmp_path, perfbench_module, name):
+    # ModelB's certified Lanczos rows and the N = 1024 deep rows, run from the
+    # workload's own seed-0 config, against its frozen reference rows
+    workload = perfbench_module("workloads").WORKLOADS[name]
+    path = tmp_path / f"{name}.ini"
+    path.write_text(workload.config_text(0, str(tmp_path / "out")))
+    cfg = load_config(path)
+    report = run_sweep(cfg)
+    assert report.flags == []
+    assert _benchmark_row_problems(perfbench_module("check"), workload, cfg,
+                                   tmp_path / "out" / "sweep.csv") == []
 
 
 def test_crash_isolation(tmp_path, monkeypatch):

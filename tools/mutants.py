@@ -41,6 +41,7 @@ class Mutant:
     tests: tuple        # pytest node ids that must all fail
 
 
+CLI_TESTS = "tests/test_cli.py::"
 QUANTIZE_TESTS = "tests/test_quantize.py::"
 PROPERTY_TESTS = "tests/test_properties.py::"
 SPECTRA_TESTS = "tests/test_spectra.py::"
@@ -92,6 +93,38 @@ MUTANTS = (
            "and _certified(A, M, X[:, :k], tau, sigma)):", "):",
            (SPECTRA_TESTS + "test_forced_certificate_failure_returns_zheevr_bytes[certificate]",
             SPECTRA_TESTS + "test_krylov_space_without_the_ground_state_goes_to_zheevr")),
+    Mutant("certificate-tau-above-next-ritz-value", "spectra.py",
+           "tau = 0.5 * (w[k - 1] + w[k])",
+           "tau = w[k] + 0.5 * (w[k] - w[k - 1])",
+           (SPECTRA_TESTS + "test_modelb_operators_are_certified",
+            SPECTRA_TESTS + "test_shift_just_below_the_ground_level_stays_certified")),
+    Mutant("shift-above-ground-level", "spectra.py",
+           "sigma = _gershgorin_floor(A)",
+           "sigma = float(np.trace(A).real) / A.shape[0]",
+           (SPECTRA_TESTS + "test_modelb_operators_are_certified",
+            SPECTRA_TESTS + "test_shift_just_below_the_ground_level_stays_certified")),
+    Mutant("one-reorthogonalization-round", "spectra.py",
+           "for _ in range(2):", "for _ in range(1):",
+           (SPECTRA_TESTS + "test_shift_just_below_the_ground_level_stays_certified",)),
+    Mutant("ritz-residual-guard-dropped", "spectra.py",
+           "and np.all(resid[:k] <= RESIDUAL_RTOL * scale)", "and True",
+           (SPECTRA_TESTS + "test_forced_certificate_failure_returns_zheevr_bytes[ritz_residual]",)),
+    # the grid's momentum cutoff
+    Mutant("negative-xi-min-accepted", "quantize.py", "if xi_min < 0.0:", "if False:",
+           (CLI_TESTS + "test_bad_scale_exits_2[xi_min_negative]",)),
+    # sweep --check's row bounds, written so that a nan deviation fails
+    Mutant("check-nan-deviation-passes", "cli.py",
+           "if not (inter_dev <= 0.3 and gram_dev <= 0.05):",
+           "if inter_dev > 0.3 or gram_dev > 0.05:",
+           (CLI_TESTS + "test_sweep_check_fails_on_a_row_bound[interaction_nan]",
+            CLI_TESTS + "test_sweep_check_fails_on_a_row_bound[gram_nan]")),
+    # older configs' [checks] line must name every diagnostic once
+    Mutant("narrowed-diagnostics-accepted", "harness.py",
+           'if sorted(text.split()) != ["localization", "tunneling", "wkb"]:',
+           'if not set(text.split()) <= {"localization", "tunneling", "wkb"}:',
+           (CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[narrowed]",
+            CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[narrowed_two]",
+            CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[repeat]")),
     # the closed-form Gram gap
     Mutant("gram-gap-no-two", "tunneling.py",
            "return math.hypot(E22.real - E11.real, 2.0 * abs(E12))",
