@@ -61,7 +61,7 @@ def cmd_spectrum(args, cfg) -> int:
     with dump or contextlib.nullcontext():
         M = assemble_L(m, g)
         print(f"# h = {args.h:g}  N = {g.n_points}  L = {g.length:g}")
-        M_ow = assemble_onewell(M, "left", seal)
+        M_ow = assemble_onewell(M, seal)
         for label, op in (("lambda", M), ("lambda_onewell", M_ow)):
             for i, p in enumerate(lowest_eigenpairs(op, args.k), start=1):
                 print(f"{label}_{i} = {format_value(p.value)}")

@@ -120,15 +120,15 @@ def validated_model(cfg: SweepConfig) -> Model:
 def sweep_phase(cfg: SweepConfig) -> AgmonPhase:
     """Validate the model and build the left Agmon phase, once per config.
 
-    The phase holds the validated model and the seal closing the right well
-    (.model, .seal) and caches the WKB amplitude; none of them depends on h.
-    The cache is keyed on the frozen config, so run_sweep, each row, `pdwell
+    The phase holds the validated model, the seal closing the right well
+    (.model, .seal) and the WKB amplitude; none of them depends on h. The
+    cache is keyed on the frozen config, so run_sweep, each row, `pdwell
     sweep --check` and `pdwell wkb` share one build, whose Phi~ and amplitude
     span the grid window.
     """
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
-    return agmon_phase(m, seal, "left", span=cfg.L / 2)
+    return agmon_phase(m, seal, span=cfg.L / 2)
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     M = assemble_L(m, g)
     pairs = lowest_eigenpairs(M, 3)
     flag = int(gap_near_residual(pairs, "splitting"))
-    M_ow = assemble_onewell(M, "left", phase.seal)
+    M_ow = assemble_onewell(M, phase.seal)
     ow_pairs = lowest_eigenpairs(M_ow, 3)
     q = wkb_quasimode(g, phase)
     wkb_residual = quasimode_residual(M_ow, q)

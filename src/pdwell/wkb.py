@@ -1,16 +1,16 @@
 """One-well sealing, Agmon phase, and the leading WKB quasimode.
 
-The sealed operator closes the opposite well with a compactly supported
-bump k so that the chosen well is the unique global minimum of
-b(., 0) + k. Its ground state decays like exp(-Phi/sqrt(h)) with the
-Agmon phase
+The sealed operator closes the right well with a compactly supported bump
+k so that the left well is the unique global minimum of b(., 0) + k. Its
+ground state decays like exp(-Phi/sqrt(h)) with the Agmon phase
 
-    Phi(x) = sqrt(2/a''(0)) | int_well^x sqrt(b_sealed(s, 0)) ds |,
+    Phi(x) = sqrt(2/a''(0)) | int_{x_left}^x sqrt(b_sealed(s, 0)) ds |,
 
 and the leading quasimode is h^(-1/8) chi(x) u(x) exp(-Phi(x)/sqrt(h))
 with the amplitude u solving the first transport equation in closed form.
 Phases and amplitudes are cached Gauss-Legendre cumulative integrals from
 the well, cheap and smooth to evaluate; Phi~ and u refuse x past their span.
+The right well's states are the reflections x -> -x of the left well's.
 
 Every smooth cutoff in the package (seal, phase truncation, quasimode
 window, overlap cutoffs) is built from the single bump t -> exp(-1/(1-t^2))
@@ -86,7 +86,8 @@ def smoothstep(t):
 
 @dataclass
 class SealingFunction:
-    """Nonnegative bump k closing the right well; k(-x) closes the left one."""
+    """Nonnegative bump k closing the right well, leaving the left well the
+    sealed landscape's unique minimum."""
     evaluator: Callable[[np.ndarray], np.ndarray]
     eta: float
 
@@ -134,44 +135,29 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
     return SealingFunction(evaluator=k, eta=w)
 
 
-def assemble_onewell(M: OperatorMatrix, side: str, seal: SealingFunction) -> OperatorMatrix:
+def assemble_onewell(M: OperatorMatrix, seal: SealingFunction) -> OperatorMatrix:
     """The sealed operator: the assembled L_h plus h * diag(k), at O(N) cost.
 
     M.plus_diagonal(h k(x_j)) shares M's entries or circulant column,
     copying no N x N array; M is left unchanged. The seal enters at order h
-    because it perturbs the subprincipal symbol. side = "right" reflects
-    the bump, sealing the left well instead.
+    because it perturbs the subprincipal symbol.
     """
-    if side not in ("left", "right"):
-        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     g = M.grid
-    x = g.x_nodes if side == "left" else -g.x_nodes
-    return M.plus_diagonal(g.h * seal.evaluator(x))
+    return M.plus_diagonal(g.h * seal.evaluator(g.x_nodes))
 
 
 # --------------------------------------------------------------------------
-# Agmon phase
+# Agmon phase and amplitude
 # --------------------------------------------------------------------------
 
 @dataclass
 class AgmonPhase:
-    evaluator: Callable          # Phi
+    evaluator: Callable            # Phi
     truncated_evaluator: Callable  # Phi~, constant outside [-2A, 2A]
+    amplitude: Callable            # u_{1,0}; complex when d_xi b(., 0) != 0
     A_window: float
-    derivative: Callable         # Phi' = sqrt(2/a2) * branch, analytic
-    second_derivative: Callable  # Phi'' by differentiating the branch
-    second_at_well: float        # Phi''(x_well) from the eikonal identity
-    x_well: float
-    branch: Callable             # sgn(s - x_well) sqrt(b_sealed(s, 0))
-    model: Model = field(repr=False, default=None)
-    seal: SealingFunction = field(repr=False, default=None)
-    span: float = _DOMAIN        # Phi~ and the amplitude answer on [-span, span]
-
-    @functools.cached_property
-    def amplitude(self) -> "_Amplitude":
-        """The leading amplitude u_{1,0}, built on first use: a callable of x,
-        real positive at the well, complex when d_xi b(., 0) != 0."""
-        return _Amplitude(self)
+    model: Model = field(repr=False)
+    seal: SealingFunction = field(repr=False)
 
 
 def _table(f, span: float, well: float) -> CumulativeIntegral:
@@ -186,30 +172,37 @@ def _read(table: CumulativeIntegral, x):
     return table(x)
 
 
-def agmon_phase(m: Model, seal: SealingFunction, side: str = "left",
-                span: float = _DOMAIN) -> AgmonPhase:
-    """Phase Phi, its truncation Phi~, and the window constant A.
+def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> AgmonPhase:
+    """The left well's phase Phi, its truncation Phi~, the window constant A
+    and the leading amplitude u_{1,0}.
 
-    A is the smallest half-width such that Phi exceeds Phi at the opposite
+    A is the smallest half-width such that Phi exceeds Phi at the right
     well outside [-A, A]; the truncation multiplies Phi' by a smooth cutoff
     equal to 1 on [-A, A] and 0 outside [-2A, 2A] before integrating.
-    Phi~ and the amplitude answer on [-span, span], Phi on [-12, 12].
+
+    u solves the first transport equation in closed form:
+    u(x) = (Phi''(well)/pi)^(1/4) * exp(-I(x)) with
+    I(x) = int_well^x [ (Phi''(s) - Phi''(well)) / (2 Phi'(s))
+                        + (i/a''(0)) d_xi b(s, 0) ] ds
+    and Phi''(well) = sqrt(2/a''(0)) kappa. The first term of I has a
+    removable singularity at the well; inside a small ball it is replaced
+    by its limit Phi'''(well)/(2 Phi''(well)), where Phi''' comes from a
+    centered second-derivative stencil of the branch.
+
+    Phi~ and u answer on [-span, span], Phi on [-12, 12].
     """
-    if side not in ("left", "right"):
-        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
     if not abs(m.x_left) < span:
         raise ConfigurationError(f"span {span:g} must contain the wells at +-{m.x_right:g}")
     consts = derived_constants(m)
     pref = np.sqrt(2.0 / consts.a2)
-    x_well = m.x_left if side == "left" else m.x_right
+    well = m.x_left
 
     def landscape(s):
-        k = seal.evaluator(s) if side == "left" else seal.evaluator(-s)
-        return np.asarray(m.potential(s), dtype=float) + k
+        return np.asarray(m.potential(s), dtype=float) + seal.evaluator(s)
 
-    g = smooth_branch(landscape, x_well)
+    g = smooth_branch(landscape, well)
 
-    cum = _table(g, _DOMAIN, x_well)
+    cum = _table(g, _DOMAIN, well)
 
     def phi(x):
         return pref * cum(x)
@@ -217,18 +210,14 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left",
     def phi_prime(x):
         return pref * g(x)
 
-    def phi_second(x, d=_FD_STEP):
-        return pref * _fd1(g, np.asarray(x, dtype=float), d)
-
     # A_window: Phi is monotone on each side of the well, so the binding
-    # constraint is the far branch reaching Phi(opposite well); the near
-    # branch only forces A >= |x_opposite|. The table's far-branch edges,
-    # ordered outward, bracket the root and Newton steps refine it.
-    x_opp = m.x_right if side == "left" else m.x_left
-    target = float(phi(np.array(x_opp)))
-    far, order = (cum.edges - x_well) * x_well > 0, int(np.sign(x_well))
-    j = np.searchsorted(pref * cum.cum[far][::order], target)
-    root = float(cum.edges[far][::order][min(j, np.count_nonzero(far) - 1)])
+    # constraint is the far branch (left of the well) reaching Phi(x_right);
+    # the near branch only forces A >= x_right. The far branch's table
+    # edges, read outward, bracket the root and Newton steps refine it.
+    target = float(phi(np.array(m.x_right)))
+    far = cum.edges < well
+    j = np.searchsorted(pref * cum.cum[far][::-1], target)
+    root = float(cum.edges[far][::-1][min(j, np.count_nonzero(far) - 1)])
     for _ in range(8):
         step = (float(phi(root)) - target) / float(phi_prime(root))
         root -= step
@@ -236,60 +225,38 @@ def agmon_phase(m: Model, seal: SealingFunction, side: str = "left",
             break
     else:
         raise NumericError(f"Agmon window root did not converge: last step {step:.3e}")
-    A = max(abs(x_opp), abs(root))
+    A = max(m.x_right, abs(root))
 
     def chi0(s):
         s = np.asarray(s, dtype=float)
         return smoothstep(2.0*s/A + 3.0) * smoothstep(3.0 - 2.0*s/A)
 
-    phi_trunc = functools.partial(_read, _table(lambda s: chi0(s) * phi_prime(s), span, x_well))
+    phi_trunc = functools.partial(_read, _table(lambda s: chi0(s) * phi_prime(s), span, well))
 
-    return AgmonPhase(evaluator=phi, truncated_evaluator=phi_trunc,
-                      A_window=float(A), derivative=phi_prime,
-                      second_derivative=phi_second,
-                      second_at_well=float(pref * consts.kappa),
-                      x_well=x_well, branch=g, model=m, seal=seal, span=span)
+    pp_well = float(pref * consts.kappa)
+    limit = float(pref * _fd2(g, well, _FD_STEP)) / (2.0 * pp_well)
+
+    def integrand(s):
+        s = np.asarray(s, dtype=float)
+        near = np.abs(s - well) < _SING_RADIUS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reg = (pref * _fd1(g, s, _FD_STEP) - pp_well) / (2.0 * phi_prime(s))
+        imag_part = np.asarray(m.b.xi_derivative(s, 0.0), dtype=float) / consts.a2
+        return np.where(near, limit, reg) + 1j * imag_part
+
+    u_table = _table(integrand, span, well)
+    prefactor = (pp_well / np.pi) ** 0.25
+
+    def amplitude(x):
+        return prefactor * np.exp(-_read(u_table, x))
+
+    return AgmonPhase(evaluator=phi, truncated_evaluator=phi_trunc, amplitude=amplitude,
+                      A_window=float(A), model=m, seal=seal)
 
 
 # --------------------------------------------------------------------------
-# amplitude and quasimode
+# quasimode
 # --------------------------------------------------------------------------
-
-class _Amplitude:
-    """Leading transport solution u_{1,0} as a cached cumulative integral.
-
-    u(x) = (Phi''(well)/pi)^(1/4) * exp(-I(x)) with
-    I(x) = int_well^x [ (Phi''(s) - Phi''(well)) / (2 Phi'(s))
-                        + (i/a''(0)) d_xi b(s, 0) ] ds.
-    The first term has a removable singularity at the well; inside a small
-    ball it is replaced by its limit Phi'''(well)/(2 Phi''(well)), where
-    Phi''' comes from a centered second-derivative stencil of the branch.
-    """
-
-    def __init__(self, phase: AgmonPhase):
-        m = phase.model
-        a2 = derived_constants(m).a2
-        well = phase.x_well
-        pp_well = phase.second_at_well
-        # Phi''' = sqrt(2/a2) g''(well)
-        ppp_well = float(np.sqrt(2.0/a2) * _fd2(phase.branch, well, _FD_STEP))
-        self.limit = ppp_well / (2.0 * pp_well)
-        self.prefactor = (pp_well / np.pi) ** 0.25
-
-        def integrand(s):
-            s = np.asarray(s, dtype=float)
-            near = np.abs(s - well) < _SING_RADIUS
-            with np.errstate(divide="ignore", invalid="ignore"):
-                reg = (phase.second_derivative(s) - pp_well) / (2.0 * phase.derivative(s))
-            real_part = np.where(near, self.limit, reg)
-            imag_part = np.asarray(m.b.xi_derivative(s, 0.0), dtype=float) / a2
-            return real_part + 1j * imag_part
-
-        self._cum = _table(integrand, phase.span, well)
-
-    def __call__(self, x):
-        return self.prefactor * np.exp(-_read(self._cum, x))
-
 
 @dataclass
 class WkbQuasimode:

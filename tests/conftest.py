@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import pdwell
+from pdwell.model import smooth_branch
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,12 +39,7 @@ def seal_a(model_a):
 
 @pytest.fixture(scope="session")
 def phase_a_left(model_a, seal_a):
-    return pdwell.agmon_phase(model_a, seal_a, "left")
-
-
-@pytest.fixture(scope="session")
-def phase_a_right(model_a, seal_a):
-    return pdwell.agmon_phase(model_a, seal_a, "right")
+    return pdwell.agmon_phase(model_a, seal_a)
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +49,7 @@ def grid05():
 
 @pytest.fixture(scope="session")
 def onewell05(model_a, grid05, seal_a):
-    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "left", seal_a)
+    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), seal_a)
     return M, pdwell.lowest_eigenpairs(M, 3)
 
 
@@ -92,43 +88,69 @@ def _fd8(f, xs, d):
                for c, off in zip(_FD8_COEFF, range(-4, 5)) if c != 0.0) / d
 
 
+def _landscape(phase):
+    """The sealed landscape b(., 0) + k of the phase's model and seal."""
+    m, k = phase.model, phase.seal.evaluator
+    return lambda s: np.asarray(m.potential(s), dtype=float) + k(s)
+
+
+def _phase_derivatives(phase, d=1e-3):
+    """Phi' and Phi'' of the left well's phase, rebuilt from the model and
+    the seal: Phi' is sqrt(2/a''(0)) times the sealed landscape's root
+    branch through the well, Phi'' its 8th-order difference with step d."""
+    pref = np.sqrt(2.0 / pdwell.derived_constants(phase.model).a2)
+    branch = smooth_branch(_landscape(phase), phase.model.x_left)
+
+    def prime(x):
+        return pref * branch(x)
+
+    return prime, lambda x: _fd8(prime, np.asarray(x, dtype=float), d)
+
+
 def _eikonal_residual(phase, sample_xs, d=2e-3):
     """Residual of (Phi')^2 = (2/a''(0)) b_sealed(., 0) at the samples.
 
     Phi' comes from an 8th-order differentiation of the cumulative phase
-    itself, not from the analytic branch, so this genuinely cross-checks
-    the quadrature against the defining identity.
+    itself, and the landscape from the model and the seal, so this
+    genuinely cross-checks the quadrature against the defining identity.
     """
     xs = np.asarray(sample_xs, dtype=float)
     consts = pdwell.derived_constants(phase.model)
     dphi = _fd8(phase.evaluator, xs, d)
-    landscape = phase.branch(xs)**2
-    return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * landscape)))
+    return float(np.max(np.abs(dphi**2 - (2.0/consts.a2) * _landscape(phase)(xs))))
 
 
 def _transport_residual(phase, sample_xs):
     """Residual of the first transport equation at the sample points.
 
     Evaluates | i Phi' d_xi b(x,0) u + (a2/2) Phi'' u + a2 Phi' u' - c0 u |
-    with u the leading amplitude and u' a high-order finite difference of
-    the amplitude callable. Samples must stay 1e-3 away from the well,
-    where Phi' vanishes and the equation degenerates.
+    with u the leading amplitude, u' a high-order finite difference of the
+    amplitude callable and Phi', Phi'' from _phase_derivatives. Samples
+    must stay 1e-3 away from the well, where Phi' vanishes and the
+    equation degenerates.
     """
     xs = np.asarray(sample_xs, dtype=float)
-    if np.any(np.abs(xs - phase.x_well) < 1e-3):
+    m = phase.model
+    if np.any(np.abs(xs - m.x_left) < 1e-3):
         raise pdwell.ConfigurationError(
             "sample points must exclude the 1e-3 ball around the well")
-    m = phase.model
     consts = pdwell.derived_constants(m)
     a2, c0 = consts.a2, consts.c0
+    prime, second = _phase_derivatives(phase)
     u_of = phase.amplitude
     u = u_of(xs)
     du = _fd8(u_of, xs, 1e-3)
-    resid = (1j * np.asarray(phase.derivative(xs)) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
-             + 0.5 * a2 * np.asarray(phase.second_derivative(xs)) * u
-             + a2 * np.asarray(phase.derivative(xs)) * du
+    resid = (1j * prime(xs) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
+             + 0.5 * a2 * second(xs) * u
+             + a2 * prime(xs) * du
              - c0 * u)
     return float(np.max(np.abs(resid)))
+
+
+@pytest.fixture(scope="session")
+def phase_derivatives():
+    """phase -> (Phi', Phi''), independent of the phase's own tables."""
+    return _phase_derivatives
 
 
 @pytest.fixture(scope="session")

@@ -62,7 +62,7 @@ def test_onewell_build_and_solve_peak(model_a, seal_a):
     L = pdwell.assemble_L(model_a, g)
 
     def build_and_solve():
-        pdwell.lowest_eigenpairs(pdwell.assemble_onewell(L, "left", seal_a), 3)
+        pdwell.lowest_eigenpairs(pdwell.assemble_onewell(L, seal_a), 3)
 
     assert _peak_above_live(build_and_solve) <= 10.5
 

@@ -236,7 +236,7 @@ def test_column_form_matches_circulant_route(ca, cv, ck, g, odd, sealed, seed):
     expected[np.diag_indices_from(expected)] += g.h * _poly(cv, g.x_nodes)
     if sealed:
         seal = pdwell.SealingFunction(evaluator=lambda x: _poly(ck, x), eta=0.4)
-        M = pdwell.assemble_onewell(M, "left", seal)
+        M = pdwell.assemble_onewell(M, seal)
         expected[np.diag_indices_from(expected)] += g.h * _poly(ck, g.x_nodes)
     dense = M.dense()
     buffer = np.full(dense.shape, np.nan, dtype=dense.dtype)

@@ -130,7 +130,7 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
     L_a = pdwell.assemble_L(model_a, g)
     assert pdwell.assemble_L(model_b, g).entries.dtype == np.complex128
     g_eff = pdwell.make_grid(8.0, 256, np.sqrt(g.h))
-    for M in (L_a, pdwell.assemble_onewell(L_a, "left", seal_a),
+    for M in (L_a, pdwell.assemble_onewell(L_a, seal_a),
               pdwell.assemble_Mhbar(model_a, g_eff),
               pdwell.assemble_Mhbar(model_b, g_eff)):
         assert M.dense().dtype == np.float64
@@ -174,8 +174,10 @@ def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a
     unflagged = [L_b,
                  pdwell.assemble_L(_split_model(model_a.a, one_node), g),
                  pdwell.assemble_L(_split_model(xi_odd, model_a.potential), g)]
-    unflagged += [pdwell.assemble_onewell(L, side, seal_a)
-                  for L in (L_a, L_b) for side in ("left", "right")]
+    # the right-well operator is the reflected seal added to L_h
+    unflagged += [ow for L in (L_a, L_b)
+                  for ow in (pdwell.assemble_onewell(L, seal_a),
+                             L.plus_diagonal(g.h * seal_a.evaluator(-g.x_nodes)))]
     for M in unflagged:
         assert not M.reflection_symmetric
     assert unflagged[2].dense().dtype == np.complex128

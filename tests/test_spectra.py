@@ -120,7 +120,7 @@ def test_wrong_reflection_flag_fails_residual_contract(model_a, seal_a):
     # reflection symmetric; solved in parity sectors its vectors miss the
     # full-matrix residual contract
     g = pdwell.make_grid(8.0, 128, 0.07)
-    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, g), "left", seal_a)
+    M = pdwell.assemble_onewell(pdwell.assemble_L(model_a, g), seal_a)
     assert M.entries is None and not M.reflection_symmetric
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(OperatorMatrix, "reflection_symmetric", property(lambda self: True))
@@ -138,7 +138,7 @@ def test_nan_eigenvector_fails_residual_contract(monkeypatch, model_a, seal_a, s
     g = pdwell.make_grid(8.0, 256, 0.05)
     M = pdwell.assemble_L(model_a, g)
     if sealed:
-        M = pdwell.assemble_onewell(M, "left", seal_a)
+        M = pdwell.assemble_onewell(M, seal_a)
     assert M.reflection_symmetric is not sealed
     solve = spectra.eigh
     calls = []
@@ -272,7 +272,9 @@ def test_agmon_overflow_warning(phase_a_left):
 
 def test_onewell_left_right_spectra_agree(model_a, grid05, seal_a, onewell05):
     _, left = onewell05
-    M_r = pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "right", seal_a)
+    # the right well sealed by the reflected bump
+    L = pdwell.assemble_L(model_a, grid05)
+    M_r = L.plus_diagonal(grid05.h * seal_a.evaluator(-grid05.x_nodes))
     right = pdwell.lowest_eigenpairs(M_r, 3)
     for pl, pr in zip(left, right):
         assert abs(pl.value - pr.value) < 1e-10
@@ -315,7 +317,7 @@ def test_solves_leave_their_operators_unchanged(model_a, model_b, seal_a):
     L_b = pdwell.assemble_L(model_b, g)
     ops = [L_a, L_b,
            pdwell.assemble_Mhbar(model_a, pdwell.make_grid(8.0, 128, np.sqrt(g.h)))]
-    ops += [pdwell.assemble_onewell(L, "left", seal_a) for L in (L_a, L_b)]
+    ops += [pdwell.assemble_onewell(L, seal_a) for L in (L_a, L_b)]
     assert [M.reflection_symmetric for M in ops] == [True, False, True, False, False]
     for M in ops:
         held = [a for a in (M.entries, M.column, M.diagonal) if a is not None]
@@ -334,8 +336,9 @@ def test_onewell_shares_L_and_applies_as_dense(model_a, model_b, seal_a):
     v_complex = v_real + 1j * rng.standard_normal(g.n_points)
     for model in (model_a, model_b):
         L = pdwell.assemble_L(model, g)
-        for side, x in (("left", g.x_nodes), ("right", -g.x_nodes)):
-            ow = pdwell.assemble_onewell(L, side, seal_a)
+        # the right-well operator is the reflected seal added to L_h
+        right = L.plus_diagonal(g.h * seal_a.evaluator(-g.x_nodes))
+        for ow, x in ((pdwell.assemble_onewell(L, seal_a), g.x_nodes), (right, -g.x_nodes)):
             assert ow.entries is L.entries and ow.column is L.column
             dense = L.dense()
             dense[np.diag_indices_from(dense)] += g.h * seal_a.evaluator(x)
@@ -431,7 +434,7 @@ def test_shift_invert_matches_dense_eigh(problem):
 def modelb_operators(model_b):
     g = pdwell.make_grid(8.0, 256, 0.05)
     L = pdwell.assemble_L(model_b, g)
-    return L, pdwell.assemble_onewell(L, "left", pdwell.sealing_function(model_b))
+    return L, pdwell.assemble_onewell(L, pdwell.sealing_function(model_b))
 
 
 def test_modelb_operators_are_certified(monkeypatch, modelb_operators):
@@ -552,7 +555,7 @@ def test_dense_out_matches_dense(model_a, model_b, seal_a):
     g = pdwell.make_grid(8.0, 128, 0.07)
     for model in (model_a, model_b):
         L = pdwell.assemble_L(model, g)
-        for M in (L, pdwell.assemble_onewell(L, "left", seal_a)):
+        for M in (L, pdwell.assemble_onewell(L, seal_a)):
             A = np.full((128, 128), np.nan, dtype=M.dense().dtype, order="F")
             assert M.dense(out=A) is A
             assert A.tobytes() == M.dense().tobytes()

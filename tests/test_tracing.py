@@ -20,7 +20,7 @@ def test_matrix_spans_return_operator_matrices(perfbench_module, model_a, seal_a
     g = pdwell.make_grid(8.0, 64, 0.5)
     args = {
         "assemble_L": (model_a, g),
-        "assemble_onewell": (pdwell.assemble_L(model_a, g), "left", seal_a),
+        "assemble_onewell": (pdwell.assemble_L(model_a, g), seal_a),
         "schrodinger_matrix": (model_a.potential, g, 2.0),
     }
     where = {span: key for key, span in tracing.TRACED.items()}

@@ -151,9 +151,9 @@ def gram_inputs(request, grid05):
     """(f_l, f_r, L_h, mu, two lowest pairs) of each model at h = 0.05."""
     m = pdwell.builtin_model(request.param)
     seal = pdwell.sealing_function(m)
-    chi = overlap_cutoff(pdwell.agmon_phase(m, seal, "left"))
+    chi = overlap_cutoff(pdwell.agmon_phase(m, seal))
     M = pdwell.assemble_L(m, grid05)
-    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
+    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, seal), 1)[0]
     f_l, f_r = _states(chi, ow, grid05)
     return f_l, f_r, M, ow.value, pdwell.lowest_eigenpairs(M, 2)
 
@@ -284,10 +284,10 @@ def test_asymptotic_model_independent_of_coupling(model_a, model_b):
 
 def test_modelb_complex_interaction(model_b, grid05):
     seal = pdwell.sealing_function(model_b)
-    phase = pdwell.agmon_phase(model_b, seal, "left")
+    phase = pdwell.agmon_phase(model_b, seal)
     chi = overlap_cutoff(phase)
     M = pdwell.assemble_L(model_b, grid05)
-    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, "left", seal), 1)[0]
+    ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, seal), 1)[0]
     pairs = pdwell.lowest_eigenpairs(M, 3)
     w_h, _, _ = interaction_term(M, pairs, ow, chi)
     ratio = abs(w_h.imag) / abs(w_h)

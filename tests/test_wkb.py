@@ -102,10 +102,9 @@ def test_grid_nodes_are_table_edges(model_a, seal_a, counted_tables):
     # dx = 8/N is a multiple of every table's cell width 1/256 (24/6144 on
     # the default [-12, 12], 8/2048 on the sweep's [-4, 4]) for N <= 2048,
     # so sampling at the nodes reads cached sums only
-    for build in (lambda: pdwell.agmon_phase(model_a, seal_a, "left"), _sweep_phase):
+    for build in (lambda: pdwell.agmon_phase(model_a, seal_a), _sweep_phase):
         first = len(counted_tables)
         phase = build()
-        phase.amplitude
         for t in counted_tables:
             t.points = 0
         for N in (512, 1024, 2048):
@@ -126,20 +125,35 @@ def test_sweep_tables_span_the_grid_window(counted_tables):
     # at L = 8 the truncated phase and the amplitude cover [-4, 4] in 2048
     # cells of width 1/256: 32,768 build points each, against 98,304 on
     # [-12, 12]; the phase itself keeps [-12, 12], where A_window is found
-    phase = _sweep_phase()
-    phase.amplitude
+    _sweep_phase()
     raw, ramp, trunc, amp = counted_tables
     assert (raw.lo, raw.hi, len(raw.edges) - 1, raw.built) == (-12.0, 12.0, 6144, 98304)
     for t in (trunc, amp):
         assert (t.lo, t.hi, len(t.edges) - 1, t.built) == (-4.0, 4.0, 2048, 32768)
-    assert phase.span == 4.0
+
+
+def test_sweep_phase_builds_every_wkb_table(counted_tables):
+    # none of the four tables depends on h, so all are built with the phase
+    # and not on a row's first quasimode: the phase, the ramp, the truncated
+    # phase and the amplitude
+    _sweep_phase()
+    assert len(counted_tables) == 4
+
+
+def test_sweep_rows_build_no_table(counted_tables, tmp_path):
+    # the out_dir keys a config of its own, so sweep_phase builds here
+    cfg = SweepConfig(h_list=(0.09, 0.08), out_dir=str(tmp_path))
+    sweep_phase(cfg)
+    built = len(counted_tables)
+    report = pdwell.run_sweep(cfg)
+    assert [r["h"] for r in report.rows] == [0.09, 0.08]
+    assert len(counted_tables) == built == 4
 
 
 def test_sweep_phase_reads_like_the_default_phase(phase_a_left):
     # every table accumulates outward from the well, so the sweep's narrower
     # tables give the default-span values bit for bit at the grid nodes
     phase = sweep_phase(SweepConfig())
-    assert (phase.span, phase_a_left.span) == (4.0, 12.0)
     for N in (512, 1024, 2048):
         x = pdwell.make_grid(8.0, N, 0.05).x_nodes
         for read in (lambda p: p.evaluator(x), lambda p: p.truncated_evaluator(x),
@@ -150,7 +164,7 @@ def test_sweep_phase_reads_like_the_default_phase(phase_a_left):
 def test_narrow_tables_refuse_queries_past_their_span(model_a, seal_a, phase_a_left):
     # a table would answer past its end with its end value, a wrong Phi~ and
     # u_{1,0} on every node outside the span
-    phase = pdwell.agmon_phase(model_a, seal_a, "left", span=2.0)
+    phase = pdwell.agmon_phase(model_a, seal_a, span=2.0)
     g = pdwell.make_grid(8.0, 512, 0.05)
     for read in (phase.truncated_evaluator, phase.amplitude,
                  lambda x: pdwell.wkb_quasimode(g, phase)):
@@ -163,7 +177,7 @@ def test_narrow_tables_refuse_queries_past_their_span(model_a, seal_a, phase_a_l
     # the phase itself still spans [-12, 12]
     assert np.array_equal(phase.evaluator(g.x_nodes), phase_a_left.evaluator(g.x_nodes))
     with pytest.raises(ConfigurationError, match="^span 0.5 must contain the wells at"):
-        pdwell.agmon_phase(model_a, seal_a, "left", span=0.5)
+        pdwell.agmon_phase(model_a, seal_a, span=0.5)
 
 
 def test_phase_and_amplitude_build_memory(seal_a):
@@ -174,7 +188,7 @@ def test_phase_and_amplitude_build_memory(seal_a):
     m = pdwell.builtin_model("ModelA")
     tracemalloc.start()
     try:
-        pdwell.agmon_phase(m, seal_a, "left").amplitude
+        pdwell.agmon_phase(m, seal_a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -224,13 +238,8 @@ def test_sealed_landscape_unique_minimum(model_a, seal_a):
 def test_onewell_zero_seal_equals_double_well(model_a, grid05):
     zero = SealingFunction(evaluator=lambda x: np.zeros(np.shape(x)), eta=0.4)
     M = pdwell.assemble_L(model_a, grid05)
-    M_ow = pdwell.assemble_onewell(M, "left", zero)
+    M_ow = pdwell.assemble_onewell(M, zero)
     assert np.array_equal(M_ow.dense(), M.dense())
-
-
-def test_onewell_side_error(model_a, grid05, seal_a):
-    with pytest.raises(ConfigurationError):
-        pdwell.assemble_onewell(pdwell.assemble_L(model_a, grid05), "up", seal_a)
 
 
 def test_phase_zero_at_well(phase_a_left):
@@ -255,10 +264,9 @@ def test_phase_window_constant(phase_a_left):
 def test_window_constant_is_side_symmetric(name):
     m = pdwell.builtin_model(name)
     seal = pdwell.sealing_function(m)
-    left = pdwell.agmon_phase(m, seal, "left")
-    right = pdwell.agmon_phase(m, seal, "right")
-    assert abs(right.A_window - left.A_window) < 1e-14 * left.A_window
-    # an independent bracketing root finder on the left phase's far branch
+    left = pdwell.agmon_phase(m, seal)
+    # an independent bracketing root finder on the left phase's far branch;
+    # the right well's window is its reflection, so the same A
     target = float(left.evaluator(np.array(1.0)))
     root = brentq(lambda t: float(left.evaluator(np.array(t))) - target, -12.0, -1.0,
                   xtol=1e-15)
@@ -295,14 +303,15 @@ def test_eikonal_residual_small(phase_a_left, grid05, eikonal_residual):
     assert resid <= 1e-8
 
 
-def test_phase_derivative_consistent(phase_a_left):
+def test_phase_derivative_consistent(phase_a_left, phase_derivatives):
     xs = np.array([-2.3, -1.7, -0.4, 0.3, 1.9, 2.8])
     d = 1e-4
     fd = (phase_a_left.evaluator(xs + d) - phase_a_left.evaluator(xs - d)) / (2*d)
-    assert np.max(np.abs(fd - phase_a_left.derivative(xs))) < 1e-7
+    prime, _ = phase_derivatives(phase_a_left)
+    assert np.max(np.abs(fd - prime(xs))) < 1e-7
 
 
-def test_truncated_phase_lemma_properties(phase_a_left):
+def test_truncated_phase_lemma_properties(phase_a_left, phase_derivatives):
     A = phase_a_left.A_window
     xs = np.linspace(-11.0, 11.0, 2201)
     phi = np.asarray(phase_a_left.evaluator(xs))
@@ -312,7 +321,8 @@ def test_truncated_phase_lemma_properties(phase_a_left):
     d = 1e-5
     dphit = (np.asarray(phase_a_left.truncated_evaluator(xs + d))
              - np.asarray(phase_a_left.truncated_evaluator(xs - d))) / (2*d)
-    assert np.max(np.abs(dphit) - np.abs(phase_a_left.derivative(xs))) < 1e-6
+    prime, _ = phase_derivatives(phase_a_left)
+    assert np.max(np.abs(dphit) - np.abs(prime(xs))) < 1e-6
     assert np.min((xs + 1.0) * dphit) > -1e-9
 
     inner = np.abs(xs) <= A
@@ -324,20 +334,13 @@ def test_truncated_phase_lemma_properties(phase_a_left):
     assert abs(float(phase_a_left.truncated_evaluator(np.array(11.5))) - right_tail) < 1e-12
 
 
-def test_phase_side_validation(model_a, seal_a):
-    with pytest.raises(ConfigurationError):
-        pdwell.agmon_phase(model_a, seal_a, "middle")
-
-
-def test_second_at_well(phase_a_left, consts_a):
-    expected = np.sqrt(2.0/consts_a.a2) * consts_a.kappa
-    assert abs(phase_a_left.second_at_well - expected) < 1e-12
-    assert abs(phase_a_left.second_at_well - np.sqrt(2.0)) < 1e-9
-
-
-def test_amplitude_at_well(model_a, phase_a_left):
+def test_amplitude_at_well(model_a, phase_a_left, consts_a):
+    # u(well) = (Phi''(well)/pi)^(1/4), Phi''(well) = sqrt(2/a2) kappa by
+    # the eikonal identity, sqrt(2) for the reference well
+    second_at_well = np.sqrt(2.0/consts_a.a2) * consts_a.kappa
+    assert abs(second_at_well - np.sqrt(2.0)) < 1e-9
     u = phase_a_left.amplitude(np.array(-1.0))
-    expected = (phase_a_left.second_at_well / np.pi) ** 0.25
+    expected = (second_at_well / np.pi) ** 0.25
     assert abs(u - expected) < 1e-12
     assert abs(float(np.real(u)) - U_AT_WELL_FROZEN) < 1e-9
     assert float(np.imag(u)) == 0.0
@@ -363,7 +366,7 @@ def test_amplitude_log_derivative_at_well(model_a, phase_a_left):
 
 def test_amplitude_modelb_modulus_matches(model_a, model_b, phase_a_left):
     seal_b = pdwell.sealing_function(model_b)
-    phase_b = pdwell.agmon_phase(model_b, seal_b, "left")
+    phase_b = pdwell.agmon_phase(model_b, seal_b)
     xs = np.linspace(-2.5, 2.5, 101)
     u_a = phase_a_left.amplitude(xs)
     u_b = phase_b.amplitude(xs)
@@ -400,7 +403,7 @@ def test_quasimode_overlap(grid05, phase_a_left, onewell05):
 
 
 def test_quantization_condition_consistency(model_a, phase_a_left, consts_a):
-    denom = consts_a.a2 * phase_a_left.second_at_well
+    denom = consts_a.a2 * np.sqrt(2.0/consts_a.a2) * consts_a.kappa
     for n in (1, 2, 3):
         lam3 = (2*n - 1) * consts_a.c0
         assert abs(lam3/denom - 0.5 - (n - 1)) < 1e-10
@@ -415,7 +418,7 @@ def test_transport_residual_small(model_b, phase_a_left, transport_residual):
     xs = _transport_samples()
     assert transport_residual(phase_a_left, xs) <= 1e-6
     seal_b = pdwell.sealing_function(model_b)
-    phase_b = pdwell.agmon_phase(model_b, seal_b, "left")
+    phase_b = pdwell.agmon_phase(model_b, seal_b)
     assert transport_residual(phase_b, xs) <= 1e-6
 
 
@@ -424,22 +427,24 @@ def test_transport_well_ball_excluded(phase_a_left, transport_residual):
         transport_residual(phase_a_left, np.array([-1.0005]))
 
 
-def test_transport_rejects_non_solution(model_a, phase_a_left, consts_a):
+def test_transport_rejects_non_solution(model_a, phase_a_left, consts_a,
+                                        phase_derivatives):
     # evaluate the transport operator on u == 1 by hand: with u' = 0 and
     # d_xi b = 0 only the (a2/2) Phi'' u - c0 u term survives
     xs = _transport_samples()
-    resid = np.abs(0.5 * consts_a.a2 * np.asarray(phase_a_left.second_derivative(xs))
-                   - consts_a.c0)
+    _, second = phase_derivatives(phase_a_left)
+    resid = np.abs(0.5 * consts_a.a2 * second(xs) - consts_a.c0)
     assert np.max(resid) >= 0.1 * consts_a.c0
 
 
-def test_transport_operator_linearity(model_a, phase_a_left, consts_a):
+def test_transport_operator_linearity(model_a, phase_a_left, consts_a,
+                                      phase_derivatives):
     xs = _transport_samples()
     u = phase_a_left.amplitude(xs)
+    _, second = phase_derivatives(phase_a_left)
 
     def op(vec):
-        return (0.5 * consts_a.a2 * np.asarray(phase_a_left.second_derivative(xs)) * vec
-                - consts_a.c0 * vec)
+        return 0.5 * consts_a.a2 * second(xs) * vec - consts_a.c0 * vec
 
     assert np.allclose(op(2.0*u), 2.0*op(u), rtol=0, atol=1e-15)
 

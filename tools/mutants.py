@@ -46,6 +46,7 @@ QUANTIZE_TESTS = "tests/test_quantize.py::"
 PROPERTY_TESTS = "tests/test_properties.py::"
 SPECTRA_TESTS = "tests/test_spectra.py::"
 TUNNELING_TESTS = "tests/test_tunneling.py::"
+WKB_TESTS = "tests/test_wkb.py::"
 
 MUTANTS = (
     # the Hermitian average of each inverse-DFT row (quantize._symmetrize)
@@ -83,6 +84,21 @@ MUTANTS = (
            "and np.array_equal(self.diagonal[rev], self.diagonal))",
            "and np.allclose(self.diagonal[rev], self.diagonal))",
            (QUANTIZE_TESTS + "test_reflection_symmetry_is_read_off_the_numbers",)),
+    # the parity-sector solve of reflection-symmetric circulants
+    Mutant("parity-block-hankel-added", "quantize.py",
+           "block -= sliding_window_view(col[2:], n)[:n]",
+           "block += sliding_window_view(col[2:], n)[:n]",
+           (PROPERTY_TESTS + "test_parity_sectors_match_dense_eigh",
+            SPECTRA_TESTS + "test_parity_first_two_states")),
+    Mutant("parity-lift-no-sign", "spectra.py",
+           "lifted[half + 1:] = parity * lifted[half - 1:0:-1]",
+           "lifted[half + 1:] = lifted[half - 1:0:-1]",
+           (PROPERTY_TESTS + "test_parity_sectors_match_dense_eigh",
+            SPECTRA_TESTS + "test_parity_first_two_states")),
+    Mutant("parity-singletons-unweighted", "spectra.py",
+           "d[[0, half]] = math.sqrt(0.5)", "d[[0, half]] = 1.0",
+           (PROPERTY_TESTS + "test_parity_sectors_match_dense_eigh",
+            SPECTRA_TESTS + "test_parity_first_two_states")),
     # the certified shift-invert route of complex whole solves
     Mutant("certificate-no-rank-k-term", "spectra.py",
            "herk(2.0 * (tau - sigma), V, beta=1.0, c=A, lower=1, overwrite_c=1)",
@@ -109,6 +125,19 @@ MUTANTS = (
     Mutant("ritz-residual-guard-dropped", "spectra.py",
            "and np.all(resid[:k] <= RESIDUAL_RTOL * scale)", "and True",
            (SPECTRA_TESTS + "test_forced_certificate_failure_returns_zheevr_bytes[ritz_residual]",)),
+    # the Agmon phase's window search, amplitude integrand and span guard
+    Mutant("window-near-branch", "wkb.py",
+           "far = cum.edges < well", "far = cum.edges > well",
+           (WKB_TESTS + "test_phase_window_constant",
+            WKB_TESTS + "test_window_constant_is_side_symmetric[ModelA]")),
+    Mutant("amplitude-singular-limit-dropped", "wkb.py",
+           "return np.where(near, limit, reg) + 1j * imag_part",
+           "return reg + 1j * imag_part",
+           (WKB_TESTS + "test_quasimode_norm_raw",
+            CLI_TESTS + "test_wkb_profile_csv")),
+    Mutant("table-span-guard-dropped", "wkb.py",
+           "if np.abs(x).max(initial=0.0) > table.hi:", "if False:",
+           (WKB_TESTS + "test_narrow_tables_refuse_queries_past_their_span",)),
     # the grid's momentum cutoff
     Mutant("negative-xi-min-accepted", "quantize.py", "if xi_min < 0.0:", "if False:",
            (CLI_TESTS + "test_bad_scale_exits_2[xi_min_negative]",)),
