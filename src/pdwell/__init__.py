@@ -8,9 +8,8 @@ splitting against its effective-operator and closed-form predictions.
 from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
                      NumericError, PrecisionWarning)
 from .model import (CumulativeIntegral, Model, ModelConstants, SymbolB,
-                    ValidationReport, action_integral, builtin_model,
-                    custom_model, derived_constants, parse_symbol,
-                    validate_model)
+                    ValidationReport, builtin_model, custom_model,
+                    derived_constants, parse_symbol, validate_model)
 from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,
                        dump_matrix, frobenius_norm, load_matrix, make_grid,
                        reverse_indices, weyl_matrix)
@@ -22,8 +21,7 @@ from .wkb import (AgmonPhase, SealingFunction, WkbQuasimode, agmon_phase,
                   smoothstep, wkb_quasimode)
 from .effective import (assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
-from .tunneling import (gram_reduction, interaction_asymptotic,
-                        interaction_term, overlap_cutoff)
+from .tunneling import gram_reduction, interaction_asymptotic, interaction_term
 from .harness import (SWEEP_COLUMNS, SweepConfig, SweepReport, build_model,
                       fit_action, format_value, load_config, run_sweep)
 

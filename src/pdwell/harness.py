@@ -29,7 +29,7 @@ from .model import Model, builtin_model, custom_model, validate_model
 from .quantize import Grid, assemble_L, auto_points, make_grid
 from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
                       lowest_eigenpairs, parity_of, spatial_tail)
-from .tunneling import interaction_asymptotic, interaction_term, overlap_cutoff
+from .tunneling import interaction_asymptotic, interaction_term
 from .wkb import (AgmonPhase, agmon_phase, assemble_onewell, quasimode_residual,
                   sealing_function, wkb_quasimode)
 
@@ -121,10 +121,10 @@ def sweep_phase(cfg: SweepConfig) -> AgmonPhase:
     """Validate the model and build the left Agmon phase, once per config.
 
     The phase holds the validated model, the seal closing the right well
-    (.model, .seal) and the WKB amplitude; none of them depends on h. The
-    cache is keyed on the frozen config, so run_sweep, each row, `pdwell
-    sweep --check` and `pdwell wkb` share one build, whose Phi~ and amplitude
-    span the grid window.
+    (.model, .seal), the WKB amplitude and the overlap cutoff; none of them
+    depends on h. The cache is keyed on the frozen config, so run_sweep, each
+    row, `pdwell sweep --check` and `pdwell wkb` share one build, whose Phi~
+    and amplitude span the grid window.
     """
     m = validated_model(cfg)
     seal = sealing_function(m, eta=cfg.seal_eta, height=cfg.seal_height)
@@ -214,8 +214,8 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
 
     Three eigensolves: L_h and the sealed one-well operator for k = 3, and
     M_hbar, on its own grid at hbar = sqrt(h), for the theorem prediction.
-    The model, seal and Agmon phase come from sweep_phase, built once for
-    all rows.
+    The model, seal, Agmon phase and overlap cutoff come from sweep_phase,
+    built once for all rows.
     """
     phase = sweep_phase(cfg)
     m = phase.model
@@ -228,8 +228,7 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     ow_pairs = lowest_eigenpairs(M_ow, 3)
     q = wkb_quasimode(g, phase)
     wkb_residual = quasimode_residual(M_ow, q)
-    w_h, overlap, gram_gap = interaction_term(
-        M, pairs, ow_pairs[0], overlap_cutoff(phase))
+    w_h, overlap, gram_gap = interaction_term(M, pairs, ow_pairs[0], phase.chi_left)
     # L_h, which the one-well operator shares, is freed before gap_Mhbar
     # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
     # peak memory of a row by one N x N matrix
@@ -276,10 +275,7 @@ def open_output(path: str, mode: str = "w", make_dirs: bool = True):
 
 
 def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
+    """v to 17 significant digits: 3 prints as 3, 1.0 as 1, nan as nan."""
     return format(float(v), ".17g")
 
 

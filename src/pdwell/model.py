@@ -31,7 +31,7 @@ from .errors import ConfigurationError, EvaluationError, NumericError
 __all__ = [
     "SymbolB", "Model", "ModelConstants", "ValidationReport",
     "builtin_model", "validate_model", "derived_constants",
-    "parse_symbol", "custom_model", "CumulativeIntegral", "action_integral",
+    "parse_symbol", "custom_model", "CumulativeIntegral",
 ]
 
 
@@ -354,21 +354,15 @@ def _integral(f, lo: float, hi: float):
     return fine, abs(fine - coarse)
 
 
-def action_integral(m: Model):
-    """S = sqrt(2/a2) int_{x_l}^{x_r} sqrt(V), with the quadrature error estimate."""
-    a2 = float(_fd2_richardson(m.a, 0.0))
-    val, err = _integral(lambda s: np.sqrt(np.maximum(m.potential(s), 0.0)),
-                         m.x_left, m.x_right)
-    return np.sqrt(2.0/a2) * val, np.sqrt(2.0/a2) * err
-
-
 def derived_constants(m: Model) -> ModelConstants:
     """Extract all scalar constants used by the splitting formulas.
 
     Second derivatives come from Richardson-extrapolated centered stencils,
     kappa from differentiating the smooth branch sgn(x - x_l) sqrt(V) at the
-    well, S from Gauss-Legendre panels, and the prefactor A from the regularized
-    integral of (d_s sqrt(V) - kappa)/sqrt(V) over (x_left, 0).
+    well, S = sqrt(2/a2) int_{x_l}^{x_r} sqrt(V) from Gauss-Legendre panels,
+    and the prefactor A from the regularized integral of (d_s sqrt(V) -
+    kappa)/sqrt(V) over (x_left, 0); a quadrature error above its bound, or
+    nan, raises NumericError.
     """
     if m._constants is not None:
         return m._constants
@@ -380,8 +374,11 @@ def derived_constants(m: Model) -> ModelConstants:
     kappa = float(_richardson(_fd1, w, m.x_left, 0.02, 3))
     V0 = float(m.potential(np.array(0.0)))
 
-    S, S_err = action_integral(m)
-    if S_err > 1e-10 * max(1.0, abs(S)):
+    val, err = _integral(lambda s: np.sqrt(np.maximum(m.potential(s), 0.0)),
+                         m.x_left, m.x_right)
+    S, S_err = np.sqrt(2.0/a2) * val, np.sqrt(2.0/a2) * err
+    # both gates read not (err <= bound), so a nan estimate raises too
+    if not (S_err <= 1e-10 * max(1.0, abs(S))):
         raise NumericError(f"action quadrature did not converge: abserr={S_err:.3e}")
 
     # regularized integrand (w' - kappa)/w; the singularity at x_left is
@@ -389,7 +386,7 @@ def derived_constants(m: Model) -> ModelConstants:
     I_A, I_err = _integral(lambda s: (_fd1(w, s, 1e-4) - kappa) / w(s),
                            m.x_left + 1e-4, 0.0)
     I_A += float(_fd2_richardson(w, m.x_left, d=1e-3)) / kappa * 1e-4
-    if I_err > 1e-8:
+    if not (I_err <= 1e-8):
         raise NumericError(f"prefactor quadrature did not converge: abserr={I_err:.3e}")
 
     A = 4.0 * (a2/2.0)**0.25 * np.sqrt(V0) * np.sqrt(kappa/np.pi) * np.exp(-I_A)
@@ -465,10 +462,12 @@ def parse_symbol(expr: str, variables=("x", "xi")):
     Only +, -, *, /, integer ** and the given variable names are accepted;
     anything else (calls, attributes, subscripts, malformed syntax) raises
     ConfigurationError. Literals evaluate as float64, as x and xi do: 10**400
-    is inf, never a Python big integer, and the caller reports it.
+    is inf, never a Python big integer, and the caller reports it. From the
+    one parse, the evaluator's .names holds the variables expr reads.
     """
     tree = _parse(expr)
     _check_node(tree, set(variables))
+    names = frozenset(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
     literals = _FloatLiterals()
     code = compile(literals.visit(tree), "<symbol>", "eval")
     scope = {"__builtins__": {}, **literals.values}
@@ -479,12 +478,8 @@ def parse_symbol(expr: str, variables=("x", "xi")):
         with np.errstate(all="ignore"):
             return eval(code, scope, env)
 
-    evaluator.expression = expr
+    evaluator.names = names
     return evaluator
-
-
-def _free_names(expr: str):
-    return {n.id for n in ast.walk(_parse(expr)) if isinstance(n, ast.Name)}
 
 
 def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
@@ -497,7 +492,7 @@ def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
         return a_raw(xi) + 0.0*np.asarray(xi, dtype=float)
 
     b_raw = parse_symbol(b_expr, variables=("x", "xi"))
-    xi_indep = "xi" not in _free_names(b_expr)
+    xi_indep = "xi" not in b_raw.names
 
     def b_eval(x, xi):
         x = np.asarray(x, dtype=float)

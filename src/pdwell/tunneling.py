@@ -15,8 +15,9 @@ read from its lowest eigenpairs, is compared against three routes:
   * the asymptotics: the effective operator's gap at hbar = sqrt(h)
     (effective.gap_Mhbar) and the closed-form interaction_asymptotic.
 
-Inner products are dx-weighted throughout, matching the eigenpair
-normalization.
+The cutoff chi_left that makes f_l is an argument, built once per sweep
+with the Agmon phase (wkb.agmon_phase); this module builds none. Inner
+products are dx-weighted throughout, matching the eigenpair normalization.
 """
 
 from __future__ import annotations
@@ -30,29 +31,8 @@ from .errors import DegeneracyError
 from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices
 from .spectra import Eigenpair
-from .wkb import AgmonPhase, smoothstep
 
-__all__ = [
-    "overlap_cutoff", "interaction_term", "gram_reduction",
-    "interaction_asymptotic",
-]
-
-
-def overlap_cutoff(phase: AgmonPhase) -> Callable:
-    """Smooth cutoff chi_left = 1 on [-A, x_r - 2 eta], vanishing left of
-    -2A and right of x_r - eta, with eta the width of phase's seal; the
-    right state is the grid reflection of the left one, so no right cutoff
-    is built."""
-    A = phase.A_window
-    eta = phase.seal.eta
-    x_r = phase.model.x_right
-
-    def chi_left(x):
-        x = np.asarray(x, dtype=float)
-        return (smoothstep(2.0*(x + 2.0*A)/A - 1.0)
-                * smoothstep(1.0 - 2.0*(x - (x_r - 2.0*eta))/eta))
-
-    return chi_left
+__all__ = ["interaction_term", "gram_reduction", "interaction_asymptotic"]
 
 
 def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
@@ -87,10 +67,10 @@ def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
     """(w_h, overlap, gram_gap) at the h of M's grid.
 
     M is the assembled L_h and pairs its lowest eigenpairs (two or more);
-    ow is the ground pair of the sealed left-well operator, mu = ow.value.
-    The left state f_l = chi_left ow and its grid reflection f_r feed
-    w_h = <(L_h - mu) f_l, f_r>, the overlap <f_l, f_r> and the Gram route
-    alike. No eigensolve is made here.
+    ow is the ground pair of the sealed left-well operator, mu = ow.value,
+    and chi_left is AgmonPhase.chi_left. The left state f_l = chi_left ow and
+    its grid reflection f_r feed w_h = <(L_h - mu) f_l, f_r>, the overlap
+    <f_l, f_r> and the Gram route alike. No eigensolve is made here.
     """
     g = M.grid
     mu = ow.value

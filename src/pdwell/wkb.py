@@ -12,9 +12,10 @@ Phases and amplitudes are cached Gauss-Legendre cumulative integrals from
 the well, cheap and smooth to evaluate; Phi~ and u refuse x past their span.
 The right well's states are the reflections x -> -x of the left well's.
 
-Every smooth cutoff in the package (seal, phase truncation, quasimode
-window, overlap cutoffs) is built from the single bump t -> exp(-1/(1-t^2))
-by integration and rescaling.
+Every smooth cutoff in the package is built here from the single bump
+t -> exp(-1/(1-t^2)): the seal, the phase truncation, the quasimode window
+and the overlap cutoff chi_left, 1 on [-A, x_r - 2 eta] and 0 left of -2A
+and right of x_r - eta; the right state is the left one's reflection.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .model import CumulativeIntegral, Model, _fd1, _fd2, derived_constants, smooth_branch
+from .model import (CumulativeIntegral, Model, _fd1, _fd2, _finite, derived_constants,
+                    smooth_branch)
 from .quantize import Grid, OperatorMatrix
 
 __all__ = [
@@ -97,7 +99,8 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
 
     Post-validates that b(., 0) + k has a unique global minimum at x_left:
     the sealed landscape must exceed its value at x_left everywhere outside
-    a small ball around x_left.
+    a small ball around x_left. A non-finite sample of the landscape on
+    [-6, 6] is an EvaluationError naming its point.
     """
     if not 0.0 < eta < m.x_right:
         raise ConfigurationError(f"seal width must be in (0, {m.x_right}), got {eta}")
@@ -112,6 +115,7 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
 
     xs = np.linspace(-6.0, 6.0, 4001)
     landscape = np.asarray(m.potential(xs), dtype=float) + k(xs)
+    landscape = _finite("sealed landscape", landscape, x=xs)
     level = float(m.potential(np.array(m.x_left))) + float(k(np.array(m.x_left)))
     away = np.abs(xs - m.x_left) > 0.02
     idx = np.nonzero(away)[0]
@@ -128,7 +132,7 @@ def sealing_function(m: Model, eta: float = 0.4, height: float | None = None) ->
             if abs(x_star - m.x_left) > 0.02:
                 refined = float(m.potential(np.array(x_star))) + float(k(np.array(x_star)))
                 floor = min(floor, refined)
-    if floor <= level + 1e-9:
+    if not (floor > level + 1e-9):
         raise ConfigurationError(
             f"sealed landscape has a competing minimum at level {floor:.3e} "
             f"(well level {level:.3e}); increase the seal height above {hgt}")
@@ -152,9 +156,11 @@ def assemble_onewell(M: OperatorMatrix, seal: SealingFunction) -> OperatorMatrix
 
 @dataclass
 class AgmonPhase:
+    """The left well's h-independent tables and cutoff, built once per sweep."""
     evaluator: Callable            # Phi
     truncated_evaluator: Callable  # Phi~, constant outside [-2A, 2A]
     amplitude: Callable            # u_{1,0}; complex when d_xi b(., 0) != 0
+    chi_left: Callable             # overlap cutoff of the left state
     A_window: float
     model: Model = field(repr=False)
     seal: SealingFunction = field(repr=False)
@@ -173,8 +179,8 @@ def _read(table: CumulativeIntegral, x):
 
 
 def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> AgmonPhase:
-    """The left well's phase Phi, its truncation Phi~, the window constant A
-    and the leading amplitude u_{1,0}.
+    """The left well's phase Phi, its truncation Phi~, the window constant A,
+    the leading amplitude u_{1,0} and the overlap cutoff chi_left.
 
     A is the smallest half-width such that Phi exceeds Phi at the right
     well outside [-A, A]; the truncation multiplies Phi' by a smooth cutoff
@@ -189,7 +195,9 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
     by its limit Phi'''(well)/(2 Phi''(well)), where Phi''' comes from a
     centered second-derivative stencil of the branch.
 
-    Phi~ and u answer on [-span, span], Phi on [-12, 12].
+    chi_left is 1 on [-A, x_r - 2 eta] and 0 left of -2A and right of
+    x_r - eta (eta the seal's width), so chi_left * k = 0. Phi~ and u
+    answer on [-span, span], Phi on [-12, 12].
     """
     if not abs(m.x_left) < span:
         raise ConfigurationError(f"span {span:g} must contain the wells at +-{m.x_right:g}")
@@ -250,8 +258,15 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
     def amplitude(x):
         return prefactor * np.exp(-_read(u_table, x))
 
+    eta, x_r = seal.eta, m.x_right
+
+    def chi_left(x):
+        x = np.asarray(x, dtype=float)
+        return (smoothstep(2.0*(x + 2.0*A)/A - 1.0)
+                * smoothstep(1.0 - 2.0*(x - (x_r - 2.0*eta))/eta))
+
     return AgmonPhase(evaluator=phi, truncated_evaluator=phi_trunc, amplitude=amplitude,
-                      A_window=float(A), model=m, seal=seal)
+                      chi_left=chi_left, A_window=float(A), model=m, seal=seal)
 
 
 # --------------------------------------------------------------------------

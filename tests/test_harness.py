@@ -241,6 +241,21 @@ def test_one_row_samples_the_agmon_weight_once(monkeypatch):
     assert all(math.isfinite(row[f"agmon_{n}"]) for n in (1, 2, 3))
 
 
+def test_rows_pass_the_phase_cutoff_itself(monkeypatch):
+    # the overlap cutoff is built once, with the phase; a row hands that very
+    # object to interaction_term and builds none of its own
+    cfg = SweepConfig(h_list=(0.09,))
+    seen = []
+
+    def spy(M, pairs, ow, chi_left, _original=harness.interaction_term):
+        seen.append(chi_left)
+        return _original(M, pairs, ow, chi_left)
+
+    monkeypatch.setattr(harness, "interaction_term", spy)
+    harness._sweep_row(cfg, 0.09)
+    assert len(seen) == 1 and seen[0] is sweep_phase(cfg).chi_left
+
+
 def _benchmark_row_problems(check, workload, cfg, csv_path):
     """(h, failed, problems) of every row check.check_sweep reports wrong,
     against the workload's frozen reference rows; cfg runs its seed-0 sweep."""

@@ -112,11 +112,15 @@ def test_c0_internal_consistency(consts_a):
 
 
 def test_action_invariant_under_refinement(model_a, consts_a):
-    S, err = pdwell.action_integral(model_a)
-    doubled = CumulativeIntegral(lambda s: np.sqrt(np.maximum(model_a.potential(s), 0.0)),
-                                 -1.0, 1.0, 32, 32).cum[-1]
+    S = consts_a.S
+
+    def root(s):
+        return np.sqrt(np.maximum(model_a.potential(s), 0.0))
+
+    _, err = pdwell.model._integral(root, -1.0, 1.0)
+    doubled = CumulativeIntegral(root, -1.0, 1.0, 32, 32).cum[-1]
     assert abs(np.sqrt(2.0/consts_a.a2) * doubled - S) < 1e-13 * S
-    assert err < 1e-10
+    assert np.sqrt(2.0/consts_a.a2) * err < 1e-10
 
 
 def test_unconverged_action_raises(model_a):
@@ -129,6 +133,37 @@ def test_unconverged_action_raises(model_a):
               x_left=-1.0, x_right=1.0)
     with pytest.raises(NumericError, match="action quadrature did not converge"):
         pdwell.derived_constants(m)
+
+
+@pytest.mark.parametrize("gate", ["action", "prefactor"])
+def test_nan_quadrature_estimate_raises(gate, monkeypatch):
+    # each gate reads not (err <= bound), so a nan error estimate fails it;
+    # the action runs to x_right = 1, the prefactor integral to 0
+    integral = pdwell.model._integral
+    end = {"action": 1.0, "prefactor": 0.0}[gate]
+
+    def nan_estimate(f, lo, hi):
+        val, err = integral(f, lo, hi)
+        return val, (np.nan if hi == end else err)
+
+    monkeypatch.setattr(pdwell.model, "_integral", nan_estimate)
+    with pytest.raises(NumericError, match=f"{gate} quadrature did not converge"):
+        pdwell.derived_constants(pdwell.builtin_model("ModelA"))
+
+
+def test_derived_constants_differentiates_a_once(monkeypatch):
+    # a2 = a''(0) is one Richardson stencil, which the action reuses
+    m = pdwell.builtin_model("ModelA")
+    fd2 = pdwell.model._fd2_richardson
+    on_a = []
+
+    def counted(f, *args, **kwargs):
+        on_a.append(f is m.a)
+        return fd2(f, *args, **kwargs)
+
+    monkeypatch.setattr(pdwell.model, "_fd2_richardson", counted)
+    pdwell.derived_constants(m)
+    assert on_a.count(True) == 1
 
 
 def test_action_against_independent_quadrature(model_a, consts_a):
@@ -200,6 +235,22 @@ def test_custom_model_xi_dependence_flag():
     # stencil xi-derivative of the parsed b against the analytic one
     x = np.linspace(-2, 2, 41)
     assert np.max(np.abs(m.b.xi_derivative(x, 0.0) - x)) < 1e-9
+
+
+def test_custom_model_parses_each_expression_once(monkeypatch):
+    parse = pdwell.model._parse
+    seen = []
+
+    def counted(expr):
+        seen.append(expr)
+        return parse(expr)
+
+    monkeypatch.setattr(pdwell.model, "_parse", counted)
+    m = pdwell.custom_model("xi**2", "(x**2-1)**2 + 0*xi", 1.0)
+    assert seen == ["xi**2", "(x**2-1)**2 + 0*xi"]
+    assert not m.b.xi_independent
+    assert pdwell.parse_symbol("x**2 + 3*x").names == {"x"}
+    assert pdwell.parse_symbol("2*xi", variables=("xi",)).names == {"xi"}
 
 
 def test_custom_model_bad_well():

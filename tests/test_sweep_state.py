@@ -4,6 +4,8 @@
 harness.sweep_phase, cached on the frozen config, is the one site in the
 package that builds an Agmon phase: the model, seal and phase that a sweep,
 its rows, `sweep --check` and `pdwell wkb` read come from that one build.
+Every smooth cutoff, the overlap cutoff chi_left included, is built in wkb,
+so tunneling, which takes chi_left as an argument, imports nothing from it.
 The scan covers every reference to a name, by name and by attribute;
 imports and `__all__` strings are not references.
 """
@@ -57,3 +59,22 @@ def test_only_sweep_phase_builds_an_agmon_phase():
              for path in sorted(SRC.glob("*.py"))
              for owner in _owners(ast.parse(path.read_text()), "agmon_phase")]
     assert found == ["harness.py:sweep_phase"]
+
+
+def test_every_cutoff_is_built_in_wkb():
+    found = [f"{path.name}:{owner}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in ("bump", "smoothstep")
+             for owner in _owners(ast.parse(path.read_text()), name)]
+    assert {f.split(":")[0] for f in found} == {"wkb.py"}
+    assert "wkb.py:agmon_phase.chi_left" in found
+
+
+def test_tunneling_imports_nothing_from_wkb():
+    tree = ast.parse((SRC / "tunneling.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert "spectra" in imported
+    assert [name for name in imported if name.split(".")[-1] == "wkb"] == []

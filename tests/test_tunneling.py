@@ -6,8 +6,7 @@ import scipy.linalg
 
 import pdwell
 from pdwell import DegeneracyError
-from pdwell.tunneling import (gram_reduction, interaction_asymptotic,
-                              interaction_term, overlap_cutoff)
+from pdwell.tunneling import gram_reduction, interaction_asymptotic, interaction_term
 
 # frozen at h = 0.05, L = 8, N = 512 (deterministic pipeline)
 GAP12_FROZEN = 0.00021095742403959804
@@ -20,7 +19,7 @@ GAP12_009_FROZEN = 0.0017130268326770726
 
 @pytest.fixture(scope="module")
 def chi_a(phase_a_left):
-    return overlap_cutoff(phase_a_left)
+    return phase_a_left.chi_left
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +59,11 @@ def test_cutoff_geometry(chi_a, phase_a_left, seal_a):
     xs = np.linspace(-9.0, 9.0, 400)
     vals = chi_a(xs)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+    # the cutoff and the seal never overlap: chi_left k = 0 exactly, on the
+    # dense sample and on the nodes of the desk and deep grids
+    for x in (xs, pdwell.make_grid(8.0, 512, 0.05).x_nodes,
+              pdwell.make_grid(8.0, 1024, 0.01).x_nodes):
+        assert np.all(chi_a(x) * seal_a.evaluator(x) == 0.0)
 
 
 def test_measured_splitting_wide_grid(model_a):
@@ -151,7 +155,7 @@ def gram_inputs(request, grid05):
     """(f_l, f_r, L_h, mu, two lowest pairs) of each model at h = 0.05."""
     m = pdwell.builtin_model(request.param)
     seal = pdwell.sealing_function(m)
-    chi = overlap_cutoff(pdwell.agmon_phase(m, seal))
+    chi = pdwell.agmon_phase(m, seal).chi_left
     M = pdwell.assemble_L(m, grid05)
     ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, seal), 1)[0]
     f_l, f_r = _states(chi, ow, grid05)
@@ -284,8 +288,7 @@ def test_asymptotic_model_independent_of_coupling(model_a, model_b):
 
 def test_modelb_complex_interaction(model_b, grid05):
     seal = pdwell.sealing_function(model_b)
-    phase = pdwell.agmon_phase(model_b, seal)
-    chi = overlap_cutoff(phase)
+    chi = pdwell.agmon_phase(model_b, seal).chi_left
     M = pdwell.assemble_L(model_b, grid05)
     ow = pdwell.lowest_eigenpairs(pdwell.assemble_onewell(M, seal), 1)[0]
     pairs = pdwell.lowest_eigenpairs(M, 3)

@@ -1,6 +1,7 @@
 """Sealing, Agmon phase, amplitude, and quasimode checks."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import pdwell
-from pdwell import ConfigurationError, NumericError
+from pdwell import ConfigurationError, EvaluationError, NumericError
 from pdwell.harness import SweepConfig, sweep_phase
-from pdwell.model import CumulativeIntegral
+from pdwell.model import CumulativeIntegral, Model, SymbolB
 from pdwell.wkb import SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
@@ -223,6 +224,39 @@ def test_seal_competing_minimum_rejected():
     with pytest.raises(ConfigurationError) as exc:
         pdwell.sealing_function(m)
     assert "seal height" in str(exc.value)
+
+
+def _potential_nan_at(model, points):
+    """model, with V = nan at exactly the given points."""
+    def b(x, xi):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.isin(x, points), np.nan, model.b(x, xi))
+
+    return Model(a=model.a, b=SymbolB(b, model.b.xi_derivative, True),
+                 x_left=model.x_left, x_right=model.x_right)
+
+
+def test_non_finite_sealed_landscape_is_evaluation_error(model_a):
+    # validate_model never samples x = 5.1, one of the seal's samples; a nan
+    # there made the sampled floor nan, which passed the minimum test even
+    # for a seal too low to close the right well
+    x_bad = np.linspace(-6.0, 6.0, 4001)[3700]
+    m = _potential_nan_at(model_a, [x_bad])
+    assert pdwell.validate_model(m).passed
+    with pytest.raises(ConfigurationError, match="competing minimum"):
+        pdwell.sealing_function(model_a, height=1e-10)
+    with pytest.raises(EvaluationError,
+                       match=re.escape(f"non-finite sealed landscape value at x={x_bad}")):
+        pdwell.sealing_function(m, height=1e-10)
+
+
+def test_nan_well_level_fails_the_seal_gate(model_a):
+    # x_left is no sample of the landscape, which stays finite; the gate
+    # reads not (floor > level + 1e-9), so a nan well level fails it
+    m = _potential_nan_at(model_a, [model_a.x_left])
+    assert np.all(np.isfinite(m.potential(np.linspace(-6.0, 6.0, 4001))))
+    with pytest.raises(ConfigurationError, match="well level nan"):
+        pdwell.sealing_function(m)
 
 
 def test_sealed_landscape_unique_minimum(model_a, seal_a):
