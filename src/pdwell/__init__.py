@@ -13,13 +13,13 @@ from .model import (CumulativeIntegral, Model, ModelConstants, SymbolB,
 from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,
                        dump_matrix, frobenius_norm, load_matrix, make_grid,
                        reverse_indices, weyl_matrix)
-from .spectra import (Eigenpair, agmon_weighted_norm, fourier_tail,
+from .spectra import (Eigenpair, agmon_weighted_norm, fourier_cut, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of,
                       spatial_tail)
 from .wkb import (AgmonPhase, SealingFunction, WkbQuasimode, agmon_phase,
                   assemble_onewell, bump, quasimode_residual, sealing_function,
                   smoothstep, wkb_quasimode)
-from .effective import (assemble_Mhbar, classical_splitting_formula,
+from .effective import (EffectiveGap, assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
 from .tunneling import gram_reduction, interaction_asymptotic, interaction_term
 from .harness import (SWEEP_COLUMNS, SweepConfig, SweepReport, build_model,

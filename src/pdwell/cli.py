@@ -22,15 +22,13 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
-from .effective import assemble_Mhbar, classical_splitting_formula
+from .effective import classical_splitting_formula, gap_Mhbar
 from .errors import ConfigurationError, EvaluationError, NumericError
 from .harness import (build_model, format_value, load_config, open_output,
                       run_sweep, sweep_phase, validated_model)
 from .model import derived_constants, validate_model
 from .quantize import assemble_L, dump_matrix
-from .spectra import gap_near_residual, lowest_eigenpairs
+from .spectra import lowest_eigenpairs
 from .wkb import assemble_onewell, sealing_function, wkb_quasimode
 
 DEFAULT_HBAR_LIST = (0.35, 0.30, 0.25, 0.20, 0.15)
@@ -80,11 +78,8 @@ def cmd_wkb(args, cfg) -> int:
     with open_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "phi_l", "phi_l_trunc", "re_u10", "im_u10", "psi_wkb"])
-        phit = np.asarray(phase.truncated_evaluator(x))
-        for j in range(g.n_points):
-            writer.writerow([format_value(x[j]), format_value(q.phi[j]),
-                             format_value(phit[j]), format_value(u[j].real),
-                             format_value(u[j].imag), format_value(q.vector[j].real)])
+        cols = (x, q.phi, phase.truncated_evaluator(x), u.real, u.imag, q.vector.real)
+        writer.writerows([format_value(v) for v in row] for row in zip(*cols))
     print(f"# A_window = {phase.A_window:.12g}  norm_raw = {q.norm_raw:.12g}  "
           f"lambda_wkb = {q.lambda_wkb:.12g}")
     print(path)
@@ -96,20 +91,17 @@ def cmd_effective(args, cfg) -> int:
     hbars = tuple(args.hbar_list) if args.hbar_list else DEFAULT_HBAR_LIST
     grids = [cfg.grid_for(hbar) for hbar in hbars]
     path = os.path.join(cfg.out_dir, "effective.csv")
-    cols = ["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
-            "gap12", "formula", "ratio"]
     with open_output(path) as fh:
         writer = csv.writer(fh)
-        writer.writerow(cols)
+        writer.writerow(["hbar", "lambda1", "lambda2", "lambda3", "lambda4",
+                         "gap12", "formula", "ratio"])
         for hbar, g in zip(hbars, grids):
-            pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 4)
-            gap = pairs[1].value - pairs[0].value
-            flag = int(gap_near_residual(pairs, "effective gap"))
+            eff = gap_Mhbar(m, g)
             formula = classical_splitting_formula(m, hbar)
-            row = [hbar] + [p.value for p in pairs] + [gap, formula, gap/formula]
+            row = [hbar] + [p.value for p in eff.pairs] + [eff.gap, formula, eff.gap/formula]
             writer.writerow([format_value(v) for v in row])
-            print(f"hbar = {hbar:g}  gap12 = {gap:.6e}  formula = {formula:.6e}  "
-                  f"ratio = {gap/formula:.4f}  flag = {flag}")
+            print(f"hbar = {hbar:g}  gap12 = {eff.gap:.6e}  formula = {formula:.6e}  "
+                  f"ratio = {eff.gap/formula:.4f}  flag = {int(eff.flag)}")
     print(path)
     return 0
 

@@ -11,23 +11,32 @@ hbar itself, sized by the same rule as every other operator's grid
 multiplier (a''(0)/2) eta^2 on that grid's momentum lattice, even in eta,
 so M_hbar is real symmetric. When the potential is even at the nodes
 bit for bit, as for the built-in models, M_hbar commutes exactly with the
-reflection x -> -x and is solved in parity sectors. Its ground-state gap
-admits the classical one-term asymptotics A hbar^(1/2) exp(-S/hbar), which
-this module evaluates.
+reflection x -> -x and is solved in parity sectors, by gap_Mhbar alone.
+Its ground-state gap admits the classical one-term asymptotics
+A hbar^(1/2) exp(-S/hbar), which this module evaluates.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Model, derived_constants
 from .quantize import Grid, OperatorMatrix, _circulant_plus_diagonal
-from .spectra import gap_near_residual, lowest_eigenpairs
+from .spectra import Eigenpair, gap_near_residual, lowest_eigenpairs
 
 __all__ = [
-    "schrodinger_matrix", "assemble_Mhbar", "gap_Mhbar",
+    "EffectiveGap", "schrodinger_matrix", "assemble_Mhbar", "gap_Mhbar",
     "classical_splitting_formula",
 ]
+
+
+@dataclass
+class EffectiveGap:
+    pairs: list[Eigenpair]   # the four lowest, ascending
+    gap: float               # lambda_2 - lambda_1
+    flag: bool               # gap_near_residual's precision flag
 
 
 def schrodinger_matrix(potential, g: Grid, a2: float) -> OperatorMatrix:
@@ -45,12 +54,12 @@ def assemble_Mhbar(m: Model, g: Grid) -> OperatorMatrix:
     return schrodinger_matrix(m.potential, g, derived_constants(m).a2)
 
 
-def gap_Mhbar(m: Model, g: Grid) -> float:
-    """Ground-state gap lambda_2 - lambda_1 of the effective operator at
-    hbar = g.h."""
-    pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 2)
-    gap_near_residual(pairs, "effective gap")
-    return float(pairs[1].value - pairs[0].value)
+def gap_Mhbar(m: Model, g: Grid) -> EffectiveGap:
+    """The effective operator's one solve at hbar = g.h, read by the sweep
+    row and by `pdwell effective`; a set flag also warns."""
+    pairs = lowest_eigenpairs(assemble_Mhbar(m, g), 4)
+    flag = gap_near_residual(pairs, "effective gap")
+    return EffectiveGap(pairs=pairs, gap=pairs[1].value - pairs[0].value, flag=flag)
 
 
 def classical_splitting_formula(m: Model, hbar: float) -> float:

@@ -27,8 +27,8 @@ from .effective import gap_Mhbar
 from .errors import ConfigurationError
 from .model import Model, builtin_model, custom_model, validate_model
 from .quantize import Grid, assemble_L, auto_points, make_grid
-from .spectra import (agmon_weighted_norm, fourier_tail, gap_near_residual,
-                      lowest_eigenpairs, parity_of, spatial_tail)
+from .spectra import (agmon_weighted_norm, fourier_cut, fourier_tail,
+                      gap_near_residual, lowest_eigenpairs, parity_of, spatial_tail)
 from .tunneling import interaction_asymptotic, interaction_term
 from .wkb import (AgmonPhase, agmon_phase, assemble_onewell, quasimode_residual,
                   sealing_function, wkb_quasimode)
@@ -233,7 +233,7 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     # assembles M_hbar; a dense L_h (ModelB) held across it would raise the
     # peak memory of a row by one N x N matrix
     del M, M_ow
-    thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h)))
+    thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h))).gap
     formula = 2.0 * interaction_asymptotic(m, h)
 
     lam = [p.value for p in pairs]
@@ -249,13 +249,12 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
            "wkb_overlap": abs(g.inner(q.vector, ow_pairs[0].vector)),
            "norm_raw": q.norm_raw,
            "parity1": parity_of(pairs[0], g), "parity2": parity_of(pairs[1], g)}
-    xi_cut = h**(1.0/6.0) * (1.0 - 1e-6)
     phi_trunc = phase.truncated_evaluator(g.x_nodes)
     for n, pair in enumerate(ow_pairs, start=1):
         row[f"lambda_ow{n}"] = pair.value
-        row[f"fourier_tail_{n}"] = fourier_tail(pair, g, xi_cut)
-        row[f"spatial_tail_{n}"] = spatial_tail(pair, g, [m.x_left], 0.5)
-        row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc, 0.2)
+        row[f"fourier_tail_{n}"] = fourier_tail(pair, g)
+        row[f"spatial_tail_{n}"] = spatial_tail(pair, g, m.x_left)
+        row[f"agmon_{n}"] = agmon_weighted_norm(pair, g, phi_trunc)
     return row
 
 
@@ -303,7 +302,11 @@ def run_sweep(cfg: SweepConfig) -> SweepReport:
     A row that raises is written as nan with precision_flag = 1, and its
     error text goes to the report's flags; the other rows still run.
     """
-    sweep_phase(cfg)   # validates the model before the output is opened
+    # the model and every row's Fourier cut (under N = auto not always the
+    # smallest h's) are checked before the output is opened
+    sweep_phase(cfg)
+    for h in cfg.h_list:
+        fourier_cut(cfg.grid_for(h))
 
     rows = []
     with open_output(os.path.join(cfg.out_dir, "sweep.csv")) as fh:

@@ -54,18 +54,20 @@ class SymbolB:
 
 @dataclass
 class Model:
+    """Symbols a and b and the wells +-x_right; x_right > 0, so not nan."""
     # principal symbol a(xi), even, vanishing to second order at 0
     a: Callable[[np.ndarray], np.ndarray]
     b: SymbolB
-    x_left: float
     x_right: float
     _constants: Optional["ModelConstants"] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (self.x_right > 0 and abs(self.x_right + self.x_left) < 1e-14):
-            raise ConfigurationError(
-                "wells must satisfy x_right = -x_left > 0, got "
-                f"({self.x_left}, {self.x_right})")
+        if not self.x_right > 0:
+            raise ConfigurationError(f"the wells +-x_right need x_right > 0, got {self.x_right}")
+
+    @property
+    def x_left(self) -> float:
+        return -self.x_right
 
     def potential(self, x):
         """V(x) = b(x, 0)."""
@@ -174,7 +176,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             xi_derivative=lambda x, xi: np.zeros(np.broadcast(
                 np.asarray(x, dtype=float), np.asarray(xi, dtype=float)).shape),
             xi_independent=True)
-        return Model(a=_a_reference, b=b, x_left=-1.0, x_right=1.0)
+        return Model(a=_a_reference, b=b, x_right=1.0)
     if name == "ModelB":
         if not 0.0 <= eps <= 1.0:
             raise ConfigurationError(f"ModelB coupling eps must be in [0, 1], got {eps}")
@@ -190,8 +192,7 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
             return eps*x/(1.0 + x*x) * (1.0 - xi*xi)/(1.0 + xi*xi)**2
 
         return Model(a=_a_reference,
-                     b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)),
-                     x_left=-1.0, x_right=1.0)
+                     b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)), x_right=1.0)
     raise ConfigurationError(f"unknown model name {name!r}; expected ModelA or ModelB")
 
 
@@ -484,8 +485,6 @@ def parse_symbol(expr: str, variables=("x", "xi")):
 
 def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
     """Build a Model from expression strings; derivatives fall back to stencils."""
-    if not x_well > 0:
-        raise ConfigurationError("x_well must be positive")
     a_raw = parse_symbol(a_expr, variables=("xi",))
 
     def a_eval(xi):
@@ -502,6 +501,5 @@ def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
     def b_dxi(x, xi, _d=1e-4):
         return _fd1(lambda t: b_eval(x, t), np.asarray(xi, dtype=float), _d)
 
-    return Model(a=a_eval,
-                 b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
-                 x_left=-x_well, x_right=x_well)
+    return Model(a=a_eval, b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
+                 x_right=x_well)

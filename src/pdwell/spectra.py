@@ -27,8 +27,8 @@ of three routes, chosen from the operator itself:
 
 Every route's vectors must meet the residual contract against the full
 matrix. Diagnostics quantify where an eigenvector lives: momentum
-tail beyond a cutoff, spatial mass away from the wells, parity under
-x -> -x, and the exponentially weighted norm that measures Agmon decay.
+tail beyond a cut, spatial mass away from a well, parity under x -> -x,
+and the exponentially weighted norm that measures Agmon decay.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .quantize import Grid, OperatorMatrix, frobenius_norm, reverse_indices
 
 __all__ = [
     "Eigenpair", "lowest_eigenpairs", "gap_near_residual", "parity_of",
-    "fourier_tail", "spatial_tail", "agmon_weighted_norm",
+    "fourier_cut", "fourier_tail", "spatial_tail", "agmon_weighted_norm",
 ]
 
 # solver residual contract, relative to the Frobenius norm of the matrix
@@ -344,25 +344,27 @@ def parity_of(v: Eigenpair, g: Grid) -> float:
     return g.inner(v.vector, v.vector[reverse_indices(g.n_points)]).real
 
 
-def fourier_tail(v: Eigenpair, g: Grid, xi_cut: float) -> float:
-    """Fraction of momentum mass beyond |eta| > xi_cut."""
-    if not 0.0 < xi_cut < g.cutoff:
+def fourier_cut(g: Grid) -> float:
+    """Criterion 10's momentum cut h^(1/6) (1 - 1e-6) on g; a ConfigurationError
+    when g's momentum cutoff pi h N / L does not exceed it."""
+    cut = g.h**(1.0/6.0) * (1.0 - 1e-6)
+    if not cut < g.cutoff:
         raise ConfigurationError(
-            f"xi_cut must be in (0, {g.cutoff:.4f}), got {xi_cut}")
+            f"momentum cutoff pi*h*N/L = {g.cutoff:.4f} at h = {g.h:g} does not "
+            f"exceed the Fourier tail's cut h^(1/6) = {cut:.4f}; raise N or xi_min")
+    return cut
+
+
+def fourier_tail(v: Eigenpair, g: Grid) -> float:
+    """Fraction of momentum mass beyond |eta| > fourier_cut(g)."""
     power = np.abs(np.fft.fft(v.vector))**2
-    tail = power[np.abs(g.eta_fft) > xi_cut]
-    return float(np.sum(tail) / np.sum(power))
+    return float(np.sum(power[np.abs(g.eta_fft) > fourier_cut(g)]) / np.sum(power))
 
 
-def spatial_tail(v: Eigenpair, g: Grid, centers, radius: float) -> float:
-    """Fraction of |v|^2 mass outside the union of balls B(center, radius)."""
-    if radius <= 0:
-        raise ConfigurationError(f"radius must be positive, got {radius}")
-    inside = np.zeros(g.n_points, dtype=bool)
-    for c in centers:
-        inside |= np.abs(g.x_nodes - c) <= radius
+def spatial_tail(v: Eigenpair, g: Grid, center: float) -> float:
+    """Criterion 10's fraction of |v|^2 mass farther than 0.5 from center."""
     mass = np.abs(v.vector)**2
-    return float(np.sum(mass[~inside]) / np.sum(mass))
+    return float(np.sum(mass[np.abs(g.x_nodes - center) > 0.5]) / np.sum(mass))
 
 
 def _logsumexp(a) -> float:
@@ -373,17 +375,15 @@ def _logsumexp(a) -> float:
     return float(a[i] + np.log1p(np.sum(terms)))
 
 
-def agmon_weighted_norm(v: Eigenpair, g: Grid, phi_trunc, eps: float) -> float:
-    """Weighted norm ||exp((1-eps) Phi~/sqrt(h)) v|| with dx weighting.
+def agmon_weighted_norm(v: Eigenpair, g: Grid, phi_trunc) -> float:
+    """Criterion 10's weighted norm ||exp((1 - 0.2) Phi~/sqrt(h)) v||, dx-weighted.
 
     phi_trunc holds the samples of the truncated phase Phi~ at g's nodes,
     whose side and seal fix the weight. All sums run in log space; a
     single-node contribution past exp(700) raises a PrecisionWarning but the
     log-space value is still returned.
     """
-    if not 0.0 < eps <= 1.0:
-        raise ConfigurationError(f"eps must be in (0, 1], got {eps}")
-    w = (1.0 - eps) * np.asarray(phi_trunc) / np.sqrt(g.h)
+    w = (1.0 - 0.2) * np.asarray(phi_trunc) / np.sqrt(g.h)
     with np.errstate(divide="ignore"):
         log_v = np.log(np.abs(v.vector))
     contrib = w + log_v

@@ -77,10 +77,7 @@ def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
     f_l = chi_left(g.x_nodes) * ow.vector
     f_r = f_l[reverse_indices(g.n_points)]
     w_h = g.inner(M.apply(f_l) - mu * f_l, f_r)
-    overlap = g.inner(f_l, f_r)
-
-    gram_gap = gram_reduction(f_l, f_r, M, pairs[:2])
-    return w_h, overlap, gram_gap
+    return w_h, g.inner(f_l, f_r), gram_reduction(f_l, f_r, M, pairs[:2])
 
 
 def interaction_asymptotic(m: Model, h: float) -> float:

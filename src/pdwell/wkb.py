@@ -37,8 +37,8 @@ __all__ = [
     "quasimode_residual",
 ]
 
-# span of the phase table (it holds the 3A support of every cutoff) and
-# default span of Phi~ and u; cells of width 1/256 put grid nodes on edges
+# least span of the phase table (it holds the 3A support of every cutoff)
+# and default span of Phi~ and u; cells of width 1/256 put grid nodes on edges
 _DOMAIN = 12.0
 _CELLS_PER_UNIT = 256
 
@@ -197,7 +197,7 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
 
     chi_left is 1 on [-A, x_r - 2 eta] and 0 left of -2A and right of
     x_r - eta (eta the seal's width), so chi_left * k = 0. Phi~ and u
-    answer on [-span, span], Phi on [-12, 12].
+    answer on [-span, span], Phi on the wider of that and [-12, 12].
     """
     if not abs(m.x_left) < span:
         raise ConfigurationError(f"span {span:g} must contain the wells at +-{m.x_right:g}")
@@ -210,7 +210,7 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
 
     g = smooth_branch(landscape, well)
 
-    cum = _table(g, _DOMAIN, well)
+    cum = _table(g, max(_DOMAIN, span), well)
 
     def phi(x):
         return pref * cum(x)

@@ -183,6 +183,22 @@ def test_wkb_profile_csv(tmp_path, capsys):
     assert float(rows[1][0]) == -4.0
 
 
+def test_wkb_phase_grows_past_the_least_table_span(tmp_path, capsys):
+    # with L = 32 the nodes run to +-16, past the phase table's least span
+    # of 12; Phi grows strictly away from the well on both sides, where a
+    # table of span 12 would repeat its end value at every node past +-12
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, f"[grid]\nl = 32\n[output]\ndir = {out_dir}\n")
+    assert main(["wkb", cfg, "--h", "0.05"]) == 0
+    with open(out_dir / "wkb_h0.05.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    x = np.array([float(r["x"]) for r in rows])
+    phi = np.array([float(r["phi_l"]) for r in rows])
+    assert x[0] == -16.0 and x[-1] > 15.9
+    assert np.all(np.diff(phi[x <= -1.0]) < 0.0)
+    assert np.all(np.diff(phi[x >= -1.0]) > 0.0)
+
+
 def test_effective_table(tmp_path, capsys):
     out_dir = tmp_path / "out"
     cfg = _write(tmp_path, f"[output]\ndir = {out_dir}\n")
@@ -230,9 +246,9 @@ def test_effective_honours_fixed_grid_size(tmp_path, capsys, monkeypatch):
 
     def spy(m, g):
         grids.append((g.n_points, g.h))
-        return pdwell.assemble_Mhbar(m, g)
+        return pdwell.gap_Mhbar(m, g)
 
-    monkeypatch.setattr(cli, "assemble_Mhbar", spy)
+    monkeypatch.setattr(cli, "gap_Mhbar", spy)
     cfg = _write(tmp_path, f"[grid]\nn = 1024\n[output]\ndir = {tmp_path / 'out'}\n")
     assert main(["effective", cfg, "--hbar-list", "0.3", "0.2"]) == 0
     assert grids == [(1024, 0.3), (1024, 0.2)]
@@ -460,12 +476,66 @@ def test_output_dir_under_a_file_exits_2(tmp_path, capsys, monkeypatch, argv, na
 
     monkeypatch.setattr(harness, "_sweep_row", no_solve)
     monkeypatch.setattr(cli, "lowest_eigenpairs", no_solve)
+    monkeypatch.setattr(cli, "gap_Mhbar", no_solve)
     (tmp_path / "blocker").write_text("")
     out_dir = tmp_path / "blocker" / "out"
     cfg = _write(tmp_path, f"[sweep]\nh_list = 0.09\n[output]\ndir = {out_dir}\n")
     assert main([argv[0], cfg] + argv[1:]) == 2
     assert capsys.readouterr().err == (
         f"configuration error: cannot write {out_dir / name}: Not a directory\n")
+
+
+def _no_eigensolve(monkeypatch):
+    """Record every call of lowest_eigenpairs through each module that holds it."""
+    from pdwell import effective, harness, spectra, tunneling, wkb
+    calls = []
+    original = spectra.lowest_eigenpairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (cli, effective, harness, spectra, tunneling, wkb):
+        if getattr(mod, "lowest_eigenpairs", None) is original:
+            monkeypatch.setattr(mod, "lowest_eigenpairs", counted)
+    return calls
+
+
+def test_coarse_grid_sweep_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # pi h N / L = 0.5655 at h = 0.09 on N = 16 lies below the Fourier
+    # tail's cut h^(1/6) = 0.6694: sweep refuses the config before the first
+    # solve and writes no CSV; spectrum measures no tail and still runs
+    out_dir = tmp_path / "out"
+    cfg = _write(tmp_path, "[grid]\nn = 16\nxi_min = 0.01\n[sweep]\nh_list = 0.09\n"
+                           f"[output]\ndir = {out_dir}\n")
+    calls = _no_eigensolve(monkeypatch)
+    assert main(["sweep", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "configuration error: momentum cutoff pi*h*N/L = 0.5655 at h = 0.09 does not "
+        "exceed the Fourier tail's cut h^(1/6) = 0.6694; raise N or xi_min\n")
+    assert calls == []
+    assert not out_dir.exists()
+    assert main(["spectrum", cfg, "--h", "0.09"]) == 0
+    assert len(calls) == 2
+
+
+def test_sweep_checks_the_fourier_cut_of_every_row(tmp_path, capsys, monkeypatch):
+    # with N = auto and xi_min = 0.3, h = 0.00152 takes the 512-point floor,
+    # whose cutoff 0.3056 lies below its cut 0.3390, while the smallest h,
+    # 1e-4, takes N = 8192 and passes
+    from pdwell import harness
+
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row ran before the Fourier cuts were checked")
+
+    monkeypatch.setattr(harness, "_sweep_row", no_row)
+    cfg = _write(tmp_path, "[grid]\nxi_min = 0.3\n[sweep]\nh_list = 0.00152 0.0001\n"
+                           f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["sweep", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: momentum cutoff pi*h*N/L = 0.3056 at h = 0.00152 ")
 
 
 def test_dump_into_missing_directory_exits_before_solves(tmp_path, capsys, monkeypatch):

@@ -55,16 +55,21 @@ def test_grid_for_sets_momentum_lattice(model_a, consts_a):
 
 
 def test_gap_positive(model_a):
-    assert gap_Mhbar(model_a, _grid(0.3)) > 0.0
+    # the one solve: the four lowest pairs, ascending, their gap and its flag
+    eff = gap_Mhbar(model_a, _grid(0.3))
+    values = [p.value for p in eff.pairs]
+    assert len(values) == 4 and values == sorted(values)
+    assert eff.gap == values[1] - values[0] > 0.0
+    assert eff.flag is False
 
 
 def test_gap_vs_formula_frozen(model_a):
-    ratio = gap_Mhbar(model_a, _grid(0.3)) / classical_splitting_formula(model_a, 0.3)
+    ratio = gap_Mhbar(model_a, _grid(0.3)).gap / classical_splitting_formula(model_a, 0.3)
     assert abs(ratio - RATIO_03_FROZEN) < 1e-3
 
 
 def test_gap_strictly_decreasing(model_a):
-    gaps = [gap_Mhbar(model_a, _grid(hb)) for hb in (0.35, 0.30, 0.25, 0.20)]
+    gaps = [gap_Mhbar(model_a, _grid(hb)).gap for hb in (0.35, 0.30, 0.25, 0.20)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
@@ -90,7 +95,7 @@ def test_formula_definition(model_a, consts_a):
 def test_ratio_drift(model_a):
     # the one-term formula overshoots the gap at desk scale (ratio ~0.65 at
     # hbar = 0.35) and the ratio climbs monotonically toward 1 from below
-    ratios = [gap_Mhbar(model_a, _grid(hb)) / classical_splitting_formula(model_a, hb)
+    ratios = [gap_Mhbar(model_a, _grid(hb)).gap / classical_splitting_formula(model_a, hb)
               for hb in (0.35, 0.30, 0.25, 0.20, 0.15)]
     assert all(0.6 < r < 1.0 for r in ratios)
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -118,8 +123,8 @@ def test_harmonic_ladder_trend(model_a, consts_a):
 
 def test_residual_floor_warning(model_a):
     with pytest.warns(PrecisionWarning):
-        gap = gap_Mhbar(model_a, _grid(0.04))
-    assert gap < 1e-10
+        eff = gap_Mhbar(model_a, _grid(0.04))
+    assert eff.flag and eff.gap < 1e-10
 
 
 def test_splitting_identity_seeded(model_a, consts_a, rng):

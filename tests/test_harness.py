@@ -1,5 +1,6 @@
 """Sweep configuration, orchestration, analytics, and CSV persistence."""
 
+import ast
 import dataclasses
 import math
 import pathlib
@@ -8,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import pdwell
 from pdwell import ConfigurationError, harness
 from pdwell.harness import (SWEEP_COLUMNS, SweepConfig, auto_points,
                             build_model, format_value, load_config, run_sweep,
@@ -254,6 +256,64 @@ def test_rows_pass_the_phase_cutoff_itself(monkeypatch):
     monkeypatch.setattr(harness, "interaction_term", spy)
     harness._sweep_row(cfg, 0.09)
     assert len(seen) == 1 and seen[0] is sweep_phase(cfg).chi_left
+
+
+def test_localization_columns_match_their_formulas(sweep_report):
+    """The nine localization columns of a desk row equal, bit for bit, the
+    formulas of the cut h^(1/6) (1 - 1e-6), the ball of radius 0.5 around
+    the left well and the weight exp(0.8 Phi~/sqrt(h)), written out here."""
+    row = sweep_report.rows[-1]
+    h = row["h"]
+    cfg = SweepConfig(h_list=(h,))
+    phase = sweep_phase(cfg)
+    g = cfg.grid_for(h)
+    M_ow = pdwell.assemble_onewell(pdwell.assemble_L(phase.model, g), phase.seal)
+    w = (1.0 - 0.2) * phase.truncated_evaluator(g.x_nodes) / np.sqrt(h)
+    for n, pair in enumerate(pdwell.lowest_eigenpairs(M_ow, 3), start=1):
+        power = np.abs(np.fft.fft(pair.vector))**2
+        beyond = np.abs(g.eta_fft) > h**(1.0/6.0) * (1.0 - 1e-6)
+        assert row[f"fourier_tail_{n}"] == float(np.sum(power[beyond]) / np.sum(power))
+        mass = np.abs(pair.vector)**2
+        away = ~(np.abs(g.x_nodes - (-1.0)) <= 0.5)
+        assert row[f"spatial_tail_{n}"] == float(np.sum(mass[away]) / np.sum(mass))
+        with np.errstate(divide="ignore"):
+            contrib = w + np.log(np.abs(pair.vector))
+        a = 2.0 * contrib[np.isfinite(contrib)]
+        i = int(np.argmax(a))
+        terms = np.exp(a - a[i])
+        terms[i] = 0.0
+        log_sq = float(a[i] + np.log1p(np.sum(terms))) + np.log(g.dx)
+        assert row[f"agmon_{n}"] == float(np.exp(0.5 * log_sq))
+
+
+def _referenced_in(names):
+    """name -> {(module, top-level function)} of each read of the names in src/."""
+    found = {name: set() for name in names}
+    for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
+        for fn in ast.parse(path.read_text()).body:
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in found:
+                    found[name].add((path.stem, getattr(fn, "name", None)))
+    return found
+
+
+def test_one_solve_of_M_hbar_and_no_constants_in_the_harness():
+    # the sweep's theorem prediction and `pdwell effective` share gap_Mhbar,
+    # the one place that assembles and solves M_hbar
+    assert _referenced_in(("assemble_Mhbar", "schrodinger_matrix")) == {
+        "assemble_Mhbar": {("effective", "gap_Mhbar")},
+        "schrodinger_matrix": {("effective", "assemble_Mhbar")}}
+    # criterion 10's cut, radius and weight are spectra's; the harness hands
+    # the diagnostics no number of its own
+    diagnostics = {"fourier_tail", "spatial_tail", "agmon_weighted_norm"}
+    calls = [node for node in ast.walk(ast.parse(pathlib.Path(harness.__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in diagnostics]
+    assert len(calls) == 3
+    literals = [ast.unparse(arg) for call in calls for arg in call.args + call.keywords
+                if any(isinstance(c, ast.Constant) and isinstance(c.value, (int, float))
+                       for c in ast.walk(arg))]
+    assert literals == []
 
 
 def _benchmark_row_problems(check, workload, cfg, csv_path):

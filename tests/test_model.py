@@ -61,7 +61,7 @@ def test_validate_cosine_fails_unique_minimum(model_a):
     # 1 - cos(xi) vanishes again at 2 pi k; expression grammar has no cos,
     # so the symbol is built directly
     m = Model(a=lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float)),
-              b=model_a.b, x_left=-1.0, x_right=1.0)
+              b=model_a.b, x_right=1.0)
     report = pdwell.validate_model(m)
     assert not report.checks["a_min_unique"]
     assert not report.passed
@@ -82,7 +82,7 @@ def test_validate_nonfinite_raises(model_a):
 
     m = Model(a=model_a.a,
               b=SymbolB(singular, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_left=-1.0, x_right=1.0)
+              x_right=1.0)
     with pytest.raises(EvaluationError):
         pdwell.validate_model(m)
 
@@ -130,7 +130,7 @@ def test_unconverged_action_raises(model_a):
         return (x*x - 1.0)**2 * (1.0 + np.abs(x - 0.3)) + 0.0*np.asarray(xi, dtype=float)
 
     m = Model(a=model_a.a, b=SymbolB(kinked, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_left=-1.0, x_right=1.0)
+              x_right=1.0)
     with pytest.raises(NumericError, match="action quadrature did not converge"):
         pdwell.derived_constants(m)
 
@@ -258,9 +258,12 @@ def test_custom_model_bad_well():
         pdwell.custom_model("xi**2", "(x**2-1)**2", -1.0)
 
 
-def test_model_well_symmetry_enforced(model_a):
-    with pytest.raises(ConfigurationError):
-        Model(a=model_a.a, b=model_a.b, x_left=-1.0, x_right=2.0)
+def test_model_rejects_non_positive_well(model_a):
+    # the left well is the right one's reflection, so only x_right is given
+    assert Model(a=model_a.a, b=model_a.b, x_right=2.0).x_left == -2.0
+    for x_right in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            Model(a=model_a.a, b=model_a.b, x_right=x_right)
 
 
 def test_validation_report_lines(model_a):

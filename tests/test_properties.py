@@ -131,7 +131,7 @@ def _even_model(ca, cv):
 
     return pdwell.Model(a=a,
                         b=pdwell.SymbolB(b, lambda x, xi: 0.0*x, xi_independent=True),
-                        x_left=-1.0, x_right=1.0)
+                        x_right=1.0)
 
 
 @PROPERTY

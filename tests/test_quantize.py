@@ -145,7 +145,7 @@ def _split_model(a, V):
     return pdwell.Model(a=a,
                         b=pdwell.SymbolB(lambda x, xi: V(x) + 0.0*xi,
                                          lambda x, xi: 0.0*x, xi_independent=True),
-                        x_left=-1.0, x_right=1.0)
+                        x_right=1.0)
 
 
 def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a):
@@ -324,17 +324,17 @@ def _holed(x, xi=0.0):
 
 @pytest.mark.parametrize("build, named", [
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
-        a=_pole, b=m.b, x_left=-1.0, x_right=1.0), g),
+        a=_pole, b=m.b, x_right=1.0), g),
      "non-finite multiplier value at xi=0.0"),
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
         a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
-        x_left=-1.0, x_right=1.0), g),
+        x_right=1.0), g),
      "non-finite potential value at x=-3.0"),
     (lambda g, m: pdwell.schrodinger_matrix(_holed, g, 1.0),
      "non-finite potential value at x=-3.0"),
     (lambda g, m: pdwell.validate_model(pdwell.Model(
         a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
-        x_left=-1.0, x_right=1.0)),
+        x_right=1.0)),
      "non-finite symbol b value at x=-3.0, xi=-5.0"),
 ], ids=["multiplier", "assemble_L_potential", "schrodinger_potential",
         "validate_model_symbol_b"])

@@ -91,7 +91,7 @@ def _scalar_even_operator():
     m = pdwell.Model(a=lambda xi: 4.8e-173 / (1.0 + xi*xi),
                      b=pdwell.SymbolB(lambda x, xi: 1.4375 + 0.0*x + 0.0*xi,
                                       lambda x, xi: 0.0*x, xi_independent=True),
-                     x_left=-1.0, x_right=1.0)
+                     x_right=1.0)
     return pdwell.assemble_L(m, pdwell.make_grid(8.0, 16, 1/64, xi_min=0.001))
 
 
@@ -181,45 +181,43 @@ def test_parity_first_two_states(model_a, grid05):
 
 def test_fourier_tail_mode_zero(g64):
     flat = _pair(np.ones(64), g64)
-    assert pdwell.fourier_tail(flat, g64, 0.1) == 0.0
-    assert pdwell.fourier_tail(flat, g64, g64.cutoff * 0.999) == 0.0
+    assert 0.0 < pdwell.fourier_cut(g64) < g64.cutoff
+    assert pdwell.fourier_tail(flat, g64) == 0.0
 
 
 def test_fourier_tail_flat_spectrum_median():
-    # spatial delta has a flat momentum spectrum; at the median |eta| the
-    # tail sits within one lattice weight of 1/2 (the unpaired -N/2 mode
-    # makes exactly 0.5 unattainable)
+    # spatial delta has a flat momentum spectrum; with the cut between the
+    # median |eta| and the next lattice point the tail sits within one
+    # lattice weight of 1/2 (the unpaired -N/2 mode makes exactly 0.5
+    # unattainable)
     g = pdwell.make_grid(8.0, 8, 0.5, xi_min=0.0)
+    eta = np.sort(np.abs(g.eta_fft))
+    assert np.median(eta) < pdwell.fourier_cut(g) < eta[5]
     delta = np.zeros(8)
     delta[3] = 1.0
-    pair = _pair(delta, g)
-    cut = float(np.median(np.abs(g.eta_fft)))
-    tail = pdwell.fourier_tail(pair, g, cut)
+    tail = pdwell.fourier_tail(_pair(delta, g), g)
     assert abs(tail - 0.5) <= 1.0/8.0 + 1e-12
 
 
-def test_fourier_tail_cut_domain(g64):
-    pair = _pair(np.ones(64), g64)
-    with pytest.raises(ConfigurationError):
-        pdwell.fourier_tail(pair, g64, 0.0)
-    with pytest.raises(ConfigurationError):
-        pdwell.fourier_tail(pair, g64, g64.cutoff)
+def test_fourier_tail_cut_domain():
+    # pi h N / L = 0.5655 at h = 0.09 on N = 16 lies below h^(1/6) = 0.6694
+    g = pdwell.make_grid(8.0, 16, 0.09, xi_min=0.01)
+    pair = _pair(np.ones(16), g)
+    for measure in (pdwell.fourier_cut, lambda g: pdwell.fourier_tail(pair, g)):
+        with pytest.raises(ConfigurationError, match="^momentum cutoff pi.h.N/L = 0.5655 "):
+            measure(g)
+    assert pdwell.fourier_cut(pdwell.make_grid(8.0, 32, 0.09, xi_min=0.01)) == (
+        0.09**(1.0/6.0) * (1.0 - 1e-6))
 
 
 def test_spatial_tail_trivial(grid05):
     inside = np.abs(grid05.x_nodes + 1.0) <= 0.5
     pair = _pair(inside.astype(float), grid05)
-    assert pdwell.spatial_tail(pair, grid05, [-1.0], 0.5) == 0.0
+    assert pdwell.spatial_tail(pair, grid05, -1.0) == 0.0
 
+    # the ball of radius 0.5 holds 65 of the 512 nodes on [-4, 4)
     uniform = _pair(np.ones(grid05.n_points), grid05)
-    tail = pdwell.spatial_tail(uniform, grid05, [-1.0, 1.0], 1.0)
-    assert abs(tail - 0.5) < 0.01
-
-
-def test_spatial_tail_radius_error(grid05):
-    pair = _pair(np.ones(grid05.n_points), grid05)
-    with pytest.raises(ConfigurationError):
-        pdwell.spatial_tail(pair, grid05, [0.0], 0.0)
+    assert pdwell.spatial_tail(uniform, grid05, -1.0) == 1.0 - 65/512
 
 
 @pytest.fixture(scope="module")
@@ -228,9 +226,9 @@ def phi05(phase_a_left, grid05):
     return phase_a_left.truncated_evaluator(grid05.x_nodes)
 
 
-def test_agmon_eps_one_returns_norm(grid05, onewell05, phi05):
+def test_agmon_zero_phase_returns_norm(grid05, onewell05):
     _, pairs = onewell05
-    val = pdwell.agmon_weighted_norm(pairs[0], grid05, phi05, 1.0)
+    val = pdwell.agmon_weighted_norm(pairs[0], grid05, np.zeros(grid05.n_points))
     assert abs(val - 1.0) < 1e-12
 
 
@@ -240,23 +238,14 @@ def test_agmon_delta_at_well(grid05, phi05):
     delta = np.zeros(grid05.n_points)
     delta[j] = 1.0
     pair = _pair(delta, grid05)
-    for eps in (0.2, 0.5, 0.9):
-        val = pdwell.agmon_weighted_norm(pair, grid05, phi05, eps)
-        assert abs(val - 1.0) < 1e-9
+    assert abs(pdwell.agmon_weighted_norm(pair, grid05, phi05) - 1.0) < 1e-9
 
 
 def test_agmon_zero_vector_has_zero_norm(grid05, phi05):
     # log|v| is -inf at every node, so no finite contribution is left
     zero = pdwell.Eigenpair(value=0.0, vector=np.zeros(grid05.n_points, complex),
                             residual=0.0)
-    assert pdwell.agmon_weighted_norm(zero, grid05, phi05, 0.2) == 0.0
-
-
-def test_agmon_eps_domain(grid05, phi05, onewell05):
-    _, pairs = onewell05
-    for eps in (0.0, -0.2, 1.5):
-        with pytest.raises(ConfigurationError):
-            pdwell.agmon_weighted_norm(pairs[0], grid05, phi05, eps)
+    assert pdwell.agmon_weighted_norm(zero, grid05, phi05) == 0.0
 
 
 def test_agmon_overflow_warning(phase_a_left):
@@ -266,7 +255,7 @@ def test_agmon_overflow_warning(phase_a_left):
     pair = _pair(delta, g)
     phi = phase_a_left.truncated_evaluator(g.x_nodes)
     with pytest.warns(PrecisionWarning), np.errstate(over="ignore"):
-        val = pdwell.agmon_weighted_norm(pair, g, phi, 0.2)
+        val = pdwell.agmon_weighted_norm(pair, g, phi)
     assert val > 0  # may be inf; the flag is the contract, not the value
 
 

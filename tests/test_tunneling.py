@@ -39,7 +39,7 @@ def rep05(pairs05, chi_a, onewell05):
 def preds05(model_a):
     """(thm_pred, formula_pred) at h = 0.05, as a sweep row computes them."""
     g_eff = pdwell.SweepConfig().grid_for(np.sqrt(0.05))
-    return (0.05 * pdwell.gap_Mhbar(model_a, g_eff),
+    return (0.05 * pdwell.gap_Mhbar(model_a, g_eff).gap,
             2.0 * interaction_asymptotic(model_a, 0.05))
 
 
@@ -237,7 +237,7 @@ def test_gram_route_gets_the_interaction_states(pairs05, chi_a, onewell05,
 
 def test_theorem_prediction_positive(model_a):
     g_eff = pdwell.make_grid(8.0, 512, np.sqrt(0.05))
-    pred = 0.05 * pdwell.gap_Mhbar(model_a, g_eff)
+    pred = 0.05 * pdwell.gap_Mhbar(model_a, g_eff).gap
     assert pred > 0
 
 

@@ -233,7 +233,7 @@ def _potential_nan_at(model, points):
         return np.where(np.isin(x, points), np.nan, model.b(x, xi))
 
     return Model(a=model.a, b=SymbolB(b, model.b.xi_derivative, True),
-                 x_left=model.x_left, x_right=model.x_right)
+                 x_right=model.x_right)
 
 
 def test_non_finite_sealed_landscape_is_evaluation_error(model_a):

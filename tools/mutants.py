@@ -43,6 +43,7 @@ class Mutant:
 
 
 CLI_TESTS = "tests/test_cli.py::"
+HARNESS_TESTS = "tests/test_harness.py::"
 LAPACK_TESTS = "tests/test_lapack.py::"
 MODEL_TESTS = "tests/test_model.py::"
 QUANTIZE_TESTS = "tests/test_quantize.py::"
@@ -147,6 +148,10 @@ MUTANTS = (
     Mutant("table-span-guard-dropped", "wkb.py",
            (("if np.abs(x).max(initial=0.0) > table.hi:", "if False:"),),
            (WKB_TESTS + "test_narrow_tables_refuse_queries_past_their_span",)),
+    # Phi's table reaches past a grid window wider than [-12, 12]
+    Mutant("phase-table-on-the-least-span", "wkb.py",
+           (("cum = _table(g, max(_DOMAIN, span), well)", "cum = _table(g, _DOMAIN, well)"),),
+           (CLI_TESTS + "test_wkb_phase_grows_past_the_least_table_span",)),
     # the overlap cutoff ends where the seal starts, so chi_left k = 0
     Mutant("overlap-cutoff-into-the-seal", "wkb.py",
            (("* smoothstep(1.0 - 2.0*(x - (x_r - 2.0*eta))/eta))",
@@ -189,6 +194,19 @@ MUTANTS = (
              "if inter_dev > 0.3 or gram_dev > 0.05:"),),
            (CLI_TESTS + "test_sweep_check_fails_on_a_row_bound[interaction_nan]",
             CLI_TESTS + "test_sweep_check_fails_on_a_row_bound[gram_nan]")),
+    # criterion 10's constants, and the sweep's check of every row's Fourier
+    # cut before the first solve
+    Mutant("spatial-radius-changed", "spectra.py",
+           (("return float(np.sum(mass[np.abs(g.x_nodes - center) > 0.5]) / np.sum(mass))",
+             "return float(np.sum(mass[np.abs(g.x_nodes - center) > 0.4]) / np.sum(mass))"),),
+           (HARNESS_TESTS + "test_localization_columns_match_their_formulas",)),
+    Mutant("fourier-cut-precheck-dropped", "harness.py",
+           (("fourier_cut(cfg.grid_for(h))", "pass"),),
+           (CLI_TESTS + "test_coarse_grid_sweep_exits_2_before_any_solve",
+            CLI_TESTS + "test_sweep_checks_the_fourier_cut_of_every_row")),
+    Mutant("fourier-cut-precheck-smallest-h-only", "harness.py",
+           (("fourier_cut(cfg.grid_for(h))", "fourier_cut(cfg.grid_for(cfg.h_list[-1]))"),),
+           (CLI_TESTS + "test_sweep_checks_the_fourier_cut_of_every_row",)),
     # older configs' [checks] line must name every diagnostic once
     Mutant("narrowed-diagnostics-accepted", "harness.py",
            (('if sorted(text.split()) != ["localization", "tunneling", "wkb"]:',
