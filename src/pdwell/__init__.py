@@ -21,7 +21,7 @@ from .wkb import (AgmonPhase, SealingFunction, WkbQuasimode, agmon_phase,
                   smoothstep, wkb_quasimode)
 from .effective import (EffectiveGap, assemble_Mhbar, classical_splitting_formula,
                         gap_Mhbar, schrodinger_matrix)
-from .tunneling import gram_reduction, interaction_asymptotic, interaction_term
+from .tunneling import gram_reduction, interaction_term
 from .harness import (SWEEP_COLUMNS, SweepConfig, SweepReport, build_model,
                       fit_action, format_value, load_config, run_sweep)
 

@@ -63,6 +63,8 @@ def gap_Mhbar(m: Model, g: Grid) -> EffectiveGap:
 
 
 def classical_splitting_formula(m: Model, hbar: float) -> float:
-    """One-term gap prediction A sqrt(hbar) exp(-S/hbar)."""
+    """One-term gap prediction A sqrt(hbar) exp(-S/hbar), the formula's one
+    spelling: `pdwell effective` tabulates it, and a sweep row's formula_pred
+    is h times it at hbar = sqrt(h)."""
     consts = derived_constants(m)
     return float(consts.A * np.sqrt(hbar) * np.exp(-consts.S / hbar))

@@ -23,13 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .effective import gap_Mhbar
+from .effective import classical_splitting_formula, gap_Mhbar
 from .errors import ConfigurationError
 from .model import Model, builtin_model, custom_model, validate_model
 from .quantize import Grid, assemble_L, auto_points, make_grid
 from .spectra import (agmon_weighted_norm, fourier_cut, fourier_tail,
                       gap_near_residual, lowest_eigenpairs, parity_of, spatial_tail)
-from .tunneling import interaction_asymptotic, interaction_term
+from .tunneling import interaction_term
 from .wkb import (AgmonPhase, agmon_phase, assemble_onewell, quasimode_residual,
                   sealing_function, wkb_quasimode)
 
@@ -234,7 +234,7 @@ def _sweep_row(cfg: SweepConfig, h: float) -> dict:
     # peak memory of a row by one N x N matrix
     del M, M_ow
     thm = h * gap_Mhbar(m, cfg.grid_for(math.sqrt(h))).gap
-    formula = 2.0 * interaction_asymptotic(m, h)
+    formula = h * classical_splitting_formula(m, math.sqrt(h))
 
     lam = [p.value for p in pairs]
     gap12 = lam[1] - lam[0]

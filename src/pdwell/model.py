@@ -59,7 +59,10 @@ class Model:
     a: Callable[[np.ndarray], np.ndarray]
     b: SymbolB
     x_right: float
-    _constants: Optional["ModelConstants"] = field(default=None, repr=False)
+    # derived_constants' cache; not an init field, so dataclasses.replace
+    # gives the new wells an empty cache instead of the old wells' constants
+    _constants: Optional["ModelConstants"] = field(default=None, init=False,
+                                                   repr=False, compare=False)
 
     def __post_init__(self):
         if not self.x_right > 0:
@@ -83,11 +86,6 @@ class ModelConstants:
     S: float
     A: float
     b_inf: float
-    V0: float
-    # regularized prefactor integral int_{x_left}^0 (d_s sqrt V - kappa)/sqrt V ds;
-    # kept so the interaction asymptotics can be evaluated from its own closed
-    # form instead of back-solving A.
-    prefactor_integral: float = 0.0
 
 
 @dataclass
@@ -273,7 +271,7 @@ def validate_model(m: Model) -> ValidationReport:
     b_ff = np.concatenate([_finite("potential", m.potential(x_ff), x=x_ff),
                            _finite("potential", m.potential(-x_ff), x=-x_ff)])
     checks["b_far_field"] = bool(np.min(b_ff) > _FAR_MIN)
-    details["b_far_field"] = f"b_inf estimate={float(np.mean(b_ff)):.4f}"
+    details["b_far_field"] = f"inf |x|>={x_ff[0]}: {np.min(b_ff):.4f}"
 
     wide = np.linspace(-50.0, 50.0, 501)
     b_wide = np.abs(_finite("potential", m.potential(wide), x=wide))
@@ -373,7 +371,7 @@ def derived_constants(m: Model) -> ModelConstants:
     c0 = float(np.sqrt(a2 * V2 / 4.0))
     w = smooth_branch(m.potential, m.x_left)
     kappa = float(_richardson(_fd1, w, m.x_left, 0.02, 3))
-    V0 = float(m.potential(np.array(0.0)))
+    V_mid = float(m.potential(np.array(0.0)))   # V at the midpoint of the wells
 
     val, err = _integral(lambda s: np.sqrt(np.maximum(m.potential(s), 0.0)),
                          m.x_left, m.x_right)
@@ -390,14 +388,13 @@ def derived_constants(m: Model) -> ModelConstants:
     if not (I_err <= 1e-8):
         raise NumericError(f"prefactor quadrature did not converge: abserr={I_err:.3e}")
 
-    A = 4.0 * (a2/2.0)**0.25 * np.sqrt(V0) * np.sqrt(kappa/np.pi) * np.exp(-I_A)
+    A = 4.0 * (a2/2.0)**0.25 * np.sqrt(V_mid) * np.sqrt(kappa/np.pi) * np.exp(-I_A)
 
     x_ff = np.linspace(5.0, 50.0, 500)
     b_inf = float(np.mean(np.concatenate([m.potential(x_ff), m.potential(-x_ff)])))
 
     consts = ModelConstants(a2=a2, V2=V2, c0=c0, kappa=kappa, S=float(S),
-                            A=float(A), b_inf=b_inf, V0=V0,
-                            prefactor_integral=float(I_A))
+                            A=float(A), b_inf=b_inf)
     m._constants = consts
     return consts
 

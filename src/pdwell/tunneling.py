@@ -1,7 +1,7 @@
-"""Tunneling splitting: interaction term, 2x2 reduction, and predictions.
+"""Tunneling splitting: interaction term and 2x2 reduction.
 
 The exponentially small gap lambda_2 - lambda_1 of the double-well operator,
-read from its lowest eigenpairs, is compared against three routes:
+read from its lowest eigenpairs, is compared against two routes built here:
 
   * the interaction term w_h = <(L_h - mu) f_l, f_r> built from cut-off
     one-well ground states, predicting a gap of 2|w_h|;
@@ -11,9 +11,9 @@ read from its lowest eigenpairs, is compared against three routes:
     whenever the coefficients C[a, j] = <f_a, e_j> have det C != 0 the
     reduced pencil has the eigenvalues of E[j, k] = <L_h e_j, e_k>, which
     are lambda_1 and lambda_2 up to roundoff. So the route returns E's gap
-    in closed form, and a check of it tests that identity;
-  * the asymptotics: the effective operator's gap at hbar = sqrt(h)
-    (effective.gap_Mhbar) and the closed-form interaction_asymptotic.
+    in closed form, and a check of it tests that identity.
+
+The asymptotic predictions come from the effective operator, in effective.
 
 The cutoff chi_left that makes f_l is an argument, built once per sweep
 with the Agmon phase (wkb.agmon_phase); this module builds none. Inner
@@ -28,11 +28,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegeneracyError
-from .model import Model, derived_constants
 from .quantize import OperatorMatrix, reverse_indices
 from .spectra import Eigenpair
 
-__all__ = ["interaction_term", "gram_reduction", "interaction_asymptotic"]
+__all__ = ["interaction_term", "gram_reduction"]
 
 
 def gram_reduction(f_l: np.ndarray, f_r: np.ndarray, M: OperatorMatrix,
@@ -79,17 +78,3 @@ def interaction_term(M: OperatorMatrix, pairs: list[Eigenpair], ow: Eigenpair,
     w_h = g.inner(M.apply(f_l) - mu * f_l, f_r)
     return w_h, g.inner(f_l, f_r), gram_reduction(f_l, f_r, M, pairs[:2])
 
-
-def interaction_asymptotic(m: Model, h: float) -> float:
-    """Closed-form |w_h| asymptotics.
-
-    2 (a2/2)^(1/4) h^(5/4) sqrt(V(0)) sqrt(kappa/pi) exp(-I) exp(-S/sqrt h),
-    with I the regularized prefactor integral over (x_left, 0) and S the
-    phase value Phi(x_r) = sqrt(2/a2) int sqrt(V). Twice this value equals
-    h * classical_splitting_formula(sqrt h) identically.
-    """
-    consts = derived_constants(m)
-    return float(2.0 * (consts.a2/2.0)**0.25 * h**1.25
-                 * np.sqrt(consts.V0) * np.sqrt(consts.kappa/np.pi)
-                 * np.exp(-consts.prefactor_integral)
-                 * np.exp(-consts.S/np.sqrt(h)))

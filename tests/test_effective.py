@@ -126,12 +126,3 @@ def test_residual_floor_warning(model_a):
         eff = gap_Mhbar(model_a, _grid(0.04))
     assert eff.flag and eff.gap < 1e-10
 
-
-def test_splitting_identity_seeded(model_a, consts_a, rng):
-    # A sqrt(hbar) e^(-S/hbar) * h with hbar = sqrt(h) must equal the
-    # closed-form 2|w_h| prediction, as pure algebra at any h
-    for h in rng.uniform(0.01, 0.5, size=100):
-        hbar = np.sqrt(h)
-        lhs = h * classical_splitting_formula(model_a, hbar)
-        rhs = 2.0 * pdwell.interaction_asymptotic(model_a, h)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)

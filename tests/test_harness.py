@@ -397,3 +397,14 @@ def test_row_derives_the_splitting_columns(sweep_report):
         assert r["ratio_thm"] == r["gap12"] / r["thm_pred"]
         assert r["ratio_formula"] == r["gap12"] / r["formula_pred"]
         assert r["two_abs_wh"] == 2.0 * abs(complex(r["re_wh"], r["im_wh"]))
+
+
+def test_formula_prediction_is_the_effective_formula(sweep_report, model_a):
+    """formula_pred of every default row is, bit for bit, h times the formula
+    `pdwell effective` tabulates at hbar = sqrt(h): one spelling of the
+    splitting formula, classical_splitting_formula, serves both."""
+    rows = sweep_report.rows
+    assert [r["h"] for r in rows] == list(SweepConfig().h_list)
+    assert ([r["formula_pred"] for r in rows]
+            == [r["h"] * pdwell.classical_splitting_formula(model_a, math.sqrt(r["h"]))
+                for r in rows])

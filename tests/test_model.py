@@ -1,5 +1,7 @@
 """Symbol models, assumption validation, and derived constants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,8 +11,9 @@ from pdwell import ConfigurationError, EvaluationError, NumericError
 from pdwell.model import CumulativeIntegral, SymbolB, Model
 
 # quadrature/stencil truths for the reference double well, frozen from the
-# closed forms (a2, V2, kappa analytically; S to 30 digits, the prefactor by
-# quad)
+# closed forms (a2, V2, kappa analytically; S to 30 digits). PREFACTOR_FROZEN
+# is the stencil's value of the prefactor integral, 1.0e-8 away from quad's
+# -0.2922172979277418 (ROADMAP item 23)
 A2_EXACT = 2.0
 V2_EXACT = 4.0
 KAPPA_EXACT = np.sqrt(2.0)
@@ -28,7 +31,7 @@ def test_builtin_limits(model_a, consts_a):
     assert float(model_a.a(np.array(0.0))) == 0.0
     assert abs(float(model_a.a(np.array(1e8))) - 1.0) < 1e-15
     assert abs(consts_a.b_inf - 1.0) < 0.01
-    assert consts_a.V0 == 1.0
+    assert float(model_a.potential(np.array(0.0))) == 1.0
 
 
 def test_modelb_eps_zero_reduces_to_modela(model_a, rng):
@@ -87,13 +90,18 @@ def test_validate_nonfinite_raises(model_a):
         pdwell.validate_model(m)
 
 
-def test_derived_constants_closed_forms(consts_a):
+def test_derived_constants_closed_forms(model_a, consts_a):
     assert abs(consts_a.a2 - A2_EXACT) < 1e-9
     assert abs(consts_a.V2 - V2_EXACT) < 1e-9
     assert abs(consts_a.kappa - KAPPA_EXACT) < 1e-9
     assert abs(consts_a.c0 - np.sqrt(2.0)) < 1e-9
     assert abs(consts_a.S - S_FROZEN) < 1e-13
-    assert abs(consts_a.prefactor_integral - PREFACTOR_FROZEN) < 5e-8
+    # the prefactor integral I, recovered from A = 4 (a2/2)^(1/4) sqrt(V(0))
+    # sqrt(kappa/pi) exp(-I)
+    V0 = float(model_a.potential(np.array(0.0)))
+    I_A = -np.log(consts_a.A / (4.0 * (consts_a.a2/2.0)**0.25 * np.sqrt(V0)
+                                * np.sqrt(consts_a.kappa/np.pi)))
+    assert abs(I_A - PREFACTOR_FROZEN) < 5e-8
     assert abs(consts_a.A - A_FROZEN) < 1e-6
     assert consts_a.c0 > 0 and consts_a.S > 0 and consts_a.A > 0 and consts_a.b_inf > 0
 
@@ -174,8 +182,7 @@ def test_action_against_independent_quadrature(model_a, consts_a):
 
 def test_modelb_constants_equal_modela(consts_a, model_b):
     cb = pdwell.derived_constants(model_b)
-    for name in ("a2", "V2", "c0", "kappa", "S", "A", "b_inf", "V0",
-                 "prefactor_integral"):
+    for name in ("a2", "V2", "c0", "kappa", "S", "A", "b_inf"):
         va, vb = getattr(consts_a, name), getattr(cb, name)
         assert abs(va - vb) <= 1e-12 * max(1.0, abs(va)), name
 
@@ -266,8 +273,20 @@ def test_model_rejects_non_positive_well(model_a):
             Model(a=model_a.a, b=model_a.b, x_right=x_right)
 
 
+def test_replaced_wells_get_their_own_constants(model_a, consts_a):
+    # dataclasses.replace starts the copy with an empty constants cache: with
+    # wells at +-0.5, ModelA's symbols fail the prefactor quadrature, as a
+    # fresh Model does, instead of returning the wells at +-1's constants
+    moved = dataclasses.replace(model_a, x_right=0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        pdwell.derived_constants(moved)
+    assert pdwell.derived_constants(model_a) is consts_a
+
+
 def test_validation_report_lines(model_a):
     report = pdwell.validate_model(model_a)
     lines = list(report.lines())
     assert len(lines) == len(report.checks)
     assert all("pass" in line for line in lines)
+    # the far-field detail prints the minimum its check gates on: V(5) = 576/626
+    assert report.details["b_far_field"] == "inf |x|>=5.0: 0.9201"

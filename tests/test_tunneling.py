@@ -6,7 +6,7 @@ import scipy.linalg
 
 import pdwell
 from pdwell import DegeneracyError
-from pdwell.tunneling import gram_reduction, interaction_asymptotic, interaction_term
+from pdwell.tunneling import gram_reduction, interaction_term
 
 # frozen at h = 0.05, L = 8, N = 512 (deterministic pipeline)
 GAP12_FROZEN = 0.00021095742403959804
@@ -40,7 +40,7 @@ def preds05(model_a):
     """(thm_pred, formula_pred) at h = 0.05, as a sweep row computes them."""
     g_eff = pdwell.SweepConfig().grid_for(np.sqrt(0.05))
     return (0.05 * pdwell.gap_Mhbar(model_a, g_eff).gap,
-            2.0 * interaction_asymptotic(model_a, 0.05))
+            0.05 * pdwell.classical_splitting_formula(model_a, np.sqrt(0.05)))
 
 
 def _states(chi, ow, g):
@@ -272,7 +272,8 @@ def test_overlap_bound_over_sweep(sweep_report, consts_a):
 
 def test_asymptotic_log_slope(model_a, consts_a):
     hs = np.array([0.09, 0.08, 0.07, 0.06, 0.05, 0.04])
-    vals = np.array([interaction_asymptotic(model_a, h) for h in hs])
+    vals = np.array([h * pdwell.classical_splitting_formula(model_a, np.sqrt(h))
+                     for h in hs])
     x = 1.0 / np.sqrt(hs)
     y = np.log(vals) - 1.25 * np.log(hs)
     slope, _ = np.polyfit(x, y, 1)
@@ -281,8 +282,8 @@ def test_asymptotic_log_slope(model_a, consts_a):
 
 def test_asymptotic_model_independent_of_coupling(model_a, model_b):
     for h in (0.09, 0.05, 0.02):
-        va = interaction_asymptotic(model_a, h)
-        vb = interaction_asymptotic(model_b, h)
+        va = pdwell.classical_splitting_formula(model_a, np.sqrt(h))
+        vb = pdwell.classical_splitting_formula(model_b, np.sqrt(h))
         assert abs(vb - va) <= 1e-12 * va
 
 

@@ -42,6 +42,7 @@ class Mutant:
     tests: tuple        # pytest node ids that must all fail
 
 
+ACCEPTANCE_TESTS = "tests/test_acceptance.py::"
 CLI_TESTS = "tests/test_cli.py::"
 HARNESS_TESTS = "tests/test_harness.py::"
 LAPACK_TESTS = "tests/test_lapack.py::"
@@ -214,6 +215,19 @@ MUTANTS = (
            (CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[narrowed]",
             CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[narrowed_two]",
             CLI_TESTS + "test_diagnostics_other_than_all_three_exits_2[repeat]")),
+    # the one spelling of the splitting formula, held by criterion 11 to a
+    # quadrature that shares no code with derived_constants
+    Mutant("splitting-prefactor-scaled", "model.py",
+           (("A = 4.0 * (a2/2.0)**0.25 * np.sqrt(V_mid) * np.sqrt(kappa/np.pi) * np.exp(-I_A)",
+             "A = (1.0 + 1e-7) * 4.0 * (a2/2.0)**0.25 * np.sqrt(V_mid) * np.sqrt(kappa/np.pi) "
+             "* np.exp(-I_A)"),),
+           (ACCEPTANCE_TESTS + "test_criterion_11_closed_form_identity",
+            MODEL_TESTS + "test_derived_constants_closed_forms")),
+    Mutant("sweep-formula-without-h", "harness.py",
+           (("formula = h * classical_splitting_formula(m, math.sqrt(h))",
+             "formula = classical_splitting_formula(m, math.sqrt(h))"),),
+           (HARNESS_TESTS + "test_formula_prediction_is_the_effective_formula",
+            HARNESS_TESTS + "test_default_sweep_passes_benchmark_row_check")),
     # the closed-form Gram gap
     Mutant("gram-gap-no-two", "tunneling.py",
            (("return math.hypot(E22.real - E11.real, 2.0 * abs(E12))",
