@@ -7,9 +7,9 @@ splitting against its effective-operator and closed-form predictions.
 
 from .errors import (ConfigurationError, DegeneracyError, EvaluationError,
                      NumericError, PrecisionWarning)
-from .model import (CumulativeIntegral, Model, ModelConstants, SymbolB,
-                    ValidationReport, builtin_model, custom_model,
-                    derived_constants, parse_symbol, validate_model)
+from .model import (CumulativeIntegral, Model, ModelConstants, ValidationReport,
+                    builtin_model, custom_model, derived_constants, parse_symbol,
+                    validate_model)
 from .quantize import (Grid, OperatorMatrix, assemble_L, auto_points,
                        dump_matrix, frobenius_norm, load_matrix, make_grid,
                        reverse_indices, weyl_matrix)

@@ -3,7 +3,8 @@
 The operator under study is built from a pair of real symbols: a principal
 part a(xi) with a nondegenerate minimum at xi = 0 and positive far field,
 and a subprincipal part b(x, xi) whose restriction V = b(., 0) is an even
-double well with nondegenerate zeros at +-x_well. Everything downstream
+double well with nondegenerate zeros at +-x_well; b is analytic in xi and
+takes complex xi, so d_xi b is a complex step. Everything downstream
 (quantization, WKB machinery, splitting predictions) consumes either the
 raw evaluators or the scalar constants extracted here:
 
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, NumericError
 
 __all__ = [
-    "SymbolB", "Model", "ModelConstants", "ValidationReport",
+    "Model", "ModelConstants", "ValidationReport",
     "builtin_model", "validate_model", "derived_constants",
     "parse_symbol", "custom_model", "CumulativeIntegral",
 ]
@@ -40,25 +41,15 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 @dataclass
-class SymbolB:
-    """Subprincipal symbol b(x, xi) together with its xi-derivative."""
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    xi_derivative: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    # True when b(x, xi) does not depend on xi; unlocks the exact split
-    # assembly path in quantize.assemble_L.
-    xi_independent: bool = False
-
-    def __call__(self, x, xi):
-        return self.evaluator(x, xi)
-
-
-@dataclass
 class Model:
-    """Symbols a and b and the wells +-x_right; x_right > 0, so not nan."""
+    """Symbols a and b and the wells +-x_right; x_right > 0, so not nan.
+    b(x, xi) is analytic in xi and takes complex xi; xi_independent declares
+    that b does not read xi, which quantize.assemble_L splits exactly."""
     # principal symbol a(xi), even, vanishing to second order at 0
     a: Callable[[np.ndarray], np.ndarray]
-    b: SymbolB
+    b: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x_right: float
+    xi_independent: bool = False
     # derived_constants' cache; not an init field, so dataclasses.replace
     # gives the new wells an empty cache instead of the old wells' constants
     _constants: Optional["ModelConstants"] = field(default=None, init=False,
@@ -169,28 +160,17 @@ def builtin_model(name: str, eps: float = 0.2) -> Model:
     makes d_xi b(x, 0) nonzero, exercising the complex amplitude phase.
     """
     if name == "ModelA":
-        b = SymbolB(
-            evaluator=lambda x, xi: _quartic_well(x) + 0.0*np.asarray(xi, dtype=float),
-            xi_derivative=lambda x, xi: np.zeros(np.broadcast(
-                np.asarray(x, dtype=float), np.asarray(xi, dtype=float)).shape),
-            xi_independent=True)
-        return Model(a=_a_reference, b=b, x_right=1.0)
+        return Model(a=_a_reference, b=lambda x, xi: _quartic_well(x) + 0.0*np.asarray(xi),
+                     x_right=1.0, xi_independent=True)
     if name == "ModelB":
         if not 0.0 <= eps <= 1.0:
             raise ConfigurationError(f"ModelB coupling eps must be in [0, 1], got {eps}")
 
         def b_eval(x, xi):
-            x = np.asarray(x, dtype=float)
-            xi = np.asarray(xi, dtype=float)
+            x = np.asarray(x, dtype=float)   # xi, real or complex, is not copied
             return _quartic_well(x) + eps*x*xi/((1.0 + x*x)*(1.0 + xi*xi))
 
-        def b_dxi(x, xi):
-            x = np.asarray(x, dtype=float)
-            xi = np.asarray(xi, dtype=float)
-            return eps*x/(1.0 + x*x) * (1.0 - xi*xi)/(1.0 + xi*xi)**2
-
-        return Model(a=_a_reference,
-                     b=SymbolB(b_eval, b_dxi, xi_independent=(eps == 0.0)), x_right=1.0)
+        return Model(a=_a_reference, b=b_eval, x_right=1.0, xi_independent=(eps == 0.0))
     raise ConfigurationError(f"unknown model name {name!r}; expected ModelA or ModelB")
 
 
@@ -207,6 +187,11 @@ _FAR_MIN = 1e-3          # positive floor for far-field values
 _XI_FAR = 5.0
 _BOUND_MAX = 1e3         # symbol boundedness ceiling on samples
 _WELL_MARGIN = 0.2       # exclusion radius around the wells
+
+
+def _curvatures(m: Model) -> tuple[float, float]:
+    """a''(0) and V''(x_left): validate_model's and derived_constants' one rule."""
+    return float(_fd2_richardson(m.a, 0.0)), float(_fd2_richardson(m.potential, m.x_left, d=0.05))
 
 
 def validate_model(m: Model) -> ValidationReport:
@@ -232,7 +217,7 @@ def validate_model(m: Model) -> ValidationReport:
     checks["a_even"] = bool(np.max(np.abs(a_vals - a_vals[::-1])) <= _SYM_TOL*scale_a)
     details["a_even"] = f"max asym={np.max(np.abs(a_vals - a_vals[::-1])):.3e}"
 
-    a2 = float(_fd2_richardson(m.a, 0.0))
+    a2, V2 = _curvatures(m)
     checks["a_nondegenerate"] = a2 > _NONDEGENERACY_MIN
     details["a_nondegenerate"] = f"a''(0)={a2:.6f}"
 
@@ -263,7 +248,6 @@ def validate_model(m: Model) -> ValidationReport:
                              and floor > _NONDEGENERACY_MIN)
     details["b_two_zeros"] = f"V(x_l)={v_l:.2e} V(x_r)={v_r:.2e} off-well floor={floor:.3e}"
 
-    V2 = float(_fd2_richardson(lambda t: m.potential(t), m.x_left, d=0.05))
     checks["b_nondegenerate"] = V2 > _NONDEGENERACY_MIN
     details["b_nondegenerate"] = f"V''(x_l)={V2:.6f}"
 
@@ -356,6 +340,7 @@ def _integral(f, lo: float, hi: float):
 def derived_constants(m: Model) -> ModelConstants:
     """Extract all scalar constants used by the splitting formulas.
 
+    x_left must be a nondegenerate zero of V (else ConfigurationError).
     Second derivatives come from Richardson-extrapolated centered stencils,
     kappa from differentiating the smooth branch sgn(x - x_l) sqrt(V) at the
     well, S = sqrt(2/a2) int_{x_l}^{x_r} sqrt(V) from Gauss-Legendre panels,
@@ -366,8 +351,11 @@ def derived_constants(m: Model) -> ModelConstants:
     if m._constants is not None:
         return m._constants
 
-    a2 = float(_fd2_richardson(m.a, 0.0))
-    V2 = float(_fd2_richardson(lambda t: m.potential(t), m.x_left, d=0.05))
+    a2, V2 = _curvatures(m)
+    v_l = float(m.potential(np.array(m.x_left)))
+    if not (abs(v_l) <= _ZERO_TOL and V2 > _NONDEGENERACY_MIN):
+        raise ConfigurationError(f"x_left = {m.x_left:g} is not a nondegenerate zero of V: "
+                                 f"V(x_left) = {v_l:.3e}, V''(x_left) = {V2:.3e}")
     c0 = float(np.sqrt(a2 * V2 / 4.0))
     w = smooth_branch(m.potential, m.x_left)
     kappa = float(_richardson(_fd1, w, m.x_left, 0.02, 3))
@@ -459,9 +447,10 @@ def parse_symbol(expr: str, variables=("x", "xi")):
 
     Only +, -, *, /, integer ** and the given variable names are accepted;
     anything else (calls, attributes, subscripts, malformed syntax) raises
-    ConfigurationError. Literals evaluate as float64, as x and xi do: 10**400
-    is inf, never a Python big integer, and the caller reports it. From the
-    one parse, the evaluator's .names holds the variables expr reads.
+    ConfigurationError. Literals evaluate as float64, as real arguments do
+    (10**400 is inf, never a Python big integer); complex arguments stay
+    complex. The value has the arguments' broadcast shape even when expr
+    omits some. From the one parse, .names holds the variables expr reads.
     """
     tree = _parse(expr)
     _check_node(tree, set(variables))
@@ -471,32 +460,19 @@ def parse_symbol(expr: str, variables=("x", "xi")):
     scope = {"__builtins__": {}, **literals.values}
 
     def evaluator(*args):
-        env = {name: np.asarray(arg, dtype=float)
+        env = {name: np.asarray(arg, dtype=complex if np.iscomplexobj(arg) else float)
                for name, arg in zip(variables, args)}
+        shape = np.broadcast_shapes(*(v.shape for v in env.values()))
         with np.errstate(all="ignore"):
-            return eval(code, scope, env)
+            value = eval(code, scope, env)
+        return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
     evaluator.names = names
     return evaluator
 
 
 def custom_model(a_expr: str, b_expr: str, x_well: float) -> Model:
-    """Build a Model from expression strings; derivatives fall back to stencils."""
-    a_raw = parse_symbol(a_expr, variables=("xi",))
-
-    def a_eval(xi):
-        return a_raw(xi) + 0.0*np.asarray(xi, dtype=float)
-
-    b_raw = parse_symbol(b_expr, variables=("x", "xi"))
-    xi_indep = "xi" not in b_raw.names
-
-    def b_eval(x, xi):
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        return b_raw(x, xi) + 0.0*x + 0.0*xi
-
-    def b_dxi(x, xi, _d=1e-4):
-        return _fd1(lambda t: b_eval(x, t), np.asarray(xi, dtype=float), _d)
-
-    return Model(a=a_eval, b=SymbolB(b_eval, b_dxi, xi_independent=xi_indep),
-                 x_right=x_well)
+    """Build a Model from expression strings; b takes complex xi like a built-in."""
+    a = parse_symbol(a_expr, variables=("xi",))
+    b = parse_symbol(b_expr, variables=("x", "xi"))
+    return Model(a=a, b=b, x_right=x_well, xi_independent="xi" not in b.names)

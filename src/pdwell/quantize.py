@@ -299,7 +299,7 @@ def assemble_L(m: Model, g: Grid) -> OperatorMatrix:
     circulant of a plus h times the diagonal of V; otherwise the combined
     symbol goes through the anti-diagonal assembly.
     """
-    if m.b.xi_independent:
+    if m.xi_independent:
         return _circulant_plus_diagonal(m.a, m.potential, g.h, g)
 
     def combined(x, xi):

@@ -46,8 +46,10 @@ _CELLS_PER_UNIT = 256
 # limit inside this radius around the well
 _SING_RADIUS = 1e-4
 
-# finite-difference steps for derivatives of the phase branch
+# the finite-difference step of the phase branch's derivatives, and d of the
+# complex step d_xi b(x, 0) = Im b(x, i d) / d, a power of two so / d is exact
 _FD_STEP = 1e-3
+_XI_STEP = 2.0**-100
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +195,8 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
     and Phi''(well) = sqrt(2/a''(0)) kappa. The first term of I has a
     removable singularity at the well; inside a small ball it is replaced
     by its limit Phi'''(well)/(2 Phi''(well)), where Phi''' comes from a
-    centered second-derivative stencil of the branch.
+    centered second-derivative stencil of the branch. d_xi b(s, 0) is the
+    complex step Im b(s, i d)/d: exact for b analytic in xi, 0 if b omits xi.
 
     chi_left is 1 on [-A, x_r - 2 eta] and 0 left of -2A and right of
     x_r - eta (eta the seal's width), so chi_left * k = 0. Phi~ and u
@@ -249,7 +252,7 @@ def agmon_phase(m: Model, seal: SealingFunction, *, span: float = _DOMAIN) -> Ag
         near = np.abs(s - well) < _SING_RADIUS
         with np.errstate(divide="ignore", invalid="ignore"):
             reg = (pref * _fd1(g, s, _FD_STEP) - pp_well) / (2.0 * phi_prime(s))
-        imag_part = np.asarray(m.b.xi_derivative(s, 0.0), dtype=float) / consts.a2
+        imag_part = np.imag(m.b(s, 1j * _XI_STEP)) / _XI_STEP / consts.a2
         return np.where(near, limit, reg) + 1j * imag_part
 
     u_table = _table(integrand, span, well)

@@ -124,10 +124,10 @@ def _transport_residual(phase, sample_xs):
     """Residual of the first transport equation at the sample points.
 
     Evaluates | i Phi' d_xi b(x,0) u + (a2/2) Phi'' u + a2 Phi' u' - c0 u |
-    with u the leading amplitude, u' a high-order finite difference of the
-    amplitude callable and Phi', Phi'' from _phase_derivatives. Samples
-    must stay 1e-3 away from the well, where Phi' vanishes and the
-    equation degenerates.
+    with u the leading amplitude, u' and d_xi b(x, 0) high-order finite
+    differences of the amplitude callable and of b in real xi, and Phi',
+    Phi'' from _phase_derivatives. Samples must stay 1e-3 away from the
+    well, where Phi' vanishes and the equation degenerates.
     """
     xs = np.asarray(sample_xs, dtype=float)
     m = phase.model
@@ -140,7 +140,8 @@ def _transport_residual(phase, sample_xs):
     u_of = phase.amplitude
     u = u_of(xs)
     du = _fd8(u_of, xs, 1e-3)
-    resid = (1j * prime(xs) * np.asarray(m.b.xi_derivative(xs, 0.0)) * u
+    b_xi = _fd8(lambda xi: m.b(xs, xi), np.zeros_like(xs), 1e-3)
+    resid = (1j * prime(xs) * b_xi * u
              + 0.5 * a2 * second(xs) * u
              + a2 * prime(xs) * du
              - c0 * u)

@@ -1,6 +1,7 @@
 """Symbol models, assumption validation, and derived constants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import quad
 
 import pdwell
 from pdwell import ConfigurationError, EvaluationError, NumericError
-from pdwell.model import CumulativeIntegral, SymbolB, Model
+from pdwell.model import CumulativeIntegral, Model
 
 # quadrature/stencil truths for the reference double well, frozen from the
 # closed forms (a2, V2, kappa analytically; S to 30 digits). PREFACTOR_FROZEN
@@ -39,7 +40,7 @@ def test_modelb_eps_zero_reduces_to_modela(model_a, rng):
     x = rng.uniform(-5, 5, size=200)
     xi = rng.uniform(-5, 5, size=200)
     assert np.array_equal(mb0.b(x, xi), model_a.b(x, xi))
-    assert mb0.b.xi_independent
+    assert mb0.xi_independent
 
 
 def test_modelb_eps_out_of_range():
@@ -64,7 +65,7 @@ def test_validate_cosine_fails_unique_minimum(model_a):
     # 1 - cos(xi) vanishes again at 2 pi k; expression grammar has no cos,
     # so the symbol is built directly
     m = Model(a=lambda xi: 1.0 - np.cos(np.asarray(xi, dtype=float)),
-              b=model_a.b, x_right=1.0)
+              b=model_a.b, x_right=1.0, xi_independent=True)
     report = pdwell.validate_model(m)
     assert not report.checks["a_min_unique"]
     assert not report.passed
@@ -83,9 +84,7 @@ def test_validate_nonfinite_raises(model_a):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0/(x - 2.0) + 0.0*np.asarray(xi, dtype=float)
 
-    m = Model(a=model_a.a,
-              b=SymbolB(singular, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_right=1.0)
+    m = Model(a=model_a.a, b=singular, x_right=1.0, xi_independent=True)
     with pytest.raises(EvaluationError):
         pdwell.validate_model(m)
 
@@ -137,8 +136,7 @@ def test_unconverged_action_raises(model_a):
         x = np.asarray(x, dtype=float)
         return (x*x - 1.0)**2 * (1.0 + np.abs(x - 0.3)) + 0.0*np.asarray(xi, dtype=float)
 
-    m = Model(a=model_a.a, b=SymbolB(kinked, lambda x, xi: np.zeros(np.shape(x)), True),
-              x_right=1.0)
+    m = Model(a=model_a.a, b=kinked, x_right=1.0, xi_independent=True)
     with pytest.raises(NumericError, match="action quadrature did not converge"):
         pdwell.derived_constants(m)
 
@@ -174,6 +172,42 @@ def test_derived_constants_differentiates_a_once(monkeypatch):
     assert on_a.count(True) == 1
 
 
+def _flat_wells(x, xi):
+    x = np.asarray(x, dtype=float)
+    return (x*x - 1.0)**4 / (1.0 + x**8) + 0.0*np.asarray(xi)
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda m: dataclasses.replace(m, x_right=0.5),
+     r"x_left = -0\.5 is not a nondegenerate zero of V: V\(x_left\) = 5\.294e-01, "
+     r"V''\(x_left\) = "),
+    (lambda m: Model(a=m.a, b=_flat_wells, x_right=1.0, xi_independent=True),
+     r"x_left = -1 is not a nondegenerate zero of V: V\(x_left\) = 0\.000e\+00, "
+     r"V''\(x_left\) = "),
+], ids=["off_the_zero", "degenerate_zero"])
+def test_derived_constants_names_a_bad_well(model_a, build, named):
+    # checked before c0 = sqrt(a2 V2 / 4), so no sqrt warning and no later
+    # quadrature failure hides the fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=named):
+            pdwell.derived_constants(build(model_a))
+
+
+def test_one_curvature_rule(model_a, monkeypatch):
+    # validate_model and derived_constants read a2 and V2 off one helper
+    m = pdwell.builtin_model("ModelA")
+    seen = []
+    curvatures = pdwell.model._curvatures
+    monkeypatch.setattr(pdwell.model, "_curvatures",
+                        lambda m: seen.append(curvatures(m)) or seen[-1])
+    report = pdwell.validate_model(m)
+    consts = pdwell.derived_constants(m)
+    assert seen == [(consts.a2, consts.V2)] * 2
+    assert report.details["a_nondegenerate"] == f"a''(0)={consts.a2:.6f}"
+    assert report.details["b_nondegenerate"] == f"V''(x_l)={consts.V2:.6f}"
+
+
 def test_action_against_independent_quadrature(model_a, consts_a):
     val, _ = quad(lambda s: np.sqrt(max(float(model_a.potential(np.array(s))), 0.0)),
                   -1.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
@@ -192,15 +226,6 @@ def test_modelb_evenness(model_b, rng):
     xi = rng.uniform(-6, 6, size=500)
     d = np.abs(model_b.b(x, xi) - model_b.b(-x, -xi))
     assert np.max(d) < 1e-15
-
-
-def test_modelb_xi_derivative_on_axis(model_b, rng):
-    x = rng.uniform(-4, 4, size=100)
-    d = 1e-5
-    fd = (model_b.b(x, d) - model_b.b(x, -d)) / (2*d)
-    assert np.max(np.abs(model_b.b.xi_derivative(x, 0.0) - fd)) < 1e-8
-    assert np.max(np.abs(model_b.b.xi_derivative(x, 0.0)
-                         - 0.2*x/(1.0 + x*x))) < 1e-12
 
 
 def test_parse_symbol_rejects_bad_syntax():
@@ -236,12 +261,9 @@ def test_custom_model_roundtrip(model_a, consts_a):
 
 
 def test_custom_model_xi_dependence_flag():
-    assert pdwell.custom_model("xi**2", "(x**2-1)**2", 1.0).b.xi_independent
+    assert pdwell.custom_model("xi**2", "(x**2-1)**2", 1.0).xi_independent
     m = pdwell.custom_model("xi**2", "(x**2-1)**2 + x*xi", 1.0)
-    assert not m.b.xi_independent
-    # stencil xi-derivative of the parsed b against the analytic one
-    x = np.linspace(-2, 2, 41)
-    assert np.max(np.abs(m.b.xi_derivative(x, 0.0) - x)) < 1e-9
+    assert not m.xi_independent
 
 
 def test_custom_model_parses_each_expression_once(monkeypatch):
@@ -255,7 +277,7 @@ def test_custom_model_parses_each_expression_once(monkeypatch):
     monkeypatch.setattr(pdwell.model, "_parse", counted)
     m = pdwell.custom_model("xi**2", "(x**2-1)**2 + 0*xi", 1.0)
     assert seen == ["xi**2", "(x**2-1)**2 + 0*xi"]
-    assert not m.b.xi_independent
+    assert not m.xi_independent
     assert pdwell.parse_symbol("x**2 + 3*x").names == {"x"}
     assert pdwell.parse_symbol("2*xi", variables=("xi",)).names == {"xi"}
 
@@ -275,10 +297,10 @@ def test_model_rejects_non_positive_well(model_a):
 
 def test_replaced_wells_get_their_own_constants(model_a, consts_a):
     # dataclasses.replace starts the copy with an empty constants cache: with
-    # wells at +-0.5, ModelA's symbols fail the prefactor quadrature, as a
-    # fresh Model does, instead of returning the wells at +-1's constants
+    # wells at +-0.5, ModelA's symbols fail the well check, as a fresh Model
+    # does, instead of returning the wells at +-1's constants
     moved = dataclasses.replace(model_a, x_right=0.5)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(ConfigurationError, match="not a nondegenerate zero of V"):
         pdwell.derived_constants(moved)
     assert pdwell.derived_constants(model_a) is consts_a
 

@@ -142,10 +142,8 @@ def test_even_symbols_assemble_real(model_a, model_b, seal_a):
 
 
 def _split_model(a, V):
-    return pdwell.Model(a=a,
-                        b=pdwell.SymbolB(lambda x, xi: V(x) + 0.0*xi,
-                                         lambda x, xi: 0.0*x, xi_independent=True),
-                        x_right=1.0)
+    return pdwell.Model(a=a, b=lambda x, xi: V(x) + 0.0*xi, x_right=1.0,
+                        xi_independent=True)
 
 
 def test_reflection_flag_marks_exactly_symmetric_builds(model_a, model_b, seal_a):
@@ -324,17 +322,15 @@ def _holed(x, xi=0.0):
 
 @pytest.mark.parametrize("build, named", [
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
-        a=_pole, b=m.b, x_right=1.0), g),
+        a=_pole, b=m.b, x_right=1.0, xi_independent=True), g),
      "non-finite multiplier value at xi=0.0"),
     (lambda g, m: pdwell.assemble_L(pdwell.Model(
-        a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
-        x_right=1.0), g),
+        a=m.a, b=_holed, x_right=1.0, xi_independent=True), g),
      "non-finite potential value at x=-3.0"),
     (lambda g, m: pdwell.schrodinger_matrix(_holed, g, 1.0),
      "non-finite potential value at x=-3.0"),
     (lambda g, m: pdwell.validate_model(pdwell.Model(
-        a=m.a, b=pdwell.SymbolB(_holed, _holed, xi_independent=True),
-        x_right=1.0)),
+        a=m.a, b=_holed, x_right=1.0, xi_independent=True)),
      "non-finite symbol b value at x=-3.0, xi=-5.0"),
 ], ids=["multiplier", "assemble_L_potential", "schrodinger_potential",
         "validate_model_symbol_b"])

@@ -89,9 +89,8 @@ def _scalar_even_operator():
     # operator is numerically scalar and its off-diagonal entries square to
     # underflow, where LAPACK's index-range solver stops with an internal error
     m = pdwell.Model(a=lambda xi: 4.8e-173 / (1.0 + xi*xi),
-                     b=pdwell.SymbolB(lambda x, xi: 1.4375 + 0.0*x + 0.0*xi,
-                                      lambda x, xi: 0.0*x, xi_independent=True),
-                     x_right=1.0)
+                     b=lambda x, xi: 1.4375 + 0.0*x + 0.0*xi, x_right=1.0,
+                     xi_independent=True)
     return pdwell.assemble_L(m, pdwell.make_grid(8.0, 16, 1/64, xi_min=0.001))
 
 

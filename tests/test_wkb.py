@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 import pdwell
 from pdwell import ConfigurationError, EvaluationError, NumericError
 from pdwell.harness import SweepConfig, sweep_phase
-from pdwell.model import CumulativeIntegral, Model, SymbolB
+from pdwell.model import CumulativeIntegral, Model
 from pdwell.wkb import SealingFunction
 
 # frozen desk-scale values for ModelA with the default seal (eta = 0.4,
@@ -232,8 +232,7 @@ def _potential_nan_at(model, points):
         x = np.asarray(x, dtype=float)
         return np.where(np.isin(x, points), np.nan, model.b(x, xi))
 
-    return Model(a=model.a, b=SymbolB(b, model.b.xi_derivative, True),
-                 x_right=model.x_right)
+    return Model(a=model.a, b=b, x_right=model.x_right, xi_independent=True)
 
 
 def test_non_finite_sealed_landscape_is_evaluation_error(model_a):
@@ -406,6 +405,21 @@ def test_amplitude_modelb_modulus_matches(model_a, model_b, phase_a_left):
     u_b = phase_b.amplitude(xs)
     assert np.max(np.abs(np.abs(u_b) - np.abs(u_a))) < 1e-10
     assert np.max(np.abs(np.imag(u_b))) > 1e-3  # genuinely complex
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pdwell.builtin_model("ModelB", eps=0.2),
+    lambda: pdwell.custom_model("xi**2/(1+xi**2)",
+                                "(x**2-1)**2/(1+x**4) + 0.2*x*xi/((1+x**2)*(1+xi**2))", 1.0),
+], ids=["ModelB", "custom"])
+def test_amplitude_phase_is_the_closed_form(build):
+    # d_xi b(x, 0) = eps x/(1+x^2) enters only the amplitude's phase, so both
+    # spellings of the symbol give arg u = -(eps/(2 a2)) log((1+x^2)/2)
+    m = build()
+    phase = pdwell.agmon_phase(m, pdwell.sealing_function(m))
+    x = np.linspace(-3.9, 3.9, 157)
+    closed = -(0.2 / (2.0 * pdwell.derived_constants(m).a2)) * np.log((1.0 + x*x) / 2.0)
+    assert np.max(np.abs(np.angle(phase.amplitude(x)) - closed)) <= 1e-15
 
 
 def test_quasimode_norm_raw(grid05, phase_a_left, consts_a):

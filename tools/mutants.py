@@ -149,6 +149,16 @@ MUTANTS = (
     Mutant("table-span-guard-dropped", "wkb.py",
            (("if np.abs(x).max(initial=0.0) > table.hi:", "if False:"),),
            (WKB_TESTS + "test_narrow_tables_refuse_queries_past_their_span",)),
+    # d_xi b(x, 0) is the complex step Im b(x, i d) / d, read only by the
+    # amplitude integrand
+    Mutant("xi-step-real-part", "wkb.py",
+           (("imag_part = np.imag(m.b(s, 1j * _XI_STEP)) / _XI_STEP / consts.a2",
+             "imag_part = np.real(m.b(s, 1j * _XI_STEP)) / _XI_STEP / consts.a2"),),
+           (WKB_TESTS + "test_amplitude_phase_is_the_closed_form[ModelB]",
+            WKB_TESTS + "test_amplitude_phase_is_the_closed_form[custom]")),
+    Mutant("xi-step-coarse", "wkb.py", (("_XI_STEP = 2.0**-100", "_XI_STEP = 2.0**-10"),),
+           (WKB_TESTS + "test_amplitude_phase_is_the_closed_form[ModelB]",
+            WKB_TESTS + "test_amplitude_phase_is_the_closed_form[custom]")),
     # Phi's table reaches past a grid window wider than [-12, 12]
     Mutant("phase-table-on-the-least-span", "wkb.py",
            (("cum = _table(g, max(_DOMAIN, span), well)", "cum = _table(g, _DOMAIN, well)"),),
@@ -166,6 +176,11 @@ MUTANTS = (
     Mutant("prefactor-gate-passes-nan", "model.py",
            (("if not (I_err <= 1e-8):", "if I_err > 1e-8:"),),
            (MODEL_TESTS + "test_nan_quadrature_estimate_raises[prefactor]",)),
+    # derived_constants names a well that is no nondegenerate zero of V
+    Mutant("well-check-dropped", "model.py",
+           (("if not (abs(v_l) <= _ZERO_TOL and V2 > _NONDEGENERACY_MIN):", "if False:"),),
+           (MODEL_TESTS + "test_derived_constants_names_a_bad_well[off_the_zero]",
+            MODEL_TESTS + "test_derived_constants_names_a_bad_well[degenerate_zero]")),
     Mutant("seal-gate-passes-nan", "wkb.py",
            (("if not (floor > level + 1e-9):", "if floor <= level + 1e-9:"),),
            (WKB_TESTS + "test_nan_well_level_fails_the_seal_gate",)),
